@@ -47,7 +47,7 @@ def main():
         ["gen-synth", "--n", "6000", "--m", "100", "--alpha", "0.2",
          "--overconfidence", "2.5", "--seed", str(args.seed), "--out", topk_data],
         ["sweep-topk", "--data", topk_data, "--kvalues", "10,25,50,75,100",
-         "--mode", "direct", "--split", "0.3333333333333333",
+         "--split", "0.3333333333333333",
          "--seed", str(args.seed), "--out", topk_out],
     ):
         code = cli.main(step)

@@ -18,7 +18,6 @@ from .transform import (
     DIRECT,
     INVERSE,
     MonotoneParams,
-    apply_map,
     apply_map_topk,
     objective_and_gradient,
     order_violations,
@@ -59,7 +58,6 @@ __all__ = [
     "DIRECT",
     "INVERSE",
     "MonotoneParams",
-    "apply_map",
     "apply_map_topk",
     "objective_and_gradient",
     "order_violations",

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
 from . import core
-from .transform import DIRECT, MonotoneParams, apply_map_topk
+from .transform import DIRECT, INVERSE, MonotoneParams, apply_map_topk
 
 TS = "ts"
 VS = "vs"
@@ -30,6 +30,8 @@ ETS_MSE = "ets-mse"
 MCCT = "mcct"
 MCCT_I = "mcct-i"
 KINDS = (TS, VS, HB, ETS_NLL, ETS_MSE, MCCT, MCCT_I)
+# The monotone-map kinds and the mode each one is applied in.
+MONOTONE_MODES = {MCCT: DIRECT, MCCT_I: INVERSE}
 
 HB_DEFAULT_BINS = 15
 
@@ -62,6 +64,8 @@ class CalibratedModel:
             edges = np.asarray(p["edges"], dtype=np.float64)
             if np.any(np.diff(edges) <= 0) or edges[0] != 0.0 or edges[-1] != 1.0:
                 raise ValueError("bin edges must strictly increase over [0, 1]")
+        if self.kind in MONOTONE_MODES and p["params"].mode != MONOTONE_MODES[self.kind]:
+            raise ValueError(f"model kind {self.kind!r} does not match mode {p['params'].mode!r}")
 
     @property
     def m(self):
@@ -105,7 +109,7 @@ class CalibratedModel:
     def from_json(cls, doc):
         doc = dict(doc)
         kind = doc.pop("kind")
-        if kind in (MCCT, MCCT_I):
+        if kind in MONOTONE_MODES:
             return cls(kind, {"params": MonotoneParams.from_json(doc), "m": doc["m"]})
         payload = {}
         for key, value in doc.items():

@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import baselines, core, data_io, metrics, optim, transform
+from . import baselines, core, data_io, metrics, optim
 
 METHODS = ("mcct", "mcct-i", "ts", "vs", "hb", "ets-nll", "ets-mse")
 UNCALIBRATED = "uncalibrated"
@@ -50,7 +50,7 @@ def _solver_config(args):
         cfg = optim.SolverConfig()
     overrides = {
         name: getattr(args, name)
-        for name in ("max_iterations", "stationarity_tol", "constraint_tol", "w_floor")
+        for name in ("max_iterations", "stationarity_tol", "w_floor")
         if getattr(args, name, None) is not None
     }
     if overrides:
@@ -60,9 +60,8 @@ def _solver_config(args):
 
 def _fit_method(method, z, y, topk=None, cfg=None):
     """Fit one method by name; returns (model, solver-diagnostics dict)."""
-    if method in (baselines.MCCT, baselines.MCCT_I):
-        mode = transform.DIRECT if method == baselines.MCCT else transform.INVERSE
-        result = optim.fit_mcct(z, y, mode=mode, k=topk, cfg=cfg)
+    if method in baselines.MONOTONE_MODES:
+        result = optim.fit_mcct(z, y, mode=baselines.MONOTONE_MODES[method], k=topk, cfg=cfg)
         return baselines.from_monotone_params(result.params), {
             "final_loss": result.final_loss,
             "iterations": result.iterations,
@@ -196,7 +195,6 @@ def cmd_fit(args):
             "method": args.method,
             "topk": args.topk,
             "solver_config": cfg.to_json(),
-            "seed": args.seed,
             "outputs": [args.out],
             "fit": info,
             "wall_time_s": {"fit": wall},
@@ -228,7 +226,6 @@ def cmd_eval(args):
             "command": "eval",
             "inputs": {"data": args.data, "model": args.model},
             "bins": args.bins,
-            "seed": args.seed,
             "outputs": [args.out, reliability_path],
             "wall_time_s": {"eval": wall},
         },
@@ -426,7 +423,6 @@ def cmd_sweep_topk(args):
     z, y = data_io.read_dataset(args.data, _resolve_format(args.data, args.format))
     cfg = _solver_config(args)
     kvalues = [int(k) for k in args.kvalues.split(",")]
-    mode = transform.DIRECT if args.mode == "direct" else transform.INVERSE
     t0 = time.perf_counter()
 
     (zc, yc), (zt, yt) = data_io.split_dataset(z, y, args.split, args.seed)
@@ -439,7 +435,7 @@ def cmd_sweep_topk(args):
     for k in kvalues:
         try:
             fit_start = time.perf_counter()
-            result = optim.fit_mcct(zc, yc, mode=mode, k=k, cfg=cfg)
+            result = optim.fit_mcct(zc, yc, k=k, cfg=cfg)
             fit_seconds = time.perf_counter() - fit_start
             model = baselines.from_monotone_params(result.params)
             report = metrics.compute_report(model.apply(zt), yt, p_base, num_bins=args.bins)
@@ -457,13 +453,12 @@ def cmd_sweep_topk(args):
     header = ["k"] + list(SCALAR_COLUMNS) + ["fit_seconds", "dropped_samples", "iterations", "converged", "status"]
     _write_csv(args.out, header, rows)
     json_path = args.out + ".json"
-    _dump_json(json_path, {"rows": [dict(zip(header, row)) for row in rows], "mode": args.mode})
+    _dump_json(json_path, {"rows": [dict(zip(header, row)) for row in rows]})
     _write_manifest(
         args.out,
         {
             "command": "sweep-topk",
             "inputs": {"data": args.data},
-            "mode": args.mode,
             "kvalues": kvalues,
             "split": args.split,
             "solver_config": cfg.to_json(),
@@ -483,9 +478,11 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="base random seed (default 0)")
+    threaded = argparse.ArgumentParser(add_help=False)
+    threaded.add_argument("--threads", type=int, default=1, help="parallel workers for independent cells")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="base random seed (default 0)")
-    common.add_argument("--threads", type=int, default=1, help="parallel workers for sweep cells")
     common.add_argument(
         "--format",
         choices=data_io.FORMATS,
@@ -497,10 +494,9 @@ def _build_parser():
     solver.add_argument("--solver-config", default=None, help="JSON file with solver settings")
     solver.add_argument("--max-iterations", type=int, default=None)
     solver.add_argument("--stationarity-tol", type=float, default=None)
-    solver.add_argument("--constraint-tol", type=float, default=None)
     solver.add_argument("--w-floor", type=float, default=None)
 
-    p = sub.add_parser("gen-synth", parents=[common], help="generate a synthetic logit dataset")
+    p = sub.add_parser("gen-synth", parents=[common, seeded], help="generate a synthetic logit dataset")
     p.add_argument("--n", type=int, default=10_000)
     p.add_argument("--m", type=int, default=10)
     p.add_argument("--alpha", type=float, default=0.5)
@@ -523,7 +519,7 @@ def _build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("compare", parents=[common, solver], help="fit and evaluate several methods over seeded splits")
+    p = sub.add_parser("compare", parents=[common, seeded, threaded, solver], help="fit and evaluate several methods over seeded splits")
     p.add_argument("--data", required=True)
     p.add_argument("--methods", required=True, help="comma-separated method list")
     p.add_argument("--split", type=float, default=0.5, help="calibration fraction of each split")
@@ -532,7 +528,7 @@ def _build_parser():
     p.add_argument("--out", required=True, help="JSON output path (.csv written beside it)")
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("sweep-size", parents=[common, solver], help="calibration-set-size sweep")
+    p = sub.add_parser("sweep-size", parents=[common, seeded, threaded, solver], help="calibration-set-size sweep")
     p.add_argument("--data", required=True)
     p.add_argument("--fractions", required=True, help="comma-separated fractions in (0, 1]")
     p.add_argument("--methods", required=True)
@@ -542,10 +538,9 @@ def _build_parser():
     p.add_argument("--out", required=True, help="CSV output path")
     p.set_defaults(func=cmd_sweep_size)
 
-    p = sub.add_parser("sweep-topk", parents=[common, solver], help="retained-rank sweep with fit timing")
+    p = sub.add_parser("sweep-topk", parents=[common, seeded, solver], help="retained-rank sweep with fit timing")
     p.add_argument("--data", required=True)
     p.add_argument("--kvalues", required=True, help="comma-separated k values")
-    p.add_argument("--mode", choices=("direct", "inverse"), default="direct")
     p.add_argument("--split", type=float, default=0.5)
     p.add_argument("--bins", type=int, default=15)
     p.add_argument("--out", required=True, help="CSV output path")

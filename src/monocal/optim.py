@@ -17,7 +17,6 @@ from . import core
 from .transform import (
     DIRECT,
     INVERSE,
-    MODES,
     MonotoneParams,
     label_positions,
     order_violations,
@@ -30,29 +29,31 @@ from .transform import (
 class SolverConfig:
     """Solver tolerances and limits.
 
-    ``w_floor`` is the lower bound imposed on every scale entry: strict
-    positivity is an open condition unusable as a solver constraint, so the
-    feasible set is closed at a negligible distance from it.
+    ``w_floor`` bounds every scale entry to ``[w_floor, 1 / w_floor]``:
+    strict positivity is an open condition unusable as a solver constraint,
+    so the feasible set is closed at a negligible distance from it, and the
+    matching upper bound keeps the reciprocal scales of mcct-i above the
+    same floor.
     """
 
     max_iterations: int = 500
     stationarity_tol: float = 1e-8
-    constraint_tol: float = 1e-9
     w_floor: float = 1e-8
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        for name in ("stationarity_tol", "constraint_tol", "w_floor"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+        if self.stationarity_tol <= 0:
+            raise ValueError("stationarity_tol must be > 0")
+        if not 0 < self.w_floor <= 1:
+            raise ValueError("w_floor must lie in (0, 1]")
 
     def to_json(self):
         return asdict(self)
 
     @classmethod
     def from_json(cls, doc):
-        known = {f: doc[f] for f in ("max_iterations", "stationarity_tol", "constraint_tol", "w_floor") if f in doc}
+        known = {f: doc[f] for f in ("max_iterations", "stationarity_tol", "w_floor") if f in doc}
         unknown = set(doc) - set(known)
         if unknown:
             raise ValueError(f"unknown solver config fields: {sorted(unknown)}")
@@ -69,38 +70,27 @@ class FitResult:
     dropped_samples: int = 0
 
 
-def init_params(mode, k, m=None, w_floor=SolverConfig.w_floor):
-    """Starting point of the fit.
+def init_params(mode, k, m=None):
+    """Starting point of the fit: the identity map (``w`` ones, ``b`` zero).
 
-    Direct mode: ``w`` equally spaced ascending over [0, 1] with the first
-    entry lifted to ``w_floor``, ``b`` zero.  Inverse mode: ``w`` all ones,
-    ``b`` zero.  Both satisfy their constraint systems exactly.
+    It is the same map in either mode, satisfies every constraint, and
+    reproduces the uncalibrated logits.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if k < 2:
         raise ValueError("need k >= 2")
-    if mode == DIRECT:
-        w = np.linspace(0.0, 1.0, k)
-        w[0] = w_floor
-    else:
-        w = np.ones(k)
-    return MonotoneParams(w=w, b=np.zeros(k), mode=mode, m=k if m is None else m)
+    return MonotoneParams(w=np.ones(k), b=np.zeros(k), mode=mode, m=k if m is None else m)
 
 
-def _chain_constraints(mode, k):
-    """Linear inequality constraints encoding the ordering invariants.
+def _chain_constraints(k):
+    """Linear inequality constraints ``w[i+1] - w[i] >= 0`` and ``b[i+1] - b[i] >= 0``.
 
-    Rows of the w-chain are ``w[i+1] - w[i]`` (direct) or ``w[i] - w[i+1]``
-    (inverse); the b-chain is ``b[i+1] - b[i]`` in both modes.  Jacobians are
-    constant, so they are materialized once.
+    Jacobians are constant, so they are materialized once.
     """
     jac_w = np.zeros((k - 1, 2 * k))
     jac_b = np.zeros((k - 1, 2 * k))
     idx = np.arange(k - 1)
-    sign = -1.0 if mode == DIRECT else 1.0
-    jac_w[idx, idx] = sign
-    jac_w[idx, idx + 1] = -sign
+    jac_w[idx, idx] = -1.0
+    jac_w[idx, idx + 1] = 1.0
     jac_b[idx, k + idx] = -1.0
     jac_b[idx, k + idx + 1] = 1.0
     return [
@@ -109,18 +99,14 @@ def _chain_constraints(mode, k):
     ]
 
 
-def _repair(w, b, mode, w_floor):
+def _repair(w, b, w_floor):
     """Make a near-feasible iterate exactly feasible.
 
     SLSQP can overshoot linear constraints by a few ulp; the cumulative
-    max/min below removes any residual inversion without moving feasible
-    entries at all.
+    max and the clip below remove any residual inversion without moving
+    feasible entries at all.
     """
-    if mode == DIRECT:
-        w = np.maximum(np.maximum.accumulate(w), w_floor)
-    else:
-        w = np.maximum(np.minimum.accumulate(w), w_floor)
-    return w, np.maximum.accumulate(b)
+    return np.clip(np.maximum.accumulate(w), w_floor, 1.0 / w_floor), np.maximum.accumulate(b)
 
 
 def constraint_violation(params, w_floor=SolverConfig.w_floor):
@@ -139,12 +125,18 @@ def constraint_violation(params, w_floor=SolverConfig.w_floor):
 def fit_mcct(z, y, mode=DIRECT, k=None, cfg=None):
     """Fit a monotone calibration map by constrained NLL minimization.
 
+    Both modes solve the same problem: SLSQP fits the direct map ``s * w + b``
+    starting from the identity map, with every scale entry bounded to
+    ``[w_floor, 1 / w_floor]``.  Inverse mode returns that fit with its
+    scales written as divisors (``w`` replaced by ``1 / w``), and the same
+    biases, loss and iteration count.
+
     With ``k`` below the class count, each row's sorted logits are truncated
     to the top k columns and samples whose true class falls outside them are
     dropped from the fitting set (their count is reported on the result).
 
     The returned parameters are always exactly feasible and never worse in
-    loss than the initialization.
+    loss than the uncalibrated logits.
     """
     cfg = cfg or SolverConfig()
     z = core.validate_logits(z)
@@ -171,10 +163,10 @@ def fit_mcct(z, y, mode=DIRECT, k=None, cfg=None):
         raise ValueError("every sample's true class fell outside the top k ranks")
 
     def fun(x):
-        loss, gw, gb = sorted_nll_objective(s_fit, pos_fit, x[:k], x[k:], mode)
+        loss, gw, gb = sorted_nll_objective(s_fit, pos_fit, x[:k], x[k:], DIRECT)
         return loss, np.concatenate([gw, gb])
 
-    start = init_params(mode, k, m=m, w_floor=cfg.w_floor)
+    start = init_params(DIRECT, k, m=m)
     x0 = np.concatenate([start.w, start.b])
     init_loss = fun(x0)[0]
     res = minimize(
@@ -182,16 +174,16 @@ def fit_mcct(z, y, mode=DIRECT, k=None, cfg=None):
         x0,
         jac=True,
         method="SLSQP",
-        bounds=[(cfg.w_floor, None)] * k + [(None, None)] * k,
-        constraints=_chain_constraints(mode, k),
+        bounds=[(cfg.w_floor, 1.0 / cfg.w_floor)] * k + [(None, None)] * k,
+        constraints=_chain_constraints(k),
         options={"maxiter": cfg.max_iterations, "ftol": cfg.stationarity_tol},
     )
-    w, b = _repair(res.x[:k], res.x[k:], mode, cfg.w_floor)
-    final_loss = sorted_nll_objective(s_fit, pos_fit, w, b, mode)[0]
+    w, b = _repair(res.x[:k], res.x[k:], cfg.w_floor)
+    final_loss = sorted_nll_objective(s_fit, pos_fit, w, b, DIRECT)[0]
     converged = bool(res.success)
     if final_loss > init_loss:
         w, b, final_loss, converged = start.w, start.b, init_loss, False
-    params = MonotoneParams(w=w, b=b, mode=mode, m=m)
+    params = MonotoneParams(w=w if mode == DIRECT else 1.0 / w, b=b, mode=mode, m=m)
     broken = order_violations(z, params)
     if broken:
         warnings.warn(

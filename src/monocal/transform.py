@@ -8,8 +8,8 @@ original column order:
 * direct mode:   sorted row ``s`` maps to ``s * w + b`` with ``w`` positive
   and non-decreasing and ``b`` non-decreasing;
 * inverse mode:  ``s / w + b`` with ``w`` positive and non-increasing and
-  ``b`` non-decreasing (an equivalent parameterization whose gradient in
-  ``w`` shrinks as ``1 / w**2``, implicitly discouraging large scales).
+  ``b`` non-decreasing: the same map with its scales written as divisors
+  (inverse ``(1 / w, b)`` equals direct ``(w, b)``).
 
 With fewer parameters than classes (``k < m``), the top k ranks get their
 own entries and every lower rank is transformed with the first (lowest-rank)
@@ -110,19 +110,6 @@ class MonotoneParams:
         return params
 
 
-def constraint_vectors(params):
-    """Consecutive-difference vectors whose non-negativity encodes the invariants.
-
-    Direct mode returns ``(w[i+1] - w[i], b[i+1] - b[i])``; inverse mode
-    returns ``(w[i] - w[i+1], b[i+1] - b[i])``.  Both are length k-1 and
-    elementwise >= 0 for valid parameters.
-    """
-    dw = np.diff(params.w)
-    if params.mode == INVERSE:
-        dw = -dw
-    return dw, np.diff(params.b)
-
-
 def _rank_aligned_wb(params):
     """Length-m scale/bias vectors: top k ranks get w/b, lower ranks w[0]/b[0]."""
     pad = params.m - params.k
@@ -138,13 +125,6 @@ def _transform_sorted(s, w, b, mode):
     if mode == DIRECT:
         return s * w + b
     return s / w + b
-
-
-def apply_map(z, params):
-    """Apply a full-rank (k == m) monotone map to a logit matrix."""
-    if params.k != params.m:
-        raise ValueError("apply_map requires k == m; use apply_map_topk for truncated maps")
-    return apply_map_topk(z, params)
 
 
 def apply_map_topk(z, params):
@@ -237,7 +217,7 @@ def sorted_nll_objective(s, y_pos, w, b, mode):
 def objective_and_gradient(z, y, params):
     """Fitting objective for a full-rank map: mean NLL and its (w, b) gradient.
 
-    The loss equals ``nll(softmax_rows(apply_map(z, params)), y)``; the
+    The loss equals ``nll(softmax_rows(apply_map_topk(z, params)), y)``; the
     gradients are evaluated in the sorted domain against the per-row
     permuted one-hot target, which is the same quantity.
     """

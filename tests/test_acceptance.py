@@ -46,7 +46,7 @@ def end_to_end():
         warnings.simplefilter("ignore")
         fits = {mode: optim.fit_mcct(zc, yc, mode=mode) for mode in transform.MODES}
     probs = {
-        mode: core.softmax_rows(transform.apply_map(zt, fits[mode].params))
+        mode: core.softmax_rows(transform.apply_map_topk(zt, fits[mode].params))
         for mode in transform.MODES
     }
     elapsed = time.perf_counter() - t0
@@ -148,7 +148,7 @@ def test_criterion_03_temperature_embedding():
         params = transform.MonotoneParams(
             w=np.full(9, 1.0 / temperature), b=np.zeros(9), mode="direct", m=9
         )
-        got = core.softmax_rows(transform.apply_map(z, params))
+        got = core.softmax_rows(transform.apply_map_topk(z, params))
         expected = core.softmax_rows(z / temperature)
         worst = max(worst, float(np.abs(got - expected).max()))
     report(
@@ -255,7 +255,7 @@ def test_criterion_07_non_monotonic_contrast():
                 metrics.ranking_diagnostics(p_base, vs_big.apply(zt)).prediction_change_rate
             )
             mono = optim.fit_mcct(zc[:100], yc[:100], mode="direct")
-            p_mono = core.softmax_rows(transform.apply_map(zt, mono.params))
+            p_mono = core.softmax_rows(transform.apply_map_topk(zt, mono.params))
             diag_mono = metrics.ranking_diagnostics(p_base, p_mono)
             if diag_mono.prediction_change_rate != 0.0 or diag_mono.uncertain_alteration_rate != 0.0:
                 monotone_clean = False
@@ -281,7 +281,7 @@ def test_criterion_08_data_efficiency(end_to_end):
         for seed in range(10):
             idx = np.random.default_rng(seed).permutation(zc.shape[0])[:500]
             result = optim.fit_mcct(zc[idx], yc[idx], mode="direct")
-            p = core.softmax_rows(transform.apply_map(zt, result.params))
+            p = core.softmax_rows(transform.apply_map_topk(zt, result.params))
             small_eces.append(metrics.ece(p, yt)[0])
     mean_small = float(np.mean(small_eces))
     rel = abs(mean_small - ece_full) / ece_full

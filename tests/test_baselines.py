@@ -115,7 +115,7 @@ class TestVectorScaling:
         vs_diag = metrics.ranking_diagnostics(p_base, vs.apply(zt))
         assert vs_diag.prediction_change_rate > 0
         mono = optim.fit_mcct(zc, yc, mode="direct")
-        p_mono = core.softmax_rows(transform.apply_map(zt, mono.params))
+        p_mono = core.softmax_rows(transform.apply_map_topk(zt, mono.params))
         mono_diag = metrics.ranking_diagnostics(p_base, p_mono)
         assert mono_diag.prediction_change_rate == 0.0
         assert mono_diag.uncertain_alteration_rate == 0.0
@@ -206,6 +206,12 @@ class TestModelSerialization:
         doc = baselines.from_monotone_params(fitted_direct.params).to_json()
         assert doc["kind"] == "mcct"
         assert set(doc) == {"kind", "mode", "m", "k", "w", "b"}
+
+    @pytest.mark.parametrize("kind, mode", [("mcct", "inverse"), ("mcct-i", "direct")])
+    def test_kind_mode_mismatch_rejected(self, kind, mode):
+        doc = {"kind": kind, "mode": mode, "m": 2, "k": 2, "w": [1.0, 1.0], "b": [0.0, 0.0]}
+        with pytest.raises(ValueError, match="does not match mode"):
+            CalibratedModel.from_json(doc)
 
     def test_class_count_mismatch_rejected(self):
         model = CalibratedModel(baselines.TS, {"T": 2.0, "m": 4})

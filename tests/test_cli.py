@@ -295,7 +295,7 @@ class TestSweepTopk:
         out = str(tmp_path / "topk.csv")
         code = run(
             "sweep-topk", "--data", dataset, "--kvalues", "2,4,8",
-            "--mode", "direct", "--split", 0.5, "--seed", 0, "--out", out,
+            "--split", 0.5, "--seed", 0, "--out", out,
         )
         assert code == 0
         rows = json.load(open(out + ".json"))["rows"]

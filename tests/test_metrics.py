@@ -177,7 +177,7 @@ class TestRankingDiagnostics:
     def test_monotone_map_output(self, overconfident_split, fitted_direct):
         _, (zt, _) = overconfident_split
         p_before = core.softmax_rows(zt)
-        p_after = core.softmax_rows(transform.apply_map(zt, fitted_direct.params))
+        p_after = core.softmax_rows(transform.apply_map_topk(zt, fitted_direct.params))
         diag = metrics.ranking_diagnostics(p_before, p_after)
         assert diag.prediction_change_rate == 0.0
         assert diag.uncertain_alteration_rate == 0.0
@@ -219,7 +219,7 @@ class TestReport:
     def test_full_report_fields(self, overconfident_split, fitted_direct):
         _, (zt, yt) = overconfident_split
         p_base = core.softmax_rows(zt)
-        p = core.softmax_rows(transform.apply_map(zt, fitted_direct.params))
+        p = core.softmax_rows(transform.apply_map_topk(zt, fitted_direct.params))
         report = metrics.compute_report(p, yt, p_base)
         assert 0.0 <= report.ece <= 1.0
         assert report.eq_mass_ece >= 0.0

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ class TestSolverConfig:
         cfg = optim.SolverConfig()
         assert cfg.max_iterations == 500
         assert cfg.stationarity_tol == 1e-8
-        assert cfg.constraint_tol == 1e-9
         assert cfg.w_floor == 1e-8
 
     def test_json_round_trip(self):
@@ -25,18 +26,17 @@ class TestSolverConfig:
             optim.SolverConfig(max_iterations=0)
         with pytest.raises(ValueError):
             optim.SolverConfig(stationarity_tol=-1.0)
+        with pytest.raises(ValueError, match="w_floor"):
+            optim.SolverConfig(w_floor=2.0)
 
 
 class TestInitParams:
-    def test_direct_is_lifted_linspace(self):
-        params = optim.init_params("direct", 3)
-        assert np.array_equal(params.w, [1e-8, 0.5, 1.0])
-        assert np.array_equal(params.b, np.zeros(3))
-
-    def test_inverse_is_ones(self):
-        params = optim.init_params("inverse", 5)
-        assert np.array_equal(params.w, np.ones(5))
-        assert np.array_equal(params.b, np.zeros(5))
+    def test_start_is_identity_map(self):
+        for mode in transform.MODES:
+            params = optim.init_params(mode, 5)
+            assert params.mode == mode
+            assert np.array_equal(params.w, np.ones(5))
+            assert np.array_equal(params.b, np.zeros(5))
 
     @pytest.mark.parametrize("mode", transform.MODES)
     @pytest.mark.parametrize("k", [2, 3, 10])
@@ -49,6 +49,21 @@ class TestInitParams:
             optim.init_params("direct", 1)
 
 
+class TestConstraintViolation:
+    def test_oriented_chain_differences(self):
+        # Duck-typed parameters: MonotoneParams rejects infeasible values.
+        def violation(w, b, mode, w_floor=1e-8):
+            params = SimpleNamespace(w=np.array(w), b=np.array(b), mode=mode)
+            return optim.constraint_violation(params, w_floor)
+
+        assert violation([1.0, 3.0], [0.0, 2.0], "direct") == 0.0
+        assert violation([3.0, 1.0], [0.0, 2.0], "inverse") == 0.0
+        assert violation([3.0, 1.0], [0.0, 2.0], "direct") == 2.0
+        assert violation([1.0, 3.0], [0.0, 2.0], "inverse") == 2.0
+        assert violation([1.0, 3.0], [2.0, 0.5], "direct") == 1.5
+        assert violation([0.5, 3.0], [0.0, 0.0], "direct", w_floor=1.0) == 0.5
+
+
 class TestFit:
     def test_near_identity_on_calibrated_data(self, calibrated_split):
         # Calibrating already-calibrated data should barely change test NLL.
@@ -56,7 +71,7 @@ class TestFit:
         nll_before = core.nll(core.softmax_rows(zt), yt)
         for mode in transform.MODES:
             result = optim.fit_mcct(zc, yc, mode=mode)
-            nll_after = core.nll(core.softmax_rows(transform.apply_map(zt, result.params)), yt)
+            nll_after = core.nll(core.softmax_rows(transform.apply_map_topk(zt, result.params)), yt)
             assert abs(nll_after - nll_before) / nll_before <= 1e-3
 
     def test_recovers_temperature_like_scaling(self):
@@ -68,7 +83,7 @@ class TestFit:
         w = result.params.w
         assert w.max() - w.min() < 0.15
         assert 0.3 <= w.mean() <= 0.5
-        ece_fit = metrics.ece(core.softmax_rows(transform.apply_map(zt, result.params)), yt)[0]
+        ece_fit = metrics.ece(core.softmax_rows(transform.apply_map_topk(zt, result.params)), yt)[0]
         ece_oracle = metrics.ece(core.softmax_rows(zt / 2.5), yt)[0]
         assert ece_fit <= 2.0 * ece_oracle
 
@@ -81,6 +96,12 @@ class TestFit:
 
     def test_modes_reach_same_loss(self, fitted_direct, fitted_inverse):
         assert abs(fitted_direct.final_loss - fitted_inverse.final_loss) <= 1e-5
+
+    def test_inverse_is_reciprocal_of_direct_fit(self, fitted_direct, fitted_inverse):
+        assert np.array_equal(fitted_inverse.params.w, 1.0 / fitted_direct.params.w)
+        assert np.array_equal(fitted_inverse.params.b, fitted_direct.params.b)
+        assert fitted_inverse.final_loss == fitted_direct.final_loss
+        assert fitted_inverse.iterations == fitted_direct.iterations
 
     def test_descent_from_init(self, overconfident_split, fitted_direct):
         (zc, yc), _ = overconfident_split
@@ -143,6 +164,17 @@ class TestFit:
         assert not result.converged
         # Best iterate is still feasible and no worse than the start.
         assert result.constraint_violation == 0.0
+
+    def test_iteration_cap_never_worse_than_uncalibrated(self):
+        # Calibrated data: one step from any start other than the identity
+        # map can leave the fit worse than the raw logits.
+        cfg = data_io.SynthConfig(n=500, m=6, alpha=0.5, overconfidence=1.0, seed=3)
+        z, y, _ = data_io.generate_synthetic(cfg)
+        uncalibrated = core.nll(core.softmax_rows(z), y)
+        for mode in transform.MODES:
+            result = optim.fit_mcct(z, y, mode=mode, cfg=optim.SolverConfig(max_iterations=1))
+            p = core.softmax_rows(transform.apply_map_topk(z, result.params))
+            assert core.nll(p, y) <= uncalibrated
 
     def test_rejects_single_sample(self):
         with pytest.raises(ValueError, match="at least 2"):

@@ -45,42 +45,29 @@ class TestParams:
         assert np.array_equal(back.b, params.b)
         assert back.mode == params.mode and back.m == params.m
 
-    def test_constraint_vectors(self):
-        direct = MonotoneParams(w=np.array([1.0, 3.0]), b=np.array([0.0, 2.0]), mode="direct", m=2)
-        dw, db = transform.constraint_vectors(direct)
-        assert np.array_equal(dw, [2.0]) and np.array_equal(db, [2.0])
-        inverse = MonotoneParams(w=np.array([3.0, 1.0]), b=np.array([0.0, 2.0]), mode="inverse", m=2)
-        gw, gb = transform.constraint_vectors(inverse)
-        assert np.array_equal(gw, [2.0]) and np.array_equal(gb, [2.0])
-
 
 class TestApplyMap:
     def test_identity(self):
         z = np.array([[1.0, 3.0, 2.0]])
-        assert np.array_equal(transform.apply_map(z, identity_params(3)), z)
+        assert np.array_equal(transform.apply_map_topk(z, identity_params(3)), z)
 
     def test_rank_scaling(self):
         z = np.array([[1.0, 3.0, 2.0]])
         params = MonotoneParams(w=np.array([1.0, 2.0, 3.0]), b=np.zeros(3), mode="direct", m=3)
-        assert np.array_equal(transform.apply_map(z, params), [[1.0, 9.0, 4.0]])
+        assert np.array_equal(transform.apply_map_topk(z, params), [[1.0, 9.0, 4.0]])
 
     def test_temperature_scaling_equivalence(self):
         # Constant w = 1/2 on (0, ln 2) reproduces temperature 2 exactly.
         z = np.array([[0.0, np.log(2.0)]])
         params = MonotoneParams(w=np.array([0.5, 0.5]), b=np.zeros(2), mode="direct", m=2)
-        probs = core.softmax_rows(transform.apply_map(z, params))
+        probs = core.softmax_rows(transform.apply_map_topk(z, params))
         expected = np.array([[1 / (1 + np.sqrt(2)), np.sqrt(2) / (1 + np.sqrt(2))]])
         np.testing.assert_allclose(probs, expected, atol=1e-12)
         np.testing.assert_allclose(probs, core.softmax_rows(z / 2.0), atol=1e-15)
 
-    def test_requires_full_rank(self):
-        params = MonotoneParams(w=np.ones(2), b=np.zeros(2), mode="direct", m=3)
-        with pytest.raises(ValueError, match="k == m"):
-            transform.apply_map(np.zeros((1, 3)) + [0.0, 1.0, 2.0], params)
-
     def test_class_count_mismatch(self):
         with pytest.raises(ValueError, match="m=3"):
-            transform.apply_map(np.array([[0.0, 1.0]]), identity_params(3))
+            transform.apply_map_topk(np.array([[0.0, 1.0]]), identity_params(3))
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 30), st.sampled_from(transform.MODES))
@@ -89,7 +76,7 @@ class TestApplyMap:
         rng = np.random.default_rng(seed)
         z = rng.uniform(0.0, 10.0, (4, m))
         params = random_valid_params(rng, m, mode)
-        out = transform.apply_map(z, params)
+        out = transform.apply_map_topk(z, params)
         order_in = np.argsort(z, axis=1, kind="stable")
         for i in range(z.shape[0]):
             transformed_in_input_order = out[i][order_in[i]]
@@ -103,7 +90,7 @@ class TestApplyMap:
         z = rng.normal(0.0, 3.0, (6, m))
         z -= np.median(z, axis=1, keepdims=True)  # guarantees row max >= 0
         params = random_valid_params(rng, m, mode)
-        out = transform.apply_map(z, params)
+        out = transform.apply_map_topk(z, params)
         assert np.array_equal(core.argmax_rows(out), core.argmax_rows(z))
 
     def test_negative_pair_counterexample(self):
@@ -111,7 +98,7 @@ class TestApplyMap:
         # conditional, and the diagnostic must report such rows.
         z = np.array([[-10.0, -1.0]])
         params = MonotoneParams(w=np.array([0.1, 2.0]), b=np.zeros(2), mode="direct", m=2)
-        out = transform.apply_map(z, params)
+        out = transform.apply_map_topk(z, params)
         assert out[0, 1] < out[0, 0]  # order reversed
         assert transform.order_violations(z, params) == 1
         safe = np.array([[1.0, 10.0]])
@@ -128,7 +115,7 @@ class TestApplyMap:
         direct = MonotoneParams(w=w, b=b, mode="direct", m=m)
         inverse = MonotoneParams(w=1.0 / w, b=b, mode="inverse", m=m)
         np.testing.assert_allclose(
-            transform.apply_map(z, direct), transform.apply_map(z, inverse), atol=1e-12
+            transform.apply_map_topk(z, direct), transform.apply_map_topk(z, inverse), atol=1e-12
         )
 
 
@@ -193,9 +180,11 @@ class TestTopK:
         rng = np.random.default_rng(23)
         z = rng.normal(0, 2, (40, 10))
         params = random_valid_params(rng, 10, "direct")
-        assert np.array_equal(
-            transform.apply_map_topk(z, params), transform.apply_map(z, params)
-        )
+        expected = np.empty_like(z)
+        for i, row in enumerate(z):
+            order = np.argsort(row)
+            expected[i, order] = row[order] * params.w + params.b
+        assert np.array_equal(transform.apply_map_topk(z, params), expected)
 
     def test_hand_example(self):
         # m=4, k=2: top two ranks get (1, 2); everything below gets w[0]=1.
