@@ -31,12 +31,17 @@ class TestSolverConfig:
 
 
 class TestInitParams:
-    def test_start_is_identity_map(self):
-        for mode in transform.MODES:
-            params = optim.init_params(mode, 5)
-            assert params.mode == mode
-            assert np.array_equal(params.w, np.ones(5))
-            assert np.array_equal(params.b, np.zeros(5))
+    def test_direct_is_identity_map(self):
+        params = optim.init_params("direct", 3)
+        assert params.mode == "direct"
+        assert np.array_equal(params.w, np.ones(3))
+        assert np.array_equal(params.b, np.zeros(3))
+
+    def test_inverse_is_ones(self):
+        params = optim.init_params("inverse", 5)
+        assert params.mode == "inverse"
+        assert np.array_equal(params.w, np.ones(5))
+        assert np.array_equal(params.b, np.zeros(5))
 
     @pytest.mark.parametrize("mode", transform.MODES)
     @pytest.mark.parametrize("k", [2, 3, 10])
