@@ -64,8 +64,6 @@ class CalibratedModel:
             edges = np.asarray(p["edges"], dtype=np.float64)
             if np.any(np.diff(edges) <= 0) or edges[0] != 0.0 or edges[-1] != 1.0:
                 raise ValueError("bin edges must strictly increase over [0, 1]")
-        if self.kind in MONOTONE_MODES and p["params"].mode != MONOTONE_MODES[self.kind]:
-            raise ValueError(f"model kind {self.kind!r} does not match mode {p['params'].mode!r}")
 
     @property
     def m(self):
@@ -90,6 +88,9 @@ class CalibratedModel:
             )
         if self.kind == HB:
             return _apply_binning(core.softmax_rows(z), p["edges"], p["bin_confidence"])
+        # A stored model's kind names the formula; never apply the other one.
+        if p["params"].mode != MONOTONE_MODES[self.kind]:
+            raise ValueError(f"model kind {self.kind!r} does not match mode {p['params'].mode!r}")
         return core.softmax_rows(apply_map_topk(z, p["params"]))
 
     def to_json(self):
@@ -129,7 +130,7 @@ class CalibratedModel:
 
 def from_monotone_params(params):
     """Wrap fitted monotone-map parameters as a tagged model."""
-    kind = MCCT if params.mode == DIRECT else MCCT_I
+    kind = next(kind for kind, mode in MONOTONE_MODES.items() if mode == params.mode)
     return CalibratedModel(kind, {"params": params, "m": params.m})
 
 

@@ -17,6 +17,7 @@ from . import core
 from .transform import (
     DIRECT,
     INVERSE,
+    MODES,
     MonotoneParams,
     label_positions,
     order_violations,
@@ -138,6 +139,8 @@ def fit_mcct(z, y, mode=DIRECT, k=None, cfg=None):
     The returned parameters are always exactly feasible and never worse in
     loss than the uncalibrated logits.
     """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     cfg = cfg or SolverConfig()
     z = core.validate_logits(z)
     n, m = z.shape

@@ -210,8 +210,9 @@ class TestModelSerialization:
     @pytest.mark.parametrize("kind, mode", [("mcct", "inverse"), ("mcct-i", "direct")])
     def test_kind_mode_mismatch_rejected(self, kind, mode):
         doc = {"kind": kind, "mode": mode, "m": 2, "k": 2, "w": [1.0, 1.0], "b": [0.0, 0.0]}
+        model = CalibratedModel.from_json(doc)
         with pytest.raises(ValueError, match="does not match mode"):
-            CalibratedModel.from_json(doc)
+            model.apply(np.array([[0.5, -1.0], [2.0, 1.0]]))
 
     def test_class_count_mismatch_rejected(self):
         model = CalibratedModel(baselines.TS, {"T": 2.0, "m": 4})

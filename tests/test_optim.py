@@ -193,3 +193,10 @@ class TestFit:
             optim.fit_mcct(z, y, k=1)
         with pytest.raises(ValueError, match="2 <= k <= m"):
             optim.fit_mcct(z, y, k=5)
+
+    def test_rejects_unknown_mode(self):
+        rng = np.random.default_rng(4)
+        z = rng.normal(0, 1, (10, 4))
+        y = rng.integers(0, 4, 10)
+        with pytest.raises(ValueError, match="mode must be one of"):
+            optim.fit_mcct(z, y, mode="Inverse")
