@@ -9,6 +9,7 @@ are byte-identical.
 import argparse
 import json
 import sys
+import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -120,12 +121,15 @@ def _rank(values, descending=False):
 
 
 def _run_cells(cells, worker, threads):
-    """Evaluate independent cells, optionally across threads.
+    """Evaluate independent cells, each ending in its method, optionally across threads.
 
     Results are collected by cell index, so output order and content do not
-    depend on scheduling.  Failures are captured per cell as strings.
+    depend on scheduling.  Failures are captured per cell as strings.  The
+    mcct-i cells start last, so they find the solve they share with mcct
+    (see ``_shared_fits``) done rather than wait on it.
     """
     results = [None] * len(cells)
+    order = sorted(range(len(cells)), key=lambda i: cells[i][-1] == baselines.MCCT_I)
 
     def guarded(i):
         try:
@@ -135,11 +139,30 @@ def _run_cells(cells, worker, threads):
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(guarded, range(len(cells))))
+            list(pool.map(guarded, order))
     else:
-        for i in range(len(cells)):
+        for i in order:
             guarded(i)
     return results
+
+
+def _shared_fits(cfg):
+    """``fit(key, method, z, y)``: a fitted model, with one solve per key for mcct and mcct-i.
+
+    mcct-i is the mcct fit with its scales written as divisors.  A per-key
+    lock makes the second kind wait for the first one's solve, not repeat it.
+    """
+    solves, locks = {}, {}
+
+    def fit(key, method, z, y):
+        if method not in baselines.MONOTONE_MODES:
+            return _fit_method(method, z, y, cfg=cfg)[0]
+        with locks.setdefault(key, threading.Lock()):  # one atomic dict call
+            if key not in solves:
+                solves[key] = optim.fit_mcct(z, y, cfg=cfg).params
+        return baselines.from_monotone_params(solves[key].in_mode(baselines.MONOTONE_MODES[method]))
+
+    return fit
 
 
 def cmd_gen_synth(args):
@@ -260,15 +283,12 @@ def cmd_compare(args):
 
     splits = {seed: data_io.split_dataset(z, y, args.split, seed) for seed in seeds}
     base_probs = {seed: core.softmax_rows(splits[seed][1][0]) for seed in seeds}
+    fit = _shared_fits(cfg)
 
     def run_cell(seed, method):
         (zc, yc), (zt, yt) = splits[seed]
         p_base = base_probs[seed]
-        if method == UNCALIBRATED:
-            p = p_base
-        else:
-            model, _ = _fit_method(method, zc, yc, cfg=cfg)
-            p = model.apply(zt)
+        p = p_base if method == UNCALIBRATED else fit(seed, method, zc, yc).apply(zt)
         return metrics.compute_report(p, yt, p_base, num_bins=args.bins)
 
     all_methods = [UNCALIBRATED] + methods
@@ -362,6 +382,7 @@ def cmd_sweep_size(args):
     (zc, yc), (zt, yt) = data_io.split_dataset(z, y, args.split, args.seed)
     p_base = core.softmax_rows(zt)
     n_cal = zc.shape[0]
+    fit = _shared_fits(cfg)
 
     def run_cell(fraction, seed, method):
         size = int(round(fraction * n_cal))
@@ -372,7 +393,7 @@ def cmd_sweep_size(args):
         else:
             idx = np.random.default_rng(seed).permutation(n_cal)[:size]
             zs, ys = zc[idx], yc[idx]
-        model, _ = _fit_method(method, zs, ys, cfg=cfg)
+        model = fit((fraction, seed), method, zs, ys)
         return size, metrics.compute_report(model.apply(zt), yt, p_base, num_bins=args.bins)
 
     cells = [(f, s, m) for f in fractions for s in seeds for m in methods]

@@ -186,7 +186,7 @@ def fit_mcct(z, y, mode=DIRECT, k=None, cfg=None):
     converged = bool(res.success)
     if final_loss > init_loss:
         w, b, final_loss, converged = start.w, start.b, init_loss, False
-    params = MonotoneParams(w=w if mode == DIRECT else 1.0 / w, b=b, mode=mode, m=m)
+    params = MonotoneParams(w=w, b=b, mode=DIRECT, m=m).in_mode(mode)
     broken = order_violations(z, params)
     if broken:
         warnings.warn(

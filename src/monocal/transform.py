@@ -87,6 +87,10 @@ class MonotoneParams:
     def k(self):
         return self.w.shape[0]
 
+    def in_mode(self, mode):
+        """The same map written in ``mode``: a change of mode replaces ``w`` by ``1 / w``."""
+        return self if mode == self.mode else MonotoneParams(w=1.0 / self.w, b=self.b, mode=mode, m=self.m)
+
     def to_json(self):
         """JSON document with the fixed interchange field names."""
         return {

@@ -1,9 +1,11 @@
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from monocal import baselines, cli, core, data_io, metrics, transform
+from monocal import baselines, cli, core, data_io, metrics, optim, transform
 
 
 def run(*args):
@@ -182,6 +184,19 @@ class TestEval:
         assert run("eval", "--data", dataset, "--model", model_path, "--out", out) == 2
 
 
+@pytest.fixture
+def solves(monkeypatch):
+    """Records the arguments of every monotone solve the CLI makes."""
+    calls = []
+    fit_mcct = cli.optim.fit_mcct
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fit_mcct(*args, **kwargs)
+
+    monkeypatch.setattr(cli.optim, "fit_mcct", counted)
+    return calls
+
 class TestCompare:
     def test_table_structure_and_rank(self, dataset, tmp_path):
         out = str(tmp_path / "cmp.json")
@@ -213,6 +228,25 @@ class TestCompare:
             assert doc["mean"][method]["accuracy"] == reference
             assert doc["mean"][method]["prediction_change_rate"] == 0.0
 
+    def test_mcct_and_mcct_i_share_one_solve_per_split(self, dataset, tmp_path, solves):
+        out = str(tmp_path / "cmp.json")
+        assert run(
+            "compare", "--data", dataset, "--methods", "mcct-i,ts,mcct",
+            "--split", 0.5, "--runs", 2, "--threads", 2, "--out", out,
+        ) == 0
+        assert len(solves) == 2
+        doc = json.load(open(out))
+        assert [c["method"] for c in doc["per_seed"]] == [
+            m for m in ("uncalibrated", "mcct-i", "ts", "mcct") for _ in range(2)
+        ]
+        # Each shared cell equals a separate fit and eval of its kind.
+        (zc, yc), (zt, yt) = data_io.split_dataset(*data_io.read_dataset(dataset), 0.5, 1)
+        for method in ("mcct", "mcct-i"):
+            model, _ = cli._fit_method(method, zc, yc)
+            report = metrics.compute_report(model.apply(zt), yt, core.softmax_rows(zt))
+            cell = next(c for c in doc["per_seed"] if c["method"] == method and c["seed"] == 1)
+            assert cell["nll"] == report.scalars()["nll"]
+
     def test_cell_failure_recorded_and_exit_nonzero(self, tmp_path):
         # A 4-sample dataset split 25/75 leaves one calibration sample:
         # the monotone fit needs two, so its cells fail while ts succeeds.
@@ -236,6 +270,22 @@ class TestCompare:
         out = str(tmp_path / "cmp.json")
         assert run("compare", "--data", dataset, "--methods", "platt", "--out", out) == 2
 
+
+class TestSharedFits:
+    def test_one_solve_per_key_under_contention(self, solves):
+        rng = np.random.default_rng(0)
+        z, y = rng.normal(0, 2, (200, 4)), rng.integers(0, 4, 200)
+        fit = cli._shared_fits(optim.SolverConfig())
+        calls = [(key, method) for key in range(3) for method in ("mcct", "mcct-i") * 4]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                models = list(pool.map(lambda call: fit(*call, z, y), calls, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(solves) == 3
+        assert [model.kind for model in models] == [method for _, method in calls]
 
 class TestSweepSize:
     def test_full_fraction_reproduces_compare(self, dataset, tmp_path):
@@ -270,6 +320,15 @@ class TestSweepSize:
         rows = json.load(open(out + ".json"))["rows"]
         assert len(rows) == 4
         assert {r["n_calib"] for r in rows} == {150, 750}
+
+    def test_mcct_and_mcct_i_share_one_solve_per_subsample(self, dataset, tmp_path, solves):
+        out = str(tmp_path / "sweep.csv")
+        assert run(
+            "sweep-size", "--data", dataset, "--fractions", "0.5,1.0",
+            "--methods", "mcct,mcct-i", "--seeds", "0,1", "--threads", 2, "--out", out,
+        ) == 0
+        assert len(solves) == 4
+        assert len(json.load(open(out + ".json"))["rows"]) == 8
 
     def test_too_small_subsample_is_per_cell_failure(self, dataset, tmp_path):
         out = str(tmp_path / "sweep.csv")

@@ -46,6 +46,14 @@ class TestParams:
         assert back.mode == params.mode and back.m == params.m
 
 
+    def test_in_mode_writes_scales_as_divisors(self):
+        params = MonotoneParams(w=np.array([0.5, 3.0]), b=np.array([-1.0, 2.0]), mode="direct", m=4)
+        inverse = params.in_mode("inverse")
+        assert inverse.mode == "inverse" and inverse.m == 4
+        assert np.array_equal(inverse.w, 1.0 / params.w)
+        assert np.array_equal(inverse.b, params.b)
+        assert params.in_mode("direct") is params
+
 class TestApplyMap:
     def test_identity(self):
         z = np.array([[1.0, 3.0, 2.0]])
