@@ -158,8 +158,9 @@ def ece_kde(p, y, grid_size=1024):
     grid = np.linspace(conf.min(), conf.max(), grid_size)
     density = np.empty(grid_size)
     hits = np.empty(grid_size)
-    # Chunked so the (grid, n) kernel matrix never exceeds ~4M doubles.
-    chunk = max(1, int(4_000_000 // max(n, 1)))
+    # Chunked so each (grid, n) kernel temporary stays near 1 MB.  At 32 MB
+    # every temporary was page-faulted in afresh, which doubled the time.
+    chunk = max(1, 131_072 // n)
     for start in range(0, grid_size, chunk):
         g = grid[start : start + chunk, None]
         k = np.exp(-0.5 * ((g - conf[None, :]) / h) ** 2)

@@ -144,6 +144,19 @@ class TestEceKde:
         p = core.softmax_rows(z)
         assert abs(metrics.ece_kde(p, y) - metrics.ece(p, y)[0]) <= 0.02
 
+    def test_chunks_match_whole_kernel_matrix(self):
+        # 2000 rows take 16 chunks of up to 65 grid points; the oracle builds the
+        # whole (grid, n) matrix at once.  Row sums do not depend on chunking.
+        rng = np.random.default_rng(41)
+        p = core.softmax_rows(rng.normal(0, 2, (2000, 5)))
+        y = rng.integers(0, 5, 2000)
+        conf, correct = p.max(axis=1), (p.argmax(axis=1) == y).astype(float)
+        grid = np.linspace(conf.min(), conf.max(), 1024)
+        k = np.exp(-0.5 * ((grid[:, None] - conf[None, :]) / metrics.kde_bandwidth(conf)) ** 2)
+        density, hits = k.sum(axis=1), (k * correct[None, :]).sum(axis=1)
+        expected = (np.abs(grid - hits / density) * density).sum() / density.sum()
+        assert metrics.ece_kde(p, y) == expected
+
     def test_constant_confidence_fallback(self):
         p, y = two_class_rows([0.8] * 12, [1] * 10 + [0] * 2)
         with pytest.warns(UserWarning, match="identical"):
