@@ -55,12 +55,13 @@ def main():
             return code
 
     rows = json.loads(Path(topk_out + ".json").read_text())["rows"]
+    fit_seconds = json.loads(Path(topk_out + ".manifest.json").read_text())["wall_time_s"]["fit_per_k"]
     print("\nretained ranks vs fit time and ECE:")
     print("k".ljust(6) + "fit_seconds".ljust(14) + "ece".ljust(10) + "dropped")
     for row in rows:
         print(
             str(row["k"]).ljust(6)
-            + f"{row['fit_seconds']:.2f}".ljust(14)
+            + f"{fit_seconds[str(row['k'])]:.2f}".ljust(14)
             + f"{row['ece']:.4f}".ljust(10)
             + str(row["dropped_samples"])
         )

@@ -100,6 +100,18 @@ def sort_rows(z):
     return np.take_along_axis(z, perm, axis=1), perm
 
 
+def sort_values(z):
+    """Each row's values in ascending order, without the permutation.
+
+    A matrix whose rows are already ascending is returned as it is, so a
+    caller can pass on its sorted matrix without paying for a second sort.
+    Tied values may come out in either order, which matters only for a
+    ``-0.0``/``0.0`` pair: :func:`sort_rows` puts it in column order.
+    """
+    z = validate_logits(z)
+    return np.sort(z, axis=1) if (z[:, 1:] < z[:, :-1]).any() else z
+
+
 def inverse_sort_rows(sorted_z, perm):
     """Undo :func:`sort_rows`: scatter sorted values back to original columns."""
     sorted_z = np.asarray(sorted_z, dtype=np.float64)
@@ -119,8 +131,7 @@ def validate_distinct(z):
     sorted.  Ties are reported, not fatal: callers that depend on strict
     ordering should warn and continue with the stable tie-breaking rule.
     """
-    z = validate_logits(z)
-    s = np.sort(z, axis=1)
+    s = sort_values(z)
     dup = s[:, 1:] == s[:, :-1]
     report = []
     for i in np.flatnonzero(dup.any(axis=1)):

@@ -69,6 +69,8 @@ class FitResult:
     converged: bool
     constraint_violation: float
     dropped_samples: int = 0
+    tied_rows: int = 0
+    reordered_rows: int = 0
 
 
 def init_params(mode, k, m=None):
@@ -135,6 +137,10 @@ def fit_mcct(z, y, mode=DIRECT, k=None, cfg=None):
     With ``k`` below the class count, each row's sorted logits are truncated
     to the top k columns and samples whose true class falls outside them are
     dropped from the fitting set (their count is reported on the result).
+    The result also counts the calibration rows with tied logits and the rows
+    the fitted map reorders, which the fit warns about as well.  Rows are
+    sorted by value only; each label's rank is counted, not read from a
+    permutation.
 
     The returned parameters are always exactly feasible and never worse in
     loss than the uncalibrated logits.
@@ -150,18 +156,14 @@ def fit_mcct(z, y, mode=DIRECT, k=None, cfg=None):
     k = m if k is None else int(k)
     if not 2 <= k <= m:
         raise ValueError(f"need 2 <= k <= m, got k={k}, m={m}")
-    ties = core.validate_distinct(z)
-    if ties:
-        warnings.warn(
-            f"{len({row for row, _ in ties})} rows contain tied logits; "
-            "rank order within ties follows column index"
-        )
+    s = np.sort(z, axis=1)
+    tied = len({row for row, _ in core.validate_distinct(s)})
+    if tied:
+        warnings.warn(f"{tied} rows contain tied logits; rank order within ties follows column index")
     if np.unique(y).size == 1:
         warnings.warn("all calibration labels are identical; the fit is degenerate")
 
-    s, perm = core.sort_rows(z)
-    pos = label_positions(perm, y)
-    s_fit, pos_fit, dropped = truncate_training_set(s, pos, k)
+    s_fit, pos_fit, dropped = truncate_training_set(s, label_positions(z, y), k)
     if s_fit.shape[0] == 0:
         raise ValueError("every sample's true class fell outside the top k ranks")
 
@@ -187,7 +189,7 @@ def fit_mcct(z, y, mode=DIRECT, k=None, cfg=None):
     if final_loss > init_loss:
         w, b, final_loss, converged = start.w, start.b, init_loss, False
     params = MonotoneParams(w=w, b=b, mode=DIRECT, m=m).in_mode(mode)
-    broken = order_violations(z, params)
+    broken = order_violations(s, params)
     if broken:
         warnings.warn(
             f"fitted map reorders scores on {broken} of {n} calibration rows "
@@ -201,4 +203,6 @@ def fit_mcct(z, y, mode=DIRECT, k=None, cfg=None):
         converged=converged,
         constraint_violation=constraint_violation(params, cfg.w_floor),
         dropped_samples=dropped,
+        tied_rows=tied,
+        reordered_rows=broken,
     )

@@ -13,7 +13,14 @@ original column order:
 
 With fewer parameters than classes (``k < m``), the top k ranks get their
 own entries and every lower rank is transformed with the first (lowest-rank)
-scale/bias pair.
+scale/bias pair.  Only the top k columns of a row then need an order: the
+apply transforms the whole row with the first pair, picks the top k columns
+with ``argpartition``, sorts those k by value (ties by column index, as a
+stable sort would) and overwrites them with their rank-specific values.
+A row whose tie group straddles the cut, with two or more tied values kept
+and one or more left out, does not determine which column takes the second
+kept rank; such rows, and only those, go through the stable full-row sort.
+The result is bitwise that of the full sort.
 
 Order preservation is conditional, not universal.  Rescaling two sorted
 values keeps their order only when the pair is not both negative: for
@@ -126,9 +133,15 @@ def _rank_aligned_wb(params):
 
 
 def _transform_sorted(s, w, b, mode):
-    if mode == DIRECT:
-        return s * w + b
-    return s / w + b
+    t = s * w if mode == DIRECT else s / w
+    t += b
+    return t
+
+
+def _apply_full_sort(z, params):
+    s, perm = core.sort_rows(z)
+    w, b = _rank_aligned_wb(params)
+    return core.inverse_sort_rows(_transform_sorted(s, w, b, params.mode), perm)
 
 
 def apply_map_topk(z, params):
@@ -137,33 +150,58 @@ def apply_map_topk(z, params):
     The k largest sorted logits of each row are transformed with the k
     scale/bias entries aligned to the top ranks; every lower-ranked logit is
     transformed with the first entry pair.  The per-row ordering of the
-    output matches the input's.
+    output matches the input's.  With ``k < m`` only the top k columns are
+    sorted (see the module docstring); the output is bitwise that of the
+    stable full-row sort.
     """
     z = core.validate_logits(z)
     if z.shape[1] != params.m:
         raise ValueError(f"map was built for m={params.m} classes, data has m={z.shape[1]}")
-    s, perm = core.sort_rows(z)
-    w, b = _rank_aligned_wb(params)
-    return core.inverse_sort_rows(_transform_sorted(s, w, b, params.mode), perm)
+    if params.k == params.m:
+        return _apply_full_sort(z, params)
+    cut = params.m - params.k
+    out = _transform_sorted(z, params.w[0], params.b[0], params.mode)
+    top = np.sort(np.argpartition(z, cut, axis=1)[:, cut:], axis=1)
+    vals = np.take_along_axis(z, top, axis=1)
+    order = np.argsort(vals, axis=1, kind="stable")
+    top = np.take_along_axis(top, order, axis=1)
+    vals = np.take_along_axis(vals, order, axis=1)
+    np.put_along_axis(out, top, _transform_sorted(vals, params.w, params.b, params.mode), axis=1)
+    # Every kept value is >= every dropped one, so a dropped value ties with
+    # the lowest kept one exactly when more than k values reach it.
+    tied = np.flatnonzero(vals[:, 1] == vals[:, 0])
+    straddling = tied[np.count_nonzero(z[tied] >= vals[tied, :1], axis=1) > params.k]
+    if straddling.size:
+        out[straddling] = _apply_full_sort(z[straddling], params)
+    return out
 
 
 def order_violations(z, params):
     """Number of rows whose score ordering the map fails to preserve.
 
     A row is counted when the transformed sorted values are not strictly
-    ascending (see the module docstring for when this can happen).
+    ascending (see the module docstring for when this can happen).  A matrix
+    already sorted row-wise, such as the one the fit holds, is not sorted
+    again.
     """
-    z = core.validate_logits(z)
-    s, _ = core.sort_rows(z)
+    s = core.sort_values(z)
     w, b = _rank_aligned_wb(params)
     t = _transform_sorted(s, w, b, params.mode)
-    return int((np.diff(t, axis=1) <= 0).any(axis=1).sum())
+    return int((t[:, 1:] <= t[:, :-1]).any(axis=1).sum())
 
 
-def label_positions(perm, y):
-    """Rank position (0 = smallest logit) of each sample's true class."""
-    inv = np.argsort(perm, axis=1, kind="stable")
-    return inv[np.arange(perm.shape[0]), y]
+def label_positions(z, y):
+    """Rank position (0 = smallest logit) of each sample's true class.
+
+    The rank of the true class ``y`` in row ``z`` is the number of entries
+    below ``z[y]`` plus the number equal to it in a lower column: the
+    position a stable row sort would give it, counted without sorting.
+    """
+    rows = np.arange(z.shape[0])
+    zy = z[rows, y][:, None]
+    below = np.count_nonzero(z < zy, axis=1)
+    tied_before = np.count_nonzero((z == zy) & (np.arange(z.shape[1]) < y[:, None]), axis=1)
+    return below + tied_before
 
 
 def truncate_training_set(z_sorted, y_pos, k):
@@ -184,7 +222,7 @@ def truncate_training_set(z_sorted, y_pos, k):
     y_pos = np.asarray(y_pos)
     cut = m - k
     keep = y_pos >= cut
-    return z_sorted[keep][:, cut:], (y_pos[keep] - cut).astype(np.int64), int(n - keep.sum())
+    return z_sorted[keep, cut:], (y_pos[keep] - cut).astype(np.int64), int(n - keep.sum())
 
 
 def sorted_nll_objective(s, y_pos, w, b, mode):
@@ -229,6 +267,4 @@ def objective_and_gradient(z, y, params):
     y = core.validate_labels(y, z.shape[1], n=z.shape[0])
     if params.k != params.m or params.m != z.shape[1]:
         raise ValueError("objective_and_gradient requires a full-rank map matching the data")
-    s, perm = core.sort_rows(z)
-    pos = label_positions(perm, y)
-    return sorted_nll_objective(s, pos, params.w, params.b, params.mode)
+    return sorted_nll_objective(np.sort(z, axis=1), label_positions(z, y), params.w, params.b, params.mode)

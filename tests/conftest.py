@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from monocal import data_io, optim, transform
+from monocal import core, data_io, optim, transform
 
 
 @pytest.fixture(scope="session")
@@ -41,3 +41,67 @@ def random_valid_params(rng, m, mode, m_total=None):
         w = w[::-1].copy()
     b = np.sort(rng.normal(0.0, 1.0, m))
     return transform.MonotoneParams(w=w, b=b, mode=mode, m=m if m_total is None else m_total)
+
+
+# Row patterns for the fast-path oracle tests; every pattern but "plain" is
+# applied to every other row, so fast rows and fallback rows share a matrix.
+ROW_PATTERNS = ("plain", "float32", "coarse", "kept_ties", "straddle", "signed_zeros")
+
+
+def patterned_logits(rng, n, m, k, pattern):
+    """An (n, m) logit matrix whose odd rows carry ``pattern``, with ``k`` the retained ranks.
+
+    ``float32`` quantizes to float32 values; ``coarse`` rounds to halves so ties
+    fall anywhere; ``kept_ties`` ties the two top columns; ``straddle`` ties
+    the sorted positions ``c-1``, ``c`` and ``c+1`` with ``c = max(m-k, 1)``,
+    so for ``k < m`` two tied values are kept and one is not;
+    ``signed_zeros`` shifts the row to put zero at position ``c``, does the
+    same with ``-0.0``, ``0.0`` and ``-0.0``, and (for k >= 4) makes the top
+    two columns a ``0.0``/``-0.0`` pair.  Needs ``m >= 3``.
+    """
+    z = rng.normal(0.0, 2.0, (n, m))
+    cut = max(m - k, 1)
+    for i in range(1, n, 2):
+        order = np.argsort(z[i], kind="stable")
+        if pattern == "float32":
+            z[i] = z[i].astype(np.float32)
+        elif pattern == "coarse":
+            z[i] = np.round(z[i] * 2.0) / 2.0
+        elif pattern == "kept_ties":
+            z[i, order[-2]] = z[i, order[-1]]
+        elif pattern == "straddle":
+            z[i, order[cut - 1 : cut + 2]] = z[i, order[cut]]
+        elif pattern == "signed_zeros":
+            z[i] -= z[i, order[cut]]
+            z[i, order[cut - 1 : cut + 2]] = (-0.0, 0.0, -0.0)
+            if k >= 4:
+                z[i, order[-2:]] = (0.0, -0.0)
+    return z
+
+
+def stable_label_positions(z, y):
+    """Reference label ranks: the inverse of a stable row sort's permutation."""
+    _, perm = core.sort_rows(z)
+    return np.argsort(perm, axis=1, kind="stable")[np.arange(len(y)), y]
+
+
+def stable_apply(z, params):
+    """Reference apply: stable full-row sort, rank-aligned ``w``/``b``, scatter back."""
+    perm = np.argsort(z, axis=1, kind="stable")
+    s = np.take_along_axis(z, perm, axis=1)
+    pad = params.m - params.k
+    w = np.concatenate([np.full(pad, params.w[0]), params.w])
+    b = np.concatenate([np.full(pad, params.b[0]), params.b])
+    t = s * w + b if params.mode == transform.DIRECT else s / w + b
+    out = np.empty_like(z)
+    np.put_along_axis(out, perm, t, axis=1)
+    return out
+
+
+def stable_fit_inputs(z, y, k):
+    """Reference top-k fitting set: sorted block, label ranks and dropped count."""
+    s, _ = core.sort_rows(z)
+    pos = stable_label_positions(z, y)
+    cut = z.shape[1] - k
+    keep = pos >= cut
+    return s[keep][:, cut:], (pos[keep] - cut).astype(np.int64), int(len(y) - keep.sum())

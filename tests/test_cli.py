@@ -81,6 +81,10 @@ class TestFit:
         assert manifest["fit"]["converged"] is True
         assert manifest["fit"]["final_loss"] > 0
         assert manifest["fit"]["iterations"] >= 1
+        z, y = data_io.read_dataset(dataset)
+        result = optim.fit_mcct(z, y, mode="inverse")
+        assert manifest["fit"]["tied_rows"] == result.tied_rows == 0
+        assert manifest["fit"]["reordered_rows"] == result.reordered_rows
         assert "fit" in manifest["wall_time_s"]
 
     def test_ts_on_calibrated_data(self, tmp_path):
@@ -359,7 +363,8 @@ class TestSweepTopk:
         assert code == 0
         rows = json.load(open(out + ".json"))["rows"]
         assert [r["k"] for r in rows] == [2, 4, 8]
-        assert all(r["fit_seconds"] > 0 for r in rows)
+        fit_per_k = json.load(open(out + ".manifest.json"))["wall_time_s"]["fit_per_k"]
+        assert set(fit_per_k) == {"2", "4", "8"} and all(v > 0 for v in fit_per_k.values())
         assert rows[0]["dropped_samples"] > 0
         assert rows[2]["dropped_samples"] == 0
         # k = m reproduces a plain compare fit on the same split.
@@ -375,7 +380,9 @@ class TestSweepTopk:
         out = str(tmp_path / "topk.csv")
         run("sweep-topk", "--data", dataset, "--kvalues", "8", "--out", out)
         header = open(out).readline().strip().split(",")
-        assert "fit_seconds" in header and "dropped_samples" in header
+        assert "fit_seconds" not in header and "dropped_samples" in header
+        assert "fit_seconds" not in json.load(open(out + ".json"))["rows"][0]
+        assert "8" in json.load(open(out + ".manifest.json"))["wall_time_s"]["fit_per_k"]
 
 
 class TestDeterminism:
@@ -385,6 +392,15 @@ class TestDeterminism:
         run("fit", "--data", dataset, "--method", "mcct", "--out", a)
         run("fit", "--data", dataset, "--method", "mcct", "--out", b)
         assert open(a, "rb").read() == open(b, "rb").read()
+
+    def test_sweep_topk_reruns_are_byte_identical(self, dataset, tmp_path):
+        outs = []
+        for name in ("a", "b"):
+            out = str(tmp_path / f"{name}.csv")
+            assert run("sweep-topk", "--data", dataset, "--kvalues", "2,8", "--out", out) == 0
+            outs.append(out)
+        for suffix in ("", ".json"):
+            assert open(outs[0] + suffix, "rb").read() == open(outs[1] + suffix, "rb").read()
 
     def test_compare_reruns_are_byte_identical(self, dataset, tmp_path):
         outs = []

@@ -147,6 +147,13 @@ class TestSorting:
         _, perm = core.sort_rows([[2.0, 1.0, 1.0]])
         assert np.array_equal(perm, [[1, 2, 0]])
 
+    @given(logit_matrices())
+    def test_sort_values_matches_sort_rows(self, z):
+        s = core.sort_values(z)
+        assert np.array_equal(s, core.sort_rows(z)[0])
+        # A row-wise sorted matrix is passed on without a second sort.
+        assert core.sort_values(s) is s
+
 
 class TestValidateDistinct:
     def test_distinct_row_clean(self):
@@ -163,6 +170,7 @@ class TestValidateDistinct:
     def test_reports_each_tied_value(self):
         report = core.validate_distinct([[2.0, 2.0, 5.0, 5.0, 1.0]])
         assert report == [(0, 2.0), (0, 5.0)]
+        assert core.validate_distinct([[1.0, 2.0, 2.0, 5.0, 5.0]]) == report
 
 
 class TestArgmax:

@@ -1,9 +1,12 @@
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from monocal import core, data_io, metrics, optim, transform
+
+from conftest import ROW_PATTERNS, patterned_logits, stable_fit_inputs, stable_label_positions
 
 
 class TestSolverConfig:
@@ -136,9 +139,38 @@ class TestFit:
         assert result.params.k == 4
         assert result.params.m == 12
         assert result.dropped_samples > 0
-        s, perm = core.sort_rows(z)
-        pos = transform.label_positions(perm, y)
+        pos = stable_label_positions(z, y)
         assert result.dropped_samples == int((pos < 12 - 4).sum())
+
+    @pytest.mark.parametrize("pattern", ROW_PATTERNS)
+    @pytest.mark.parametrize("k", [3, 8])
+    def test_fit_matches_fit_on_stable_sort_inputs(self, monkeypatch, pattern, k):
+        # The fit sorts values only and counts label ranks; a fit whose
+        # sorted block and ranks come from the stable row sort is the oracle.
+        rng = np.random.default_rng(61)
+        z = patterned_logits(rng, 400, 8, k, pattern) * 1.5
+        y = np.where(rng.uniform(size=400) < 0.6, z.argmax(axis=1), rng.integers(0, 8, 400))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            fast = optim.fit_mcct(z, y, k=k)
+            monkeypatch.setattr(optim, "truncate_training_set", lambda s, pos, k: stable_fit_inputs(z, y, k))
+            oracle = optim.fit_mcct(z, y, k=k)
+        assert fast.params.w.tobytes() == oracle.params.w.tobytes()
+        assert fast.params.b.tobytes() == oracle.params.b.tobytes()
+        assert fast.final_loss == oracle.final_loss
+        assert fast.iterations == oracle.iterations
+        assert fast.dropped_samples == oracle.dropped_samples
+
+    def test_counts_tied_and_reordered_rows(self):
+        rng = np.random.default_rng(1)
+        z = rng.normal(0, 1, (20, 3))
+        z[0, 0] = z[0, 1]
+        z[5, 2] = z[5, 1]
+        y = rng.integers(0, 3, 20)
+        with pytest.warns(UserWarning, match="2 rows contain tied logits"):
+            result = optim.fit_mcct(z, y, mode="direct")
+        assert result.tied_rows == 2
+        assert result.reordered_rows == transform.order_violations(z, result.params)
 
     def test_k_equals_m_matches_default(self):
         cfg = data_io.SynthConfig(n=600, m=5, alpha=0.5, overconfidence=2.0, seed=2)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from monocal import core, transform
 from monocal.transform import MonotoneParams
 
-from conftest import random_valid_params
+from conftest import ROW_PATTERNS, patterned_logits, random_valid_params, stable_apply, stable_label_positions
 
 
 def identity_params(m, mode=transform.DIRECT):
@@ -109,6 +109,7 @@ class TestApplyMap:
         out = transform.apply_map_topk(z, params)
         assert out[0, 1] < out[0, 0]  # order reversed
         assert transform.order_violations(z, params) == 1
+        assert transform.order_violations(z[:, ::-1], params) == 1
         safe = np.array([[1.0, 10.0]])
         assert transform.order_violations(safe, params) == 0
 
@@ -212,6 +213,27 @@ class TestTopK:
         expected = core.inverse_sort_rows(s * manual_w + manual_b, perm)
         assert np.array_equal(transform.apply_map_topk(z, params), expected)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(3, 30),
+        st.sampled_from(("two", "m-1", "between")),
+        st.sampled_from(transform.MODES),
+        st.sampled_from(ROW_PATTERNS),
+        st.booleans(),
+    )
+    def test_partitioned_apply_matches_stable_full_sort(self, seed, m, k_choice, mode, pattern, zero_bias):
+        rng = np.random.default_rng(seed)
+        k = {"two": 2, "m-1": m - 1, "between": int(rng.integers(2, m))}[k_choice]
+        z = patterned_logits(rng, 20, m, k, pattern)
+        params = random_valid_params(rng, k, mode, m_total=m)
+        if zero_bias:
+            # A -0.0 bias keeps the sign of a transformed zero, so a zero
+            # given to the wrong column shows in the bytes.
+            params = MonotoneParams(w=params.w, b=np.full(k, -0.0), mode=mode, m=m)
+        out = transform.apply_map_topk(z, params)
+        assert out.tobytes() == stable_apply(z, params).tobytes()
+
 
 class TestTruncation:
     def test_k_equal_m_keeps_everything(self):
@@ -253,7 +275,16 @@ class TestLabelPositions:
         z = rng.normal(0, 1, (30, 7))
         y = rng.integers(0, 7, 30)
         s, perm = core.sort_rows(z)
-        pos = transform.label_positions(perm, y)
+        pos = transform.label_positions(z, y)
+        assert np.array_equal(pos, stable_label_positions(z, y))
         for i in range(30):
             assert perm[i, pos[i]] == y[i]
             assert s[i, pos[i]] == z[i, y[i]]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 30), st.sampled_from(ROW_PATTERNS))
+    def test_matches_stable_sort_oracle(self, seed, m, pattern):
+        rng = np.random.default_rng(seed)
+        z = patterned_logits(rng, 16, m, int(rng.integers(2, m)), pattern)
+        y = rng.integers(0, m, 16)
+        assert np.array_equal(transform.label_positions(z, y), stable_label_positions(z, y))
