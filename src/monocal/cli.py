@@ -71,6 +71,7 @@ def _fit_method(method, z, y, topk=None, cfg=None):
             "dropped_samples": result.dropped_samples,
             "tied_rows": result.tied_rows,
             "reordered_rows": result.reordered_rows,
+            "distinct_labels": result.distinct_labels,
         }
     if topk is not None:
         warnings.warn(f"--topk only affects mcct/mcct-i; ignored for {method}")
@@ -232,15 +233,17 @@ def cmd_fit(args):
 
 
 def cmd_eval(args):
+    t0 = time.perf_counter()
     z, y = data_io.read_dataset(args.data, _resolve_format(args.data, args.format))
     model = baselines.CalibratedModel.load(args.model)
     if model.m != z.shape[1]:
         print(f"model expects m={model.m} classes, data has m={z.shape[1]}", file=sys.stderr)
         return 2
-    t0 = time.perf_counter()
-    p_base = core.softmax_rows(z)
-    report = metrics.compute_report(model.apply(z), y, p_base, num_bins=args.bins)
-    wall = time.perf_counter() - t0
+    t1 = time.perf_counter()
+    p = model.apply(z)
+    t2 = time.perf_counter()
+    report = metrics.compute_report(p, y, core.softmax_rows(z), num_bins=args.bins)
+    t3 = time.perf_counter()
     _dump_json(args.out, report.to_json())
     reliability_path = _json_base(args.out) + ".reliability.csv"
     with open(reliability_path, "w") as fh:
@@ -252,7 +255,8 @@ def cmd_eval(args):
             "inputs": {"data": args.data, "model": args.model},
             "bins": args.bins,
             "outputs": [args.out, reliability_path],
-            "wall_time_s": {"eval": wall},
+            # "metrics" includes the softmax of the raw logits, which only the report reads.
+            "wall_time_s": {"read": t1 - t0, "apply": t2 - t1, "metrics": t3 - t2},
         },
     )
     return 0

@@ -83,7 +83,11 @@ def nll(p, y):
     result is always finite and non-negative.
     """
     p = validate_probs(p)
-    y = validate_labels(y, p.shape[1], n=p.shape[0])
+    return _nll(p, validate_labels(y, p.shape[1], n=p.shape[0]))
+
+
+def _nll(p, y):
+    """:func:`nll` of an already validated probability matrix and label vector."""
     picked = p[np.arange(p.shape[0]), y]
     return float(-np.log(np.maximum(picked, LOG_FLOOR)).mean())
 

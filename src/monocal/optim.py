@@ -71,6 +71,7 @@ class FitResult:
     dropped_samples: int = 0
     tied_rows: int = 0
     reordered_rows: int = 0
+    distinct_labels: int = 0
 
 
 def init_params(mode, k, m=None):
@@ -137,10 +138,10 @@ def fit_mcct(z, y, mode=DIRECT, k=None, cfg=None):
     With ``k`` below the class count, each row's sorted logits are truncated
     to the top k columns and samples whose true class falls outside them are
     dropped from the fitting set (their count is reported on the result).
-    The result also counts the calibration rows with tied logits and the rows
-    the fitted map reorders, which the fit warns about as well.  Rows are
-    sorted by value only; each label's rank is counted, not read from a
-    permutation.
+    The result also counts the calibration rows with tied logits, the rows
+    the fitted map reorders and the distinct labels, and the fit warns about
+    ties, reordered rows and a single label.  Rows are sorted by value only;
+    each label's rank is counted, not read from a permutation.
 
     The returned parameters are always exactly feasible and never worse in
     loss than the uncalibrated logits.
@@ -160,7 +161,8 @@ def fit_mcct(z, y, mode=DIRECT, k=None, cfg=None):
     tied = len({row for row, _ in core.validate_distinct(s)})
     if tied:
         warnings.warn(f"{tied} rows contain tied logits; rank order within ties follows column index")
-    if np.unique(y).size == 1:
+    distinct_labels = int(np.unique(y).size)
+    if distinct_labels == 1:
         warnings.warn("all calibration labels are identical; the fit is degenerate")
 
     s_fit, pos_fit, dropped = truncate_training_set(s, label_positions(z, y), k)
@@ -205,4 +207,5 @@ def fit_mcct(z, y, mode=DIRECT, k=None, cfg=None):
         dropped_samples=dropped,
         tied_rows=tied,
         reordered_rows=broken,
+        distinct_labels=distinct_labels,
     )

@@ -179,15 +179,21 @@ def apply_map_topk(z, params):
 def order_violations(z, params):
     """Number of rows whose score ordering the map fails to preserve.
 
-    A row is counted when the transformed sorted values are not strictly
-    ascending (see the module docstring for when this can happen).  A matrix
-    already sorted row-wise, such as the one the fit holds, is not sorted
-    again.
+    A row is counted when some pair of strictly ordered scores comes out of
+    the map not strictly ordered; tied scores may come out in any order.
+    Only a row whose transformed sorted values fail to rise somewhere can
+    be counted; in such a row, everything before each boundary between tie
+    groups is compared with everything after it.  A matrix already sorted
+    row-wise, such as the one the fit holds, is not sorted again.
     """
     s = core.sort_values(z)
     w, b = _rank_aligned_wb(params)
     t = _transform_sorted(s, w, b, params.mode)
-    return int((t[:, 1:] <= t[:, :-1]).any(axis=1).sum())
+    rows = np.flatnonzero((t[:, 1:] <= t[:, :-1]).any(axis=1))
+    s, t = s[rows], t[rows]
+    before = np.maximum.accumulate(t, axis=1)[:, :-1]
+    after = np.minimum.accumulate(t[:, ::-1], axis=1)[:, -2::-1]
+    return int(((before >= after) & (s[:, 1:] > s[:, :-1])).any(axis=1).sum())
 
 
 def label_positions(z, y):

@@ -85,6 +85,7 @@ class TestFit:
         result = optim.fit_mcct(z, y, mode="inverse")
         assert manifest["fit"]["tied_rows"] == result.tied_rows == 0
         assert manifest["fit"]["reordered_rows"] == result.reordered_rows
+        assert manifest["fit"]["distinct_labels"] == result.distinct_labels == np.unique(y).size
         assert "fit" in manifest["wall_time_s"]
 
     def test_ts_on_calibrated_data(self, tmp_path):
@@ -180,6 +181,18 @@ class TestEval:
         assert len(lines) == 13  # header + one row per bin
         counts = [int(line.split(",")[3]) for line in lines[1:]]
         assert sum(counts) == 3000  # every sample lands in exactly one bin
+
+    def test_manifest_has_stage_times(self, dataset, tmp_path):
+        model_path = str(tmp_path / "ts.json")
+        run("fit", "--data", dataset, "--method", "ts", "--out", model_path)
+        out = str(tmp_path / "report.json")
+        assert run("eval", "--data", dataset, "--model", model_path, "--out", out) == 0
+        with open(out + ".manifest.json") as fh:
+            times = json.load(fh)["wall_time_s"]
+        assert set(times) == {"read", "apply", "metrics"}
+        assert all(v > 0 for v in times.values())
+        with open(out) as fh:
+            assert "time" not in fh.read()
 
     def test_class_count_mismatch(self, dataset, tmp_path):
         model_path = str(tmp_path / "wrong.json")

@@ -13,6 +13,67 @@ def two_class_rows(confidences, correctness):
     return p, y
 
 
+def dense_kernel_sums(conf, correct, grid):
+    """Reference kernel sums: the dense (grid, n) Gaussian kernel, built in chunks of about 1 MB."""
+    h = metrics.kde_bandwidth(conf)
+    density = np.empty(grid.shape[0])
+    hits = np.empty(grid.shape[0])
+    chunk = max(1, 131_072 // conf.shape[0])
+    for start in range(0, grid.shape[0], chunk):
+        k = np.exp(-0.5 * ((grid[start : start + chunk, None] - conf[None, :]) / h) ** 2)
+        density[start : start + chunk] = k.sum(axis=1)
+        hits[start : start + chunk] = (k * correct[None, :]).sum(axis=1)
+    return density, hits
+
+
+def dense_ece_kde(p, y, grid_size=1024):
+    """Reference KDE-ECE on the dense kernel sums."""
+    conf, correct = p.max(axis=1), (p.argmax(axis=1) == y).astype(float)
+    grid = np.linspace(conf.min(), conf.max(), grid_size)
+    density, hits = dense_kernel_sums(conf, correct, grid)
+    covered = density > 0.0
+    regression = np.zeros(grid_size)
+    regression[covered] = hits[covered] / density[covered]
+    err = np.abs(grid - regression)
+    return float((err[covered] * density[covered]).sum() / density[covered].sum())
+
+
+def assert_matches_dense(value, expected):
+    # The binned Gauss transform sums in another order than the dense kernel.
+    assert abs(value - expected) <= max(1e-12 * abs(expected), 1e-14), (value, expected)
+
+
+# Confidence patterns for the KDE-ECE oracle test; all but "softmax" are
+# two-class rows whose correctness is drawn with probability = confidence.
+KDE_PATTERNS = ("softmax", "heavy_tail", "outlier", "few_values", "n10", "two_values")
+
+
+def kde_rows(rng, pattern):
+    """``(p, y)`` whose top-label confidences follow ``pattern``.
+
+    ``outlier`` puts 29999 confidences within about 1e-6 of one value and one
+    far below it: the bandwidth then falls below the step of the 1024-point
+    grid.  ``few_values`` draws from up to 15 values, as histogram binning
+    emits.
+    """
+    if pattern == "softmax":
+        p = core.softmax_rows(rng.normal(0.0, 2.5, (3000, 10)))
+        return p, rng.integers(0, 10, 3000)
+    if pattern == "heavy_tail":
+        conf = 0.5 + 0.5 / (1.0 + rng.pareto(0.7, 4000))
+    elif pattern == "outlier":
+        conf = rng.uniform(0.6, 0.99) + 1e-6 * rng.standard_normal(30_000)
+        conf[rng.integers(30_000)] = rng.uniform(0.5, 0.55)
+    elif pattern == "few_values":
+        conf = rng.choice(rng.uniform(0.5, 1.0, rng.integers(2, 16)), 2000)
+    elif pattern == "n10":
+        conf = rng.uniform(0.5, 1.0, 10)
+    else:
+        conf = rng.choice(rng.uniform(0.5, 1.0, 2), 500)
+    correct = rng.random(conf.shape[0]) < conf
+    return np.column_stack([conf, 1.0 - conf]), np.where(correct, 0, 1)
+
+
 class TestEce:
     def test_single_bin_gap(self):
         p, y = two_class_rows([0.9, 0.9, 0.9], [1, 1, 1])
@@ -145,8 +206,9 @@ class TestEceKde:
         assert abs(metrics.ece_kde(p, y) - metrics.ece(p, y)[0]) <= 0.02
 
     def test_chunks_match_whole_kernel_matrix(self):
-        # 2000 rows take 16 chunks of up to 65 grid points; the oracle builds the
-        # whole (grid, n) matrix at once.  Row sums do not depend on chunking.
+        # 2000 rows take 16 chunks of up to 65 grid points in the dense oracle,
+        # whose row sums do not depend on chunking; ece_kde sums in another
+        # order and matches within the stated tolerance.
         rng = np.random.default_rng(41)
         p = core.softmax_rows(rng.normal(0, 2, (2000, 5)))
         y = rng.integers(0, 5, 2000)
@@ -155,7 +217,31 @@ class TestEceKde:
         k = np.exp(-0.5 * ((grid[:, None] - conf[None, :]) / metrics.kde_bandwidth(conf)) ** 2)
         density, hits = k.sum(axis=1), (k * correct[None, :]).sum(axis=1)
         expected = (np.abs(grid - hits / density) * density).sum() / density.sum()
-        assert metrics.ece_kde(p, y) == expected
+        assert dense_ece_kde(p, y) == expected
+        assert_matches_dense(metrics.ece_kde(p, y), expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(KDE_PATTERNS), st.integers(0, 2**32 - 1), st.sampled_from((1024, 60, 16)))
+    def test_matches_dense_kernel(self, pattern, seed, grid_size):
+        p, y = kde_rows(np.random.default_rng(seed), pattern)
+        conf, correct = p.max(axis=1), (p.argmax(axis=1) == y).astype(float)
+        lo, hi, h = conf.min(), conf.max(), metrics.kde_bandwidth(conf)
+        step = (hi - lo) / (grid_size - 1)
+        if pattern == "outlier":
+            assert h < step
+        assert_matches_dense(metrics.ece_kde(p, y, grid_size), dense_ece_kde(p, y, grid_size))
+        # Each grid sum: relative rounding (the dense sums' own rounding grows
+        # with range / bandwidth, to about 2e-12 on "outlier") plus at most
+        # exp(-KDE_CUTOFF**2 / 2) per point cut off.
+        fast = metrics._gauss_sums(conf, correct, lo, step, h, grid_size)
+        dense = np.array(dense_kernel_sums(conf, correct, np.linspace(lo, hi, grid_size)))
+        cut = conf.shape[0] * np.exp(-(metrics.KDE_CUTOFF**2) / 2)
+        assert np.all(np.abs(fast - dense) <= 1e-11 * dense + cut)
+
+    def test_rejects_single_point_grid(self):
+        p, y = kde_rows(np.random.default_rng(0), "n10")
+        with pytest.raises(ValueError, match="grid_size"):
+            metrics.ece_kde(p, y, grid_size=1)
 
     def test_constant_confidence_fallback(self):
         p, y = two_class_rows([0.8] * 12, [1] * 10 + [0] * 2)
@@ -244,6 +330,43 @@ class TestReport:
             "ece", "eq_mass_ece", "ece_kde", "accuracy", "nll",
             "prediction_change_rate", "uncertain_alteration_rate", "bins",
         }
+
+    def test_equals_individual_metrics_bitwise(self):
+        cfg = data_io.SynthConfig(n=3000, m=10, alpha=0.5, overconfidence=2.5, seed=6)
+        z, y, _ = data_io.generate_synthetic(cfg)
+        vs = baselines.fit_vs(z[:500], y[:500])
+        p_base, p, yt = core.softmax_rows(z[500:]), vs.apply(z[500:]), y[500:]
+        report = metrics.compute_report(p, yt, p_base, num_bins=12)
+        value, bins = metrics.ece(p, yt, 12)
+        ranking = metrics.ranking_diagnostics(p_base, p)
+        assert ranking.prediction_change_rate > 0
+        expected = {
+            "ece": value,
+            "eq_mass_ece": metrics.eq_mass_ece(p, yt, 12),
+            "ece_kde": metrics.ece_kde(p, yt),
+            "accuracy": metrics.accuracy(p, yt),
+            "nll": core.nll(p, yt),
+            "prediction_change_rate": ranking.prediction_change_rate,
+            "uncertain_alteration_rate": ranking.uncertain_alteration_rate,
+        }
+        for name, v in expected.items():
+            assert np.float64(getattr(report, name)).tobytes() == np.float64(v).tobytes(), name
+        assert report.bins.to_json() == bins.to_json()
+        assert report.bins.to_csv() == bins.to_csv()
+
+    def test_validates_each_probability_matrix_once(self, monkeypatch):
+        calls = []
+        validate = core.validate_probs
+        monkeypatch.setattr(core, "validate_probs", lambda p: calls.append(1) or validate(p))
+        rng = np.random.default_rng(42)
+        p_base = core.softmax_rows(rng.normal(0, 2, (200, 5)))
+        metrics.compute_report(p_base, rng.integers(0, 5, 200), p_base)
+        assert len(calls) == 2
+
+    def test_shape_mismatch(self):
+        p, y = two_class_rows([0.9] * 6 + [0.6] * 6, [1] * 12)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            metrics.compute_report(p, y, np.array([[0.6, 0.3, 0.1]] * 12), num_bins=2)
 
     def test_small_sample_degradation(self):
         p, y = two_class_rows([0.9, 0.8, 0.7, 0.6], [1, 1, 0, 1])

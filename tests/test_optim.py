@@ -172,6 +172,21 @@ class TestFit:
         assert result.tied_rows == 2
         assert result.reordered_rows == transform.order_violations(z, result.params)
 
+    def test_ties_alone_are_not_reorders(self):
+        # All scores positive, so no strictly ordered pair can be reversed;
+        # ties below the cut share (w[0], b[0]) and map to equal values.
+        rng = np.random.default_rng(3)
+        z = rng.uniform(1.0, 5.0, (300, 6))
+        z[::10, 1] = z[::10, 0]
+        y = rng.integers(0, 6, 300)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = optim.fit_mcct(z, y, k=3)
+        assert result.tied_rows == 30
+        assert result.reordered_rows == 0
+        assert not [w for w in caught if "reorders" in str(w.message)]
+        assert result.distinct_labels == 6
+
     def test_k_equals_m_matches_default(self):
         cfg = data_io.SynthConfig(n=600, m=5, alpha=0.5, overconfidence=2.0, seed=2)
         z, y, _ = data_io.generate_synthetic(cfg)
@@ -184,7 +199,8 @@ class TestFit:
         rng = np.random.default_rng(0)
         z = rng.normal(0, 1, (20, 3))
         with pytest.warns(UserWarning, match="identical"):
-            optim.fit_mcct(z, np.zeros(20, dtype=int), mode="direct")
+            result = optim.fit_mcct(z, np.zeros(20, dtype=int), mode="direct")
+        assert result.distinct_labels == 1
 
     def test_warns_on_tied_logits(self):
         rng = np.random.default_rng(1)

@@ -113,6 +113,42 @@ class TestApplyMap:
         safe = np.array([[1.0, 10.0]])
         assert transform.order_violations(safe, params) == 0
 
+    def test_ties_are_not_reorders(self):
+        # Equal scores may map to any order; the identity map keeps them equal.
+        z = np.array([[1.0, 1.0, 3.0], [-2.0, -2.0, -2.0], [0.5, -1.0, 0.5]])
+        identity = MonotoneParams(w=np.ones(3), b=np.zeros(3), mode="direct", m=3)
+        assert transform.order_violations(z, identity) == 0
+        topk = MonotoneParams(w=np.array([1.0, 2.0]), b=np.array([0.0, 1.0]), mode="direct", m=3)
+        assert transform.order_violations(np.abs(z), topk) == 0
+
+    def test_reversal_across_a_tie_group(self):
+        # In each row the reversed pair is not a neighbour pair.  Ranks 0 and
+        # 2: -3 < -2 maps to -3 > -4, while the tied -2 at rank 1 maps above -3.
+        params = MonotoneParams(w=np.array([1.0, 1.0, 2.0]), b=np.zeros(3), mode="direct", m=3)
+        assert transform.order_violations(np.array([[-3.0, -2.0, -2.0]]), params) == 1
+        # Ranks 0 and 2: -2 < -1 maps to -2 > -2.5, while the tied -2 at rank 1
+        # maps below -2.5.
+        params = MonotoneParams(w=np.array([1.0, 2.5, 2.5]), b=np.zeros(3), mode="direct", m=3)
+        assert transform.order_violations(np.array([[-2.0, -2.0, -1.0]]), params) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(3, 12),
+        st.sampled_from(transform.MODES),
+        st.sampled_from(ROW_PATTERNS),
+        st.data(),
+    )
+    def test_order_violations_match_pairwise_oracle(self, seed, m, mode, pattern, data):
+        rng = np.random.default_rng(seed)
+        k = data.draw(st.integers(2, m))
+        z = patterned_logits(rng, 8, m, k, pattern)
+        params = random_valid_params(rng, k, mode, m_total=m)
+        out = transform.apply_map_topk(z, params)
+        below = z[:, :, None] < z[:, None, :]
+        expected = int((below & (out[:, :, None] >= out[:, None, :])).any(axis=(1, 2)).sum())
+        assert transform.order_violations(z, params) == expected
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 12))
     def test_mode_equivalence(self, seed, m):
