@@ -140,7 +140,7 @@ def fit_ts(z, y):
     y = core.validate_labels(y, z.shape[1], n=z.shape[0])
 
     def nll_at(t):
-        return core.nll(core.softmax_rows(z / t), y)
+        return core._nll(core.softmax_rows(z / t), y)
 
     res = minimize_scalar(nll_at, bounds=(1e-3, 1e3), method="bounded", options={"xatol": 1e-6})
     return CalibratedModel(TS, {"T": float(res.x), "m": z.shape[1]})

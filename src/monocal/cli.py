@@ -44,19 +44,15 @@ def _resolve_format(path, fmt):
 
 
 def _solver_config(args):
-    if getattr(args, "solver_config", None):
+    """The ``--solver-config`` file's settings, overridden by the solver flags given."""
+    doc = {}
+    if args.solver_config:
         with open(args.solver_config) as fh:
-            cfg = optim.SolverConfig.from_json(json.load(fh))
-    else:
-        cfg = optim.SolverConfig()
-    overrides = {
-        name: getattr(args, name)
-        for name in ("max_iterations", "stationarity_tol", "w_floor")
-        if getattr(args, name, None) is not None
-    }
-    if overrides:
-        cfg = optim.SolverConfig(**{**cfg.to_json(), **overrides})
-    return cfg
+            doc = json.load(fh)
+    for name in ("max_iterations", "stationarity_tol"):
+        if getattr(args, name) is not None:
+            doc[name] = getattr(args, name)
+    return optim.SolverConfig.from_json(doc)
 
 
 def _fit_method(method, z, y, topk=None, cfg=None):
@@ -81,6 +77,23 @@ def _fit_method(method, z, y, topk=None, cfg=None):
         "iterations": None,
         "converged": True,
     }
+
+
+class _Stopwatch:
+    """Wall times of consecutive stages, for a manifest's ``wall_time_s``."""
+
+    def __init__(self):
+        self.stages = {}
+        self._last = time.perf_counter()
+
+    def lap(self, stage):
+        """Record the time since the previous lap (or the start) as ``stage``; return it."""
+        start, self._last = self._last, time.perf_counter()
+        self.stages[stage] = self._last - start
+        return self.stages[stage]
+
+    def with_total(self):
+        return {**self.stages, "total": sum(self.stages.values())}
 
 
 def _dump_json(path, doc):
@@ -178,11 +191,12 @@ def cmd_gen_synth(args):
         seed=args.seed,
     )
     fmt = _resolve_format(args.out, args.format)
-    t0 = time.perf_counter()
+    clock = _Stopwatch()
     z, y, true_probs = data_io.generate_synthetic(cfg)
     data_io.write_dataset(args.out, z, y, fmt=fmt)
     true_path = f"{args.out}.true_probs.{fmt}"
     data_io.write_matrix(true_path, true_probs, fmt=fmt)
+    clock.lap("generate")
     outputs = [args.out, true_path]
     if fmt == data_io.RAW_BINARY:
         outputs += [args.out + data_io.SIDECAR_SUFFIX, true_path + data_io.SIDECAR_SUFFIX]
@@ -200,7 +214,7 @@ def cmd_gen_synth(args):
             },
             "seed": args.seed,
             "outputs": outputs,
-            "wall_time_s": {"generate": time.perf_counter() - t0},
+            "wall_time_s": clock.stages,
         },
     )
     return 0
@@ -209,9 +223,9 @@ def cmd_gen_synth(args):
 def cmd_fit(args):
     z, y = data_io.read_dataset(args.data, _resolve_format(args.data, args.format))
     cfg = _solver_config(args)
-    t0 = time.perf_counter()
+    clock = _Stopwatch()
     model, info = _fit_method(args.method, z, y, topk=args.topk, cfg=cfg)
-    wall = time.perf_counter() - t0
+    clock.lap("fit")
     model.save(args.out)
     _write_manifest(
         args.out,
@@ -223,7 +237,7 @@ def cmd_fit(args):
             "solver_config": cfg.to_json(),
             "outputs": [args.out],
             "fit": info,
-            "wall_time_s": {"fit": wall},
+            "wall_time_s": clock.stages,
         },
     )
     if not info["converged"]:
@@ -233,17 +247,17 @@ def cmd_fit(args):
 
 
 def cmd_eval(args):
-    t0 = time.perf_counter()
+    clock = _Stopwatch()
     z, y = data_io.read_dataset(args.data, _resolve_format(args.data, args.format))
     model = baselines.CalibratedModel.load(args.model)
     if model.m != z.shape[1]:
         print(f"model expects m={model.m} classes, data has m={z.shape[1]}", file=sys.stderr)
         return 2
-    t1 = time.perf_counter()
+    clock.lap("read")
     p = model.apply(z)
-    t2 = time.perf_counter()
+    clock.lap("apply")
     report = metrics.compute_report(p, y, core.softmax_rows(z), num_bins=args.bins)
-    t3 = time.perf_counter()
+    clock.lap("metrics")
     _dump_json(args.out, report.to_json())
     reliability_path = _json_base(args.out) + ".reliability.csv"
     with open(reliability_path, "w") as fh:
@@ -256,7 +270,7 @@ def cmd_eval(args):
             "bins": args.bins,
             "outputs": [args.out, reliability_path],
             # "metrics" includes the softmax of the raw logits, which only the report reads.
-            "wall_time_s": {"read": t1 - t0, "apply": t2 - t1, "metrics": t3 - t2},
+            "wall_time_s": clock.stages,
         },
     )
     return 0
@@ -285,11 +299,12 @@ def cmd_compare(args):
     methods = _method_list(args.methods)
     cfg = _solver_config(args)
     seeds = [args.seed + i for i in range(args.runs)]
-    t0 = time.perf_counter()
+    clock = _Stopwatch()
 
     splits = {seed: data_io.split_dataset(z, y, args.split, seed) for seed in seeds}
     base_probs = {seed: core.softmax_rows(splits[seed][1][0]) for seed in seeds}
     fit = _shared_fits(cfg)
+    clock.lap("split")
 
     def run_cell(seed, method):
         (zc, yc), (zt, yt) = splits[seed]
@@ -300,6 +315,7 @@ def cmd_compare(args):
     all_methods = [UNCALIBRATED] + methods
     cells = [(seed, method) for method in all_methods for seed in seeds]
     results = _run_cells(cells, run_cell, args.threads)
+    clock.lap("cells")
 
     rows = []
     per_method = {method: [] for method in all_methods}
@@ -357,6 +373,7 @@ def cmd_compare(args):
             "rank": rank_by_column,
         },
     )
+    clock.lap("write")
     _write_manifest(
         args.out,
         {
@@ -369,7 +386,7 @@ def cmd_compare(args):
             "seed": args.seed,
             "outputs": [args.out, csv_path],
             "failures": failures,
-            "wall_time_s": {"total": time.perf_counter() - t0},
+            "wall_time_s": clock.with_total(),
         },
     )
     return 0 if not failures else 1
@@ -383,12 +400,13 @@ def cmd_sweep_size(args):
     if any(not 0.0 < f <= 1.0 for f in fractions):
         raise ValueError("fractions must lie in (0, 1]")
     seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [args.seed]
-    t0 = time.perf_counter()
+    clock = _Stopwatch()
 
     (zc, yc), (zt, yt) = data_io.split_dataset(z, y, args.split, args.seed)
     p_base = core.softmax_rows(zt)
     n_cal = zc.shape[0]
     fit = _shared_fits(cfg)
+    clock.lap("split")
 
     def run_cell(fraction, seed, method):
         size = int(round(fraction * n_cal))
@@ -404,6 +422,7 @@ def cmd_sweep_size(args):
 
     cells = [(f, s, m) for f in fractions for s in seeds for m in methods]
     results = _run_cells(cells, run_cell, args.threads)
+    clock.lap("cells")
 
     rows = []
     failures = []
@@ -427,6 +446,7 @@ def cmd_sweep_size(args):
             "methods": methods,
         },
     )
+    clock.lap("write")
     _write_manifest(
         args.out,
         {
@@ -440,7 +460,7 @@ def cmd_sweep_size(args):
             "seed": args.seed,
             "outputs": [args.out, json_path],
             "failures": failures,
-            "wall_time_s": {"total": time.perf_counter() - t0},
+            "wall_time_s": clock.with_total(),
         },
     )
     return 0 if not failures else 1
@@ -450,20 +470,21 @@ def cmd_sweep_topk(args):
     z, y = data_io.read_dataset(args.data, _resolve_format(args.data, args.format))
     cfg = _solver_config(args)
     kvalues = [int(k) for k in args.kvalues.split(",")]
-    t0 = time.perf_counter()
+    clock = _Stopwatch()
 
     (zc, yc), (zt, yt) = data_io.split_dataset(z, y, args.split, args.seed)
     p_base = core.softmax_rows(zt)
+    clock.lap("split")
 
     rows = []
     failures = []
-    wall_times = {}
+    fit_per_k = {}
     # Cells run serially: the per-k fit time goes into the manifest.
     for k in kvalues:
         try:
-            fit_start = time.perf_counter()
+            fit_clock = _Stopwatch()
             result = optim.fit_mcct(zc, yc, k=k, cfg=cfg)
-            wall_times[str(k)] = time.perf_counter() - fit_start
+            fit_per_k[str(k)] = fit_clock.lap("fit")
             model = baselines.from_monotone_params(result.params)
             report = metrics.compute_report(model.apply(zt), yt, p_base, num_bins=args.bins)
             scalars = report.scalars()
@@ -475,11 +496,13 @@ def cmd_sweep_topk(args):
         except Exception as exc:
             rows.append([k] + [None] * len(SCALAR_COLUMNS) + [None, None, None, f"{type(exc).__name__}: {exc}"])
             failures.append({"k": k, "error": f"{type(exc).__name__}: {exc}"})
+    clock.lap("cells")
 
     header = ["k"] + list(SCALAR_COLUMNS) + ["dropped_samples", "iterations", "converged", "status"]
     _write_csv(args.out, header, rows)
     json_path = args.out + ".json"
     _dump_json(json_path, {"rows": [dict(zip(header, row)) for row in rows]})
+    clock.lap("write")
     _write_manifest(
         args.out,
         {
@@ -491,7 +514,7 @@ def cmd_sweep_topk(args):
             "seed": args.seed,
             "outputs": [args.out, json_path],
             "failures": failures,
-            "wall_time_s": {"total": time.perf_counter() - t0, "fit_per_k": wall_times},
+            "wall_time_s": {**clock.with_total(), "fit_per_k": fit_per_k},
         },
     )
     return 0 if not failures else 1
@@ -520,7 +543,6 @@ def _build_parser():
     solver.add_argument("--solver-config", default=None, help="JSON file with solver settings")
     solver.add_argument("--max-iterations", type=int, default=None)
     solver.add_argument("--stationarity-tol", type=float, default=None)
-    solver.add_argument("--w-floor", type=float, default=None)
 
     p = sub.add_parser("gen-synth", parents=[common, seeded], help="generate a synthetic logit dataset")
     p.add_argument("--n", type=int, default=10_000)

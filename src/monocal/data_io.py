@@ -89,8 +89,8 @@ def write_dataset(path, z, y, fmt=None):
     if fmt == CSV:
         with open(path, "w") as fh:
             fh.write(_expected_header(m) + "\n")
-            for row, label in zip(z, y):
-                fh.write(",".join(repr(float(v)) for v in row) + f",{int(label)}\n")
+            for row, label in zip(z.tolist(), y.tolist()):
+                fh.write(",".join(map(repr, row)) + f",{label}\n")
     elif fmt == RAW_BINARY:
         with open(path, "wb") as fh:
             fh.write(np.ascontiguousarray(z, dtype="<f4").tobytes())
@@ -144,8 +144,8 @@ def write_matrix(path, a, fmt=None):
     if fmt == CSV:
         with open(path, "w") as fh:
             fh.write(",".join(f"p{j}" for j in range(a.shape[1])) + "\n")
-            for row in a:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            for row in a.tolist():
+                fh.write(",".join(map(repr, row)) + "\n")
     elif fmt == RAW_BINARY:
         with open(path, "wb") as fh:
             fh.write(np.ascontiguousarray(a, dtype="<f4").tobytes())

@@ -1,9 +1,9 @@
 """Constrained fitting of the rank-indexed monotone calibration maps.
 
-The fit minimizes the mean NLL of the calibrated probabilities subject to
-the linear ordering constraints on ``w`` and ``b``, using SLSQP with
-analytic objective and constraint gradients.  There is no randomness
-anywhere in the fit path: identical inputs and configuration produce
+SLSQP minimizes the mean NLL of the calibrated probabilities over the
+cumulative increments of ``w`` and ``b``, on which the ordering constraints
+are simple bounds (see :func:`fit_mcct`).  There is no randomness anywhere
+in the fit path: identical inputs and configuration produce
 bitwise-identical results.
 """
 
@@ -26,35 +26,31 @@ from .transform import (
 )
 
 
+# Every fitted scale lies in [W_FLOOR, 1 / W_FLOOR].  Strict positivity is an
+# open condition unusable as a solver bound, so the feasible set is closed at a
+# negligible distance from it; the cap keeps mcct-i's divisors above the floor.
+W_FLOOR = 1e-8
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Solver tolerances and limits.
-
-    ``w_floor`` bounds every scale entry to ``[w_floor, 1 / w_floor]``:
-    strict positivity is an open condition unusable as a solver constraint,
-    so the feasible set is closed at a negligible distance from it, and the
-    matching upper bound keeps the reciprocal scales of mcct-i above the
-    same floor.
-    """
+    """SLSQP's iteration limit and its stopping tolerance on the loss."""
 
     max_iterations: int = 500
     stationarity_tol: float = 1e-8
-    w_floor: float = 1e-8
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.stationarity_tol <= 0:
             raise ValueError("stationarity_tol must be > 0")
-        if not 0 < self.w_floor <= 1:
-            raise ValueError("w_floor must lie in (0, 1]")
 
     def to_json(self):
         return asdict(self)
 
     @classmethod
     def from_json(cls, doc):
-        known = {f: doc[f] for f in ("max_iterations", "stationarity_tol", "w_floor") if f in doc}
+        known = {f: doc[f] for f in ("max_iterations", "stationarity_tol") if f in doc}
         unknown = set(doc) - set(known)
         if unknown:
             raise ValueError(f"unknown solver config fields: {sorted(unknown)}")
@@ -85,35 +81,7 @@ def init_params(mode, k, m=None):
     return MonotoneParams(w=np.ones(k), b=np.zeros(k), mode=mode, m=k if m is None else m)
 
 
-def _chain_constraints(k):
-    """Linear inequality constraints ``w[i+1] - w[i] >= 0`` and ``b[i+1] - b[i] >= 0``.
-
-    Jacobians are constant, so they are materialized once.
-    """
-    jac_w = np.zeros((k - 1, 2 * k))
-    jac_b = np.zeros((k - 1, 2 * k))
-    idx = np.arange(k - 1)
-    jac_w[idx, idx] = -1.0
-    jac_w[idx, idx + 1] = 1.0
-    jac_b[idx, k + idx] = -1.0
-    jac_b[idx, k + idx + 1] = 1.0
-    return [
-        {"type": "ineq", "fun": lambda x: jac_w @ x, "jac": lambda x: jac_w},
-        {"type": "ineq", "fun": lambda x: jac_b @ x, "jac": lambda x: jac_b},
-    ]
-
-
-def _repair(w, b, w_floor):
-    """Make a near-feasible iterate exactly feasible.
-
-    SLSQP can overshoot linear constraints by a few ulp; the cumulative
-    max and the clip below remove any residual inversion without moving
-    feasible entries at all.
-    """
-    return np.clip(np.maximum.accumulate(w), w_floor, 1.0 / w_floor), np.maximum.accumulate(b)
-
-
-def constraint_violation(params, w_floor=SolverConfig.w_floor):
+def constraint_violation(params, w_floor=W_FLOOR):
     """Largest violation of the ordering constraints and the scale floor (0 if feasible)."""
     dw = np.diff(params.w)
     if params.mode == INVERSE:
@@ -130,10 +98,12 @@ def fit_mcct(z, y, mode=DIRECT, k=None, cfg=None):
     """Fit a monotone calibration map by constrained NLL minimization.
 
     Both modes solve the same problem: SLSQP fits the direct map ``s * w + b``
-    starting from the identity map, with every scale entry bounded to
-    ``[w_floor, 1 / w_floor]``.  Inverse mode returns that fit with its
-    scales written as divisors (``w`` replaced by ``1 / w``), and the same
-    biases, loss and iteration count.
+    over the increments ``(dw, db)`` with ``w = minimum(cumsum(dw),
+    1 / W_FLOOR)`` and ``b = cumsum(db)``, under the bounds ``dw[0] >=
+    W_FLOOR`` and ``dw[1:], db[1:] >= 0``, starting from the identity map
+    (``dw = (1, 0, ...)``, ``db = 0``).  Inverse mode returns that fit with
+    its scales written as divisors (``w`` replaced by ``1 / w``), and the
+    same biases, loss and iteration count.
 
     With ``k`` below the class count, each row's sorted logits are truncated
     to the top k columns and samples whose true class falls outside them are
@@ -143,8 +113,11 @@ def fit_mcct(z, y, mode=DIRECT, k=None, cfg=None):
     ties, reordered rows and a single label.  Rows are sorted by value only;
     each label's rank is counted, not read from a permutation.
 
-    The returned parameters are always exactly feasible and never worse in
-    loss than the uncalibrated logits.
+    The returned parameters are feasible by construction: rounding is
+    monotone, so a cumulative sum of non-negative increments is exactly
+    non-decreasing in floating point, and so is its minimum with a constant.
+    Nothing is repaired after the solve.  The fit is never worse in loss
+    than the uncalibrated logits.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -169,23 +142,27 @@ def fit_mcct(z, y, mode=DIRECT, k=None, cfg=None):
     if s_fit.shape[0] == 0:
         raise ValueError("every sample's true class fell outside the top k ranks")
 
+    def params_of(x):
+        return np.minimum(np.cumsum(x[:k]), 1.0 / W_FLOOR), np.cumsum(x[k:])
+
     def fun(x):
-        loss, gw, gb = sorted_nll_objective(s_fit, pos_fit, x[:k], x[k:], DIRECT)
-        return loss, np.concatenate([gw, gb])
+        loss, gw, gb = sorted_nll_objective(s_fit, pos_fit, *params_of(x), DIRECT)
+        # The gradient of a cumulative sum is the reverse cumulative sum;
+        # the cap on w is never reached in practice and is ignored here.
+        return loss, np.concatenate([np.cumsum(gw[::-1])[::-1], np.cumsum(gb[::-1])[::-1]])
 
     start = init_params(DIRECT, k, m=m)
-    x0 = np.concatenate([start.w, start.b])
+    x0 = np.concatenate([np.diff(start.w, prepend=0.0), np.diff(start.b, prepend=0.0)])
     init_loss = fun(x0)[0]
     res = minimize(
         fun,
         x0,
         jac=True,
         method="SLSQP",
-        bounds=[(cfg.w_floor, 1.0 / cfg.w_floor)] * k + [(None, None)] * k,
-        constraints=_chain_constraints(k),
+        bounds=[(W_FLOOR, None)] + [(0.0, None)] * (k - 1) + [(None, None)] + [(0.0, None)] * (k - 1),
         options={"maxiter": cfg.max_iterations, "ftol": cfg.stationarity_tol},
     )
-    w, b = _repair(res.x[:k], res.x[k:], cfg.w_floor)
+    w, b = params_of(res.x)
     final_loss = sorted_nll_objective(s_fit, pos_fit, w, b, DIRECT)[0]
     converged = bool(res.success)
     if final_loss > init_loss:
@@ -203,7 +180,7 @@ def fit_mcct(z, y, mode=DIRECT, k=None, cfg=None):
         final_loss=float(final_loss),
         iterations=int(res.nit),
         converged=converged,
-        constraint_violation=constraint_violation(params, cfg.w_floor),
+        constraint_violation=constraint_violation(params),
         dropped_samples=dropped,
         tied_rows=tied,
         reordered_rows=broken,

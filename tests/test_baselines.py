@@ -39,6 +39,24 @@ class TestTemperatureScaling:
         model = baselines.fit_ts(z, rng.integers(0, 8, 200))
         assert np.array_equal(core.argmax_rows(model.apply(z)), core.argmax_rows(z))
 
+    def test_validates_labels_once(self, monkeypatch):
+        calls = {"labels": 0, "probs": 0}
+        validate_labels, validate_probs = core.validate_labels, core.validate_probs
+
+        def count_labels(*args, **kwargs):
+            calls["labels"] += 1
+            return validate_labels(*args, **kwargs)
+
+        def count_probs(p):
+            calls["probs"] += 1
+            return validate_probs(p)
+
+        monkeypatch.setattr(core, "validate_labels", count_labels)
+        monkeypatch.setattr(core, "validate_probs", count_probs)
+        rng = np.random.default_rng(5)
+        baselines.fit_ts(rng.normal(0, 2, (200, 8)), rng.integers(0, 8, 200))
+        assert calls == {"labels": 1, "probs": 0}
+
 
 class TestEnsembleTemperatureScaling:
     def test_pure_ts_weights_reproduce_ts(self):

@@ -12,6 +12,15 @@ def run(*args):
     return cli.main([str(a) for a in args])
 
 
+def assert_stage_times(out, stages):
+    """Check a manifest's per-stage wall times and their total; return them."""
+    times = json.load(open(out + ".manifest.json"))["wall_time_s"]
+    assert stages | {"total"} <= set(times)
+    assert all(times[s] > 0 for s in stages)
+    assert times["total"] == pytest.approx(sum(times[s] for s in stages))
+    return times
+
+
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
     """Small overconfident dataset written by gen-synth."""
@@ -131,6 +140,22 @@ class TestFit:
         manifest = json.load(open(out + ".manifest.json"))
         assert manifest["solver_config"]["max_iterations"] == 400
         assert manifest["solver_config"]["stationarity_tol"] == 1e-9
+        # A flag overrides the file's value of the same setting only.
+        run("fit", "--data", dataset, "--method", "mcct", "--solver-config", cfg_path,
+            "--max-iterations", 300, "--out", out)
+        manifest = json.load(open(out + ".manifest.json"))
+        assert manifest["solver_config"] == {"max_iterations": 300, "stationarity_tol": 1e-9}
+
+    @pytest.mark.parametrize("argv", [
+        ("fit", "--method", "mcct"),
+        ("compare", "--methods", "mcct"),
+        ("sweep-size", "--fractions", "1", "--methods", "mcct"),
+        ("sweep-topk", "--kvalues", "2"),
+    ])
+    def test_scale_floor_is_not_a_flag(self, dataset, tmp_path, argv, capsys):
+        with pytest.raises(SystemExit):
+            run(*argv, "--data", dataset, "--out", tmp_path / "out", "--w-floor", 1e-8)
+        assert "unrecognized arguments: --w-floor" in capsys.readouterr().err
 
     def test_every_method_fits(self, dataset, tmp_path):
         for method in cli.METHODS:
@@ -232,6 +257,7 @@ class TestCompare:
         csv_lines = open(str(tmp_path / "cmp.csv")).read().strip().split("\n")
         assert csv_lines[0].startswith("method,seed,ece")
         assert len(csv_lines) == 1 + 8 + 4 + 4  # header, per-seed, mean, rank
+        assert_stage_times(out, {"split", "cells", "write"})
 
     def test_monotone_methods_keep_accuracy(self, dataset, tmp_path):
         out = str(tmp_path / "cmp.json")
@@ -337,6 +363,7 @@ class TestSweepSize:
         rows = json.load(open(out + ".json"))["rows"]
         assert len(rows) == 4
         assert {r["n_calib"] for r in rows} == {150, 750}
+        assert_stage_times(out, {"split", "cells", "write"})
 
     def test_mcct_and_mcct_i_share_one_solve_per_subsample(self, dataset, tmp_path, solves):
         out = str(tmp_path / "sweep.csv")
@@ -376,7 +403,7 @@ class TestSweepTopk:
         assert code == 0
         rows = json.load(open(out + ".json"))["rows"]
         assert [r["k"] for r in rows] == [2, 4, 8]
-        fit_per_k = json.load(open(out + ".manifest.json"))["wall_time_s"]["fit_per_k"]
+        fit_per_k = assert_stage_times(out, {"split", "cells", "write"})["fit_per_k"]
         assert set(fit_per_k) == {"2", "4", "8"} and all(v > 0 for v in fit_per_k.values())
         assert rows[0]["dropped_samples"] > 0
         assert rows[2]["dropped_samples"] == 0

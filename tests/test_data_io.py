@@ -16,6 +16,15 @@ class TestCsvFormat:
         assert np.array_equal(z2, z)  # repr formatting round-trips exactly
         assert np.array_equal(y2, y)
 
+    def test_written_text_is_shortest_repr(self, tmp_path):
+        z = np.array([[0.1, float(np.float32(0.1)), -0.0], [5e-324, 1e300, -2.5]])
+        dataset, matrix = tmp_path / "d.csv", tmp_path / "m.csv"
+        data_io.write_dataset(str(dataset), z, np.array([2, 0]))
+        data_io.write_matrix(str(matrix), z)
+        rows = "0.1,0.10000000149011612,-0.0{}\n5e-324,1e+300,-2.5{}\n"
+        assert dataset.read_text() == "z0,z1,z2,label\n" + rows.format(",2", ",0")
+        assert matrix.read_text() == "p0,p1,p2\n" + rows.format("", "")
+
     def test_header_layout(self, tmp_path):
         path = str(tmp_path / "tiny.csv")
         data_io.write_dataset(path, np.zeros((1, 3)), np.array([2]))

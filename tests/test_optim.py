@@ -14,7 +14,8 @@ class TestSolverConfig:
         cfg = optim.SolverConfig()
         assert cfg.max_iterations == 500
         assert cfg.stationarity_tol == 1e-8
-        assert cfg.w_floor == 1e-8
+        assert cfg.to_json() == {"max_iterations": 500, "stationarity_tol": 1e-8}
+        assert optim.W_FLOOR == 1e-8
 
     def test_json_round_trip(self):
         cfg = optim.SolverConfig(max_iterations=50, stationarity_tol=1e-6)
@@ -29,8 +30,9 @@ class TestSolverConfig:
             optim.SolverConfig(max_iterations=0)
         with pytest.raises(ValueError):
             optim.SolverConfig(stationarity_tol=-1.0)
-        with pytest.raises(ValueError, match="w_floor"):
-            optim.SolverConfig(w_floor=2.0)
+        # The scale floor is the constant W_FLOOR, not a setting.
+        with pytest.raises(ValueError, match="unknown solver config"):
+            optim.SolverConfig.from_json({"w_floor": 2.0})
 
 
 class TestInitParams:
@@ -120,7 +122,28 @@ class TestFit:
     def test_returned_params_feasible(self, fitted_direct, fitted_inverse):
         for result in (fitted_direct, fitted_inverse):
             assert result.constraint_violation == 0.0
-            assert np.all(result.params.w >= optim.SolverConfig().w_floor)
+            assert np.all(result.params.w >= optim.W_FLOOR)
+
+    @pytest.mark.parametrize("pattern", ROW_PATTERNS)
+    @pytest.mark.parametrize("k", [3, 8])
+    @pytest.mark.parametrize("max_iterations", [1, 2, 3])
+    def test_feasible_by_construction(self, pattern, k, max_iterations):
+        # Early iterates of a short solve sit anywhere in the feasible set;
+        # each is returned as the solver left it, with nothing repaired.
+        rng = np.random.default_rng(62)
+        z = patterned_logits(rng, 400, 8, k, pattern) * 1.5
+        y = np.where(rng.uniform(size=400) < 0.6, z.argmax(axis=1), rng.integers(0, 8, 400))
+        cfg = optim.SolverConfig(max_iterations=max_iterations)
+        for mode in transform.MODES:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                result = optim.fit_mcct(z, y, mode=mode, k=k, cfg=cfg)
+            w, b = result.params.w, result.params.b
+            rising_w = w if mode == transform.DIRECT else w[::-1]
+            assert np.all(np.diff(rising_w) >= 0)
+            assert np.all(np.diff(b) >= 0)
+            assert np.all(result.params.in_mode(transform.DIRECT).w >= optim.W_FLOOR)
+            assert result.constraint_violation == 0.0
 
     def test_deterministic(self):
         cfg = data_io.SynthConfig(n=800, m=6, alpha=0.5, overconfidence=2.0, seed=13)
