@@ -7,6 +7,7 @@ are byte-identical.
 """
 
 import argparse
+import contextlib
 import json
 import sys
 import threading
@@ -55,11 +56,16 @@ def _solver_config(args):
     return optim.SolverConfig.from_json(doc)
 
 
-def _fit_method(method, z, y, topk=None, cfg=None):
-    """Fit one method by name; returns (model, solver-diagnostics dict)."""
+def _fit_method(method, z, y, topk=None, cfg=None, trace=None):
+    """Fit one method by name; returns (model, solver-diagnostics dict).
+
+    ``trace`` receives mcct/mcct-i's per-iterate solver records (see
+    ``optim.fit_mcct``); the baselines ignore it.
+    """
     if method in baselines.MONOTONE_MODES:
-        result = optim.fit_mcct(z, y, mode=baselines.MONOTONE_MODES[method], k=topk, cfg=cfg)
+        result = optim.fit_mcct(z, y, mode=baselines.MONOTONE_MODES[method], k=topk, cfg=cfg, trace=trace)
         return baselines.from_monotone_params(result.params), {
+            "initial_loss": result.initial_loss,
             "final_loss": result.final_loss,
             "iterations": result.iterations,
             "converged": result.converged,
@@ -221,12 +227,18 @@ def cmd_gen_synth(args):
 
 
 def cmd_fit(args):
+    clock = _Stopwatch()
     z, y = data_io.read_dataset(args.data, _resolve_format(args.data, args.format))
     cfg = _solver_config(args)
-    clock = _Stopwatch()
-    model, info = _fit_method(args.method, z, y, topk=args.topk, cfg=cfg)
+    clock.lap("read")
+    if args.trace and args.method not in baselines.MONOTONE_MODES:
+        warnings.warn(f"--trace only affects mcct/mcct-i; ignored for {args.method}")
+    with open(args.trace, "w") if args.trace else contextlib.nullcontext() as trace_fh:
+        trace = (lambda record: trace_fh.write(json.dumps(record) + "\n")) if trace_fh else None
+        model, info = _fit_method(args.method, z, y, topk=args.topk, cfg=cfg, trace=trace)
     clock.lap("fit")
     model.save(args.out)
+    clock.lap("write")
     _write_manifest(
         args.out,
         {
@@ -236,6 +248,7 @@ def cmd_fit(args):
             "topk": args.topk,
             "solver_config": cfg.to_json(),
             "outputs": [args.out],
+            "trace": args.trace,
             "fit": info,
             "wall_time_s": clock.stages,
         },
@@ -557,6 +570,7 @@ def _build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--topk", type=int, default=None, help="retained ranks for mcct/mcct-i")
+    p.add_argument("--trace", default=None, help="JSON-lines file with one mcct/mcct-i solver record per iterate")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit)
 

@@ -1,17 +1,16 @@
 """Constrained fitting of the rank-indexed monotone calibration maps.
 
-SLSQP minimizes the mean NLL of the calibrated probabilities over the
-cumulative increments of ``w`` and ``b``, on which the ordering constraints
-are simple bounds (see :func:`fit_mcct`).  There is no randomness anywhere
-in the fit path: identical inputs and configuration produce
-bitwise-identical results.
+Projected Newton minimizes the mean NLL of the calibrated probabilities
+over the cumulative increments of ``w`` and ``b``, on which the ordering
+constraints are simple bounds (see :func:`fit_mcct`).  There is no
+randomness anywhere in the fit path: identical inputs and configuration
+produce bitwise-identical results.
 """
 
 import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import core
 from .transform import (
@@ -19,6 +18,7 @@ from .transform import (
     INVERSE,
     MODES,
     MonotoneParams,
+    _class_major_nll,
     label_positions,
     order_violations,
     sorted_nll_objective,
@@ -30,11 +30,21 @@ from .transform import (
 # open condition unusable as a solver bound, so the feasible set is closed at a
 # negligible distance from it; the cap keeps mcct-i's divisors above the floor.
 W_FLOOR = 1e-8
+# Projected Newton: the cap on the active-set margin, the Armijo constant and
+# the shortest step tried before the line search gives up.
+ACTIVE_EPS = 1e-3
+ARMIJO = 1e-4
+MIN_STEP = 2.0**-40
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """SLSQP's iteration limit and its stopping tolerance on the loss."""
+    """The projected Newton solver's iteration limit and stopping tolerance.
+
+    ``stationarity_tol`` bounds half the Newton decrement of the free
+    variables, the loss the quadratic model still expects to gain (see
+    :func:`_projected_newton`).
+    """
 
     max_iterations: int = 500
     stationarity_tol: float = 1e-8
@@ -61,6 +71,7 @@ class SolverConfig:
 class FitResult:
     params: MonotoneParams
     final_loss: float
+    initial_loss: float
     iterations: int
     converged: bool
     constraint_violation: float
@@ -94,16 +105,167 @@ def constraint_violation(params, w_floor=W_FLOOR):
     return worst if worst > 0.0 else 0.0
 
 
-def fit_mcct(z, y, mode=DIRECT, k=None, cfg=None):
+def _reverse_cumsum(v, k, axis):
+    """Reverse cumulative sums of the ``w`` block ``[:k]`` and the ``b`` block ``[k:]`` along ``axis``.
+
+    This is the transpose of the cumulative sums that turn increments into
+    parameters, so it takes a gradient or (applied along both axes) a
+    Hessian from parameters to increments.
+    """
+    parts = np.split(v, [k], axis=axis)
+    return np.concatenate([np.flip(np.cumsum(np.flip(a, axis), axis), axis) for a in parts], axis=axis)
+
+
+def _cholesky_solve(a, g):
+    """Solve ``a d = g`` for a symmetric positive definite ``a``, summing in a fixed order.
+
+    ``g`` may hold several right-hand sides as columns.  A plain Cholesky
+    factorization and two triangular solves with numpy reductions: LAPACK's
+    threaded factorization rounds differently with different BLAS thread
+    counts.  Raises ``LinAlgError`` on a pivot that is not positive.
+    """
+    n = len(g)
+    low = np.zeros_like(a)
+    for j in range(n):
+        col = a[j:, j] - np.einsum("ij,j->i", low[j:, :j], low[j, :j])
+        if not col[0] > 0:
+            raise np.linalg.LinAlgError("matrix is not positive definite")
+        low[j:, j] = col / np.sqrt(col[0])
+    u = np.empty_like(g)
+    for i in range(n):
+        u[i] = (g[i] - np.einsum("j,j...->...", low[i, :i], u[:i])) / low[i, i]
+    d = np.empty_like(g)
+    for i in reversed(range(n)):
+        d[i] = (u[i] - np.einsum("j,j...->...", low[i + 1 :, i], d[i + 1 :])) / low[i, i]
+    return d
+
+
+def _newton_direction(hess, grad):
+    """``-hess^-1 grad``, with a growing ridge while ``hess`` is not numerically positive definite.
+
+    A Hessian that no ridge up to its own scale makes positive definite (one
+    holding a NaN from overflowing logits, say) gives the steepest-descent
+    direction ``-grad``.
+    """
+    scale = np.abs(np.diag(hess)).max(initial=0.0) or 1.0
+    for ridge in (0.0, *(scale * 10.0 ** np.arange(-12, 1))):
+        try:
+            return -_cholesky_solve(hess + ridge * np.eye(len(grad)), grad)
+        except np.linalg.LinAlgError:
+            pass
+    return -grad
+
+
+def _projected_newton(evaluate, x, lower, cfg, trace=None):
+    """Minimize a convex function over ``x >= lower`` from a feasible ``x`` by projected Newton.
+
+    ``evaluate(x, order)`` returns the loss (order 0), the loss and gradient
+    (order 1), or the loss, gradient and Hessian (order 2).  The method is
+    Bertsekas's (1982, "Projected Newton methods for optimization problems
+    with simple constraints").  Each iteration holds the variables within
+    ``eps`` of their bound whose gradient points out of the feasible set,
+    ``eps`` being the projected-gradient residual's norm capped at
+    ``ACTIVE_EPS``.  The held variables move onto their bounds, and the free
+    ones take the Newton step given that move, solved by Cholesky on the
+    free block of the exact Hessian.  A free variable on its bound that the
+    step would push out is held as well (it stays), so that the projection
+    does not bend the path.  An Armijo backtracking search runs along the
+    projection arc ``max(x + t d, lower)``; every accepted step lowers the
+    loss.
+
+    The solve has converged when half the free block's Newton decrement,
+    ``g_F^T H_FF^-1 g_F / 2``, is at most ``cfg.stationarity_tol`` and
+    moving the held variables onto their bounds gains no more than that to
+    first order: then no held bound has a gradient pointing into the
+    feasible set.  The converged point still takes its full step when that
+    step passes the Armijo test.  ``trace``, if given, is called with one
+    dict per iterate: ``iteration``, ``loss``, ``pg_norm`` (the largest
+    projected-gradient component), ``free`` (the free-variable count) and
+    ``step`` (the accepted step length, 0 at the returned point).
+
+    Returns ``(x, iterations, converged)``.
+    """
+
+    def near_bound(x, grad):
+        """Projected-gradient residual, and the variables within ``eps`` of their bound."""
+        residual = x - np.maximum(x - grad, lower)
+        return residual, x - lower <= min(ACTIVE_EPS, float(np.linalg.norm(residual)))
+
+    def newton_step(x, grad, hess, held):
+        """The step, and the free block's Newton decrement."""
+        free = ~held
+        step = np.where(held & (grad > 0), lower - x, 0.0)
+        coupled = grad[free] + np.einsum("ij,j->i", hess[np.ix_(free, held)], step[held])
+        solved = _newton_direction(hess[np.ix_(free, free)], np.stack([grad[free], coupled], axis=1))
+        step[free] = solved[:, 1]
+        return step, -float((grad[free] * solved[:, 0]).sum())
+
+    def record(loss, residual, held, step):
+        if trace is not None:
+            trace({
+                "iteration": iterations,
+                "loss": loss,
+                "pg_norm": float(np.abs(residual).max()),
+                "free": int(held.size - held.sum()),
+                "step": step,
+            })
+
+    loss, grad, hess = evaluate(x, 2)
+    iterations = 0
+    while True:
+        residual, near = near_bound(x, grad)
+        held = near & (grad > 0)
+        direction, decrement = newton_step(x, grad, hess, held)
+        converged = (
+            decrement / 2 <= cfg.stationarity_tol
+            and float((grad * (x - lower))[held].sum()) <= cfg.stationarity_tol
+        )
+        while (pushed := ~held & near & (direction < 0)).any():
+            held |= pushed
+            direction = newton_step(x, grad, hess, held)[0]
+        if (grad * direction).sum() >= 0:
+            direction = -residual
+        step = 1.0 if iterations < cfg.max_iterations else 0.0
+        while step:
+            trial = np.maximum(x + step * direction, lower)
+            slope = -float((grad * (trial - x)).sum())
+            if slope > 0 and loss - evaluate(trial, 0) >= ARMIJO * slope:
+                break
+            step = step / 2 if step > MIN_STEP and not converged else 0.0
+        record(loss, residual, held, step)
+        if not step:
+            return x, iterations, converged
+        x = trial
+        iterations += 1
+        if converged:
+            loss, grad = evaluate(x, 1)
+            residual, near = near_bound(x, grad)
+            record(loss, residual, near & (grad > 0), 0.0)
+            return x, iterations, converged
+        loss, grad, hess = evaluate(x, 2)
+
+
+def fit_mcct(z, y, mode=DIRECT, k=None, cfg=None, trace=None):
     """Fit a monotone calibration map by constrained NLL minimization.
 
-    Both modes solve the same problem: SLSQP fits the direct map ``s * w + b``
-    over the increments ``(dw, db)`` with ``w = minimum(cumsum(dw),
-    1 / W_FLOOR)`` and ``b = cumsum(db)``, under the bounds ``dw[0] >=
+    Both modes solve the same problem: the direct map ``s * w + b`` over the
+    increments ``x = (dw, db[1:])`` with ``w = minimum(cumsum(dw), 1 /
+    W_FLOOR)`` and ``b = (0, cumsum(db[1:]))``, under the bounds ``dw[0] >=
     W_FLOOR`` and ``dw[1:], db[1:] >= 0``, starting from the identity map
-    (``dw = (1, 0, ...)``, ``db = 0``).  Inverse mode returns that fit with
-    its scales written as divisors (``w`` replaced by ``1 / w``), and the
-    same biases, loss and iteration count.
+    (``dw = (1, 0, ...)``, ``db = 0``).  ``b[0]`` is pinned at 0: a common
+    shift of ``b`` leaves every softmax unchanged.  Inverse mode returns
+    that fit with its scales written as divisors (``w`` replaced by
+    ``1 / w``), and the same biases, loss and iteration count.
+
+    The solver is projected Newton (see :func:`_projected_newton`) on the
+    exact Hessian, which a private kernel of ``transform`` computes on a
+    class-major copy of the sorted block, made once per fit; in increment
+    coordinates it is ``L^T H L`` with ``L`` the cumulative-sum matrix,
+    formed by reverse cumulative sums of ``H``'s rows and columns.  Every
+    accepted step lowers the loss, so the fit is never worse than the
+    uncalibrated logits.  ``trace``, if given, receives the solver's
+    per-iterate records.  Every sum in the fit runs in a fixed order, so the
+    result does not depend on the BLAS thread count either.
 
     With ``k`` below the class count, each row's sorted logits are truncated
     to the top k columns and samples whose true class falls outside them are
@@ -116,8 +278,7 @@ def fit_mcct(z, y, mode=DIRECT, k=None, cfg=None):
     The returned parameters are feasible by construction: rounding is
     monotone, so a cumulative sum of non-negative increments is exactly
     non-decreasing in floating point, and so is its minimum with a constant.
-    Nothing is repaired after the solve.  The fit is never worse in loss
-    than the uncalibrated logits.
+    Nothing is repaired after the solve.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -141,32 +302,30 @@ def fit_mcct(z, y, mode=DIRECT, k=None, cfg=None):
     s_fit, pos_fit, dropped = truncate_training_set(s, label_positions(z, y), k)
     if s_fit.shape[0] == 0:
         raise ValueError("every sample's true class fell outside the top k ranks")
+    S = np.ascontiguousarray(s_fit.T)
 
     def params_of(x):
-        return np.minimum(np.cumsum(x[:k]), 1.0 / W_FLOOR), np.cumsum(x[k:])
+        return np.minimum(np.cumsum(x[:k]), 1.0 / W_FLOOR), np.concatenate([[0.0], np.cumsum(x[k:])])
 
-    def fun(x):
-        loss, gw, gb = sorted_nll_objective(s_fit, pos_fit, *params_of(x), DIRECT)
-        # The gradient of a cumulative sum is the reverse cumulative sum;
-        # the cap on w is never reached in practice and is ignored here.
-        return loss, np.concatenate([np.cumsum(gw[::-1])[::-1], np.cumsum(gb[::-1])[::-1]])
+    def evaluate(x, order):
+        out = _class_major_nll(S, pos_fit, *params_of(x), DIRECT, order)
+        if order == 0:
+            return out
+        # Through the cumulative sums, the gradient and Hessian take reverse
+        # cumulative sums; the cap on w is never reached in practice and is
+        # ignored here.
+        loss, gw, gb, *hess = out
+        grad = _reverse_cumsum(np.concatenate([gw, gb[1:]]), k, 0)
+        return (loss, grad, *(_reverse_cumsum(_reverse_cumsum(h, k, 0), k, 1) for h in hess))
 
+    lower = np.zeros(2 * k - 1)
+    lower[0] = W_FLOOR
     start = init_params(DIRECT, k, m=m)
-    x0 = np.concatenate([np.diff(start.w, prepend=0.0), np.diff(start.b, prepend=0.0)])
-    init_loss = fun(x0)[0]
-    res = minimize(
-        fun,
-        x0,
-        jac=True,
-        method="SLSQP",
-        bounds=[(W_FLOOR, None)] + [(0.0, None)] * (k - 1) + [(None, None)] + [(0.0, None)] * (k - 1),
-        options={"maxiter": cfg.max_iterations, "ftol": cfg.stationarity_tol},
-    )
-    w, b = params_of(res.x)
-    final_loss = sorted_nll_objective(s_fit, pos_fit, w, b, DIRECT)[0]
-    converged = bool(res.success)
-    if final_loss > init_loss:
-        w, b, final_loss, converged = start.w, start.b, init_loss, False
+    x0 = np.concatenate([np.diff(start.w, prepend=0.0), np.diff(start.b)])
+    init_loss = sorted_nll_objective(S.T, pos_fit, *params_of(x0), DIRECT)[0]
+    x, iterations, converged = _projected_newton(evaluate, x0, lower, cfg, trace)
+    w, b = params_of(x)
+    final_loss = sorted_nll_objective(S.T, pos_fit, w, b, DIRECT)[0]
     params = MonotoneParams(w=w, b=b, mode=DIRECT, m=m).in_mode(mode)
     broken = order_violations(s, params)
     if broken:
@@ -178,7 +337,8 @@ def fit_mcct(z, y, mode=DIRECT, k=None, cfg=None):
     return FitResult(
         params=params,
         final_loss=float(final_loss),
-        iterations=int(res.nit),
+        initial_loss=float(init_loss),
+        iterations=iterations,
         converged=converged,
         constraint_violation=constraint_violation(params),
         dropped_samples=dropped,

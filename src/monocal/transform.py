@@ -231,6 +231,52 @@ def truncate_training_set(z_sorted, y_pos, k):
     return z_sorted[keep, cut:], (y_pos[keep] - cut).astype(np.int64), int(n - keep.sum())
 
 
+def _class_major_nll(S, y_pos, w, b, mode, order=1):
+    """Mean NLL of a class-major sorted block, with derivatives up to ``order``.
+
+    ``S`` is the C-contiguous (k, n) transpose of an ascending-sorted (n, k)
+    logit block, so every reduction over a row's k entries runs along the
+    long axis.  ``order`` 0 returns the loss; 1 adds ``(grad_w, grad_b)``;
+    2 (direct mode only) adds the exact Hessian over ``(w, b[1:])``:
+    ``diag(...) - A A^T / n`` with ``A = [s * p ; p[1:]]`` of shape
+    (2k - 1, n), where the first term holds ``mean(s**2 p)``, ``mean(p[1:])``
+    and, between ``w[j]`` and ``b[j]``, ``mean(s p)``.  ``b[0]`` is left out
+    because a common shift of ``b`` does not change the softmax.
+    """
+    k, n = S.shape
+    label = y_pos * n + np.arange(n)  # flat index of each sample's target in S
+    t = S * w[:, None] if mode == DIRECT else S / w[:, None]
+    t += b[:, None]
+    t -= t.max(axis=0)
+    p = np.exp(t, out=t)
+    total = p.sum(axis=0)
+    loss = float(-np.log(np.maximum(p.ravel()[label] / total, core.LOG_FLOOR)).mean())
+    if order == 0:
+        return loss
+    p /= total
+    A = np.empty((2 * k - 1 if order == 2 else k, n))
+    sp = np.multiply(S, p, out=A[:k])
+    p_sum, sp_sum = p.sum(axis=1), sp.sum(axis=1)
+    grad_b = (p_sum - np.bincount(y_pos, minlength=k)) / n
+    grad_s = (sp_sum - np.bincount(y_pos, weights=S.ravel()[label], minlength=k)) / n
+    grad_w = grad_s if mode == DIRECT else -grad_s / (w * w)
+    if order == 1:
+        return loss, grad_w, grad_b
+    A[k:] = p[1:]
+    # A A^T row by row with einsum, not BLAS: a threaded BLAS product sums in
+    # an order that depends on its thread count, and so would the fit.
+    hess = np.empty((2 * k - 1, 2 * k - 1))
+    for i in range(2 * k - 1):
+        hess[i, i:] = np.einsum("j,kj->k", A[i], A[i:])
+        hess[i:, i] = hess[i, i:]
+    hess /= -n
+    hess[np.diag_indices(2 * k - 1)] += np.concatenate([np.einsum("ij,ij->i", S, sp), p_sum[1:]]) / n
+    wb = np.arange(1, k)
+    hess[wb, wb + k - 1] += sp_sum[1:] / n
+    hess[wb + k - 1, wb] += sp_sum[1:] / n
+    return loss, grad_w, grad_b, hess
+
+
 def sorted_nll_objective(s, y_pos, w, b, mode):
     """Mean NLL of the transformed sorted logits, with analytic gradients.
 
@@ -239,27 +285,16 @@ def sorted_nll_objective(s, y_pos, w, b, mode):
     where the gradients are means over samples of the per-sample expressions
     ``s * (p - e_y)`` (direct) or ``-s / w**2 * (p - e_y)`` (inverse) and
     ``p - e_y`` respectively, with ``p`` the row softmax of the transformed
-    block and ``e_y`` the one-hot target at ``y_pos``.
+    block and ``e_y`` the one-hot target at ``y_pos``.  The work is done on
+    a class-major copy of ``s``; an ``s`` that is already the transpose of a
+    C-contiguous block is not copied.
     """
     w = np.asarray(w, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if np.any(w <= 0):
         raise ValueError("scale entries must be strictly positive")
-    t = _transform_sorted(s, w, b, mode)
-    t = t - t.max(axis=1, keepdims=True)
-    e = np.exp(t)
-    p = e / e.sum(axis=1, keepdims=True)
-    n = s.shape[0]
-    rows = np.arange(n)
-    loss = float(-np.log(np.maximum(p[rows, y_pos], core.LOG_FLOOR)).mean())
-    resid = p.copy()
-    resid[rows, y_pos] -= 1.0
-    grad_b = resid.mean(axis=0)
-    if mode == DIRECT:
-        grad_w = (s * resid).mean(axis=0)
-    else:
-        grad_w = (-(s / (w * w)) * resid).mean(axis=0)
-    return loss, grad_w, grad_b
+    S = np.ascontiguousarray(np.asarray(s, dtype=np.float64).T)
+    return _class_major_nll(S, np.asarray(y_pos, dtype=np.int64), w, b, mode)
 
 
 def objective_and_gradient(z, y, params):

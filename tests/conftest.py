@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from monocal import core, data_io, optim, transform
 
@@ -105,3 +106,65 @@ def stable_fit_inputs(z, y, k):
     cut = z.shape[1] - k
     keep = pos >= cut
     return s[keep][:, cut:], (pos[keep] - cut).astype(np.int64), int(len(y) - keep.sum())
+
+
+def reference_nll_objective(s, y_pos, w, b, mode):
+    """Reference objective on a row-major (n, k) sorted block: ``(loss, grad_w, grad_b)``."""
+    t = s * w + b if mode == transform.DIRECT else s / w + b
+    t = t - t.max(axis=1, keepdims=True)
+    e = np.exp(t)
+    p = e / e.sum(axis=1, keepdims=True)
+    rows = np.arange(s.shape[0])
+    loss = float(-np.log(np.maximum(p[rows, y_pos], core.LOG_FLOOR)).mean())
+    resid = p.copy()
+    resid[rows, y_pos] -= 1.0
+    grad_b = resid.mean(axis=0)
+    if mode == transform.DIRECT:
+        grad_w = (s * resid).mean(axis=0)
+    else:
+        grad_w = (-(s / (w * w)) * resid).mean(axis=0)
+    return loss, grad_w, grad_b
+
+
+def reverse_cumsum(v):
+    return np.cumsum(v[::-1])[::-1]
+
+
+def slsqp_fit(z, y, k=None):
+    """Reference solve: SLSQP over the increments ``(dw, db)`` from the identity map.
+
+    It fits the direct map on the stable-sort fitting set with the reference
+    objective, under the bounds ``dw[0] >= W_FLOOR``, ``dw[1:] >= 0`` and
+    ``db[1:] >= 0`` (``db[0]`` free).  Returns ``(w, b, loss)``.
+    """
+    k = z.shape[1] if k is None else k
+    s, pos, _ = stable_fit_inputs(z, y, k)
+
+    def params_of(x):
+        return np.cumsum(x[:k]), np.cumsum(x[k:])
+
+    def fun(x):
+        loss, gw, gb = reference_nll_objective(s, pos, *params_of(x), transform.DIRECT)
+        return loss, np.concatenate([reverse_cumsum(gw), reverse_cumsum(gb)])
+
+    x0 = np.concatenate([[1.0], np.zeros(2 * k - 1)])
+    bounds = [(optim.W_FLOOR, None)] + [(0.0, None)] * (k - 1) + [(None, None)] + [(0.0, None)] * (k - 1)
+    res = minimize(fun, x0, jac=True, method="SLSQP", bounds=bounds, options={"maxiter": 500, "ftol": 1e-8})
+    w, b = params_of(res.x)
+    return w, b, reference_nll_objective(s, pos, w, b, transform.DIRECT)[0]
+
+
+def projected_gradient_residual(z, y, params):
+    """Largest projected-gradient component of the fit's problem at a direct map with ``b[0] = 0``.
+
+    The problem is over the increments ``x = (dw, db[1:])`` with the bounds
+    ``dw[0] >= W_FLOOR`` and every other increment ``>= 0``; the residual is
+    ``x - max(x - grad, lower)``, zero exactly at a stationary point.
+    """
+    s, pos, _ = stable_fit_inputs(z, y, params.k)
+    _, gw, gb = reference_nll_objective(s, pos, params.w, params.b, transform.DIRECT)
+    x = np.concatenate([np.diff(params.w, prepend=0.0), np.diff(params.b)])
+    grad = np.concatenate([reverse_cumsum(gw), reverse_cumsum(gb[1:])])
+    lower = np.zeros_like(x)
+    lower[0] = optim.W_FLOOR
+    return float(np.abs(x - np.maximum(x - grad, lower)).max())

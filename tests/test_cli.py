@@ -1,6 +1,9 @@
 import json
+import os
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,7 +98,31 @@ class TestFit:
         assert manifest["fit"]["tied_rows"] == result.tied_rows == 0
         assert manifest["fit"]["reordered_rows"] == result.reordered_rows
         assert manifest["fit"]["distinct_labels"] == result.distinct_labels == np.unique(y).size
-        assert "fit" in manifest["wall_time_s"]
+        assert manifest["fit"]["initial_loss"] == result.initial_loss >= result.final_loss
+        assert set(manifest["wall_time_s"]) == {"read", "fit", "write"}
+        assert all(v > 0 for v in manifest["wall_time_s"].values())
+        with open(out) as fh:
+            assert "time" not in fh.read()
+
+    def test_solver_trace(self, dataset, tmp_path):
+        plain, traced = str(tmp_path / "plain.json"), str(tmp_path / "traced.json")
+        trace_path = tmp_path / "trace.jsonl"
+        assert run("fit", "--data", dataset, "--method", "mcct-i", "--out", plain) == 0
+        assert run("fit", "--data", dataset, "--method", "mcct-i", "--trace", trace_path, "--out", traced) == 0
+        assert open(plain, "rb").read() == open(traced, "rb").read()
+        lines = [json.loads(line) for line in trace_path.read_text().splitlines()]
+        manifest = json.load(open(traced + ".manifest.json"))
+        assert manifest["trace"] == str(trace_path)
+        assert manifest["outputs"] == [traced]
+        assert [line["iteration"] for line in lines] == list(range(len(lines)))
+        assert len(lines) == manifest["fit"]["iterations"] + 1
+        assert set(lines[0]) == {"iteration", "loss", "pg_norm", "free", "step"}
+        losses = [line["loss"] for line in lines]
+        assert all(later <= earlier for earlier, later in zip(losses, losses[1:]))
+        assert losses[-1] == manifest["fit"]["final_loss"]
+        assert all(line["step"] > 0 for line in lines[:-1]) and lines[-1]["step"] == 0.0
+        assert all(1 <= line["free"] <= 15 for line in lines)
+        assert lines[-1]["pg_norm"] < 1e-6 < lines[0]["pg_norm"]
 
     def test_ts_on_calibrated_data(self, tmp_path):
         path = str(tmp_path / "cal.csv")
@@ -426,6 +453,27 @@ class TestSweepTopk:
 
 
 class TestDeterminism:
+    def test_fit_is_identical_with_one_and_two_blas_threads(self, dataset, tmp_path):
+        # At m = 100 the Hessian (199 x 199) is large enough that a threaded
+        # BLAS product or LAPACK factorization would round differently.
+        wide = str(tmp_path / "wide.csv")
+        assert run(
+            "gen-synth", "--n", 2000, "--m", 100, "--alpha", 0.2,
+            "--overconfidence", 2.5, "--seed", 3, "--out", wide,
+        ) == 0
+        src = str(Path(optim.__file__).resolve().parents[1])
+        for data in (dataset, wide):
+            models = []
+            for threads in ("1", "2"):
+                out = str(tmp_path / f"model{threads}.json")
+                env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+                subprocess.run(
+                    [sys.executable, "-m", "monocal.cli", "fit", "--data", data, "--method", "mcct", "--out", out],
+                    env=env, check=True, timeout=120,
+                )
+                models.append(open(out, "rb").read())
+            assert models[0] == models[1]
+
     def test_fit_reruns_are_byte_identical(self, dataset, tmp_path):
         a = str(tmp_path / "a.json")
         b = str(tmp_path / "b.json")

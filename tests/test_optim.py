@@ -6,7 +6,16 @@ import pytest
 
 from monocal import core, data_io, metrics, optim, transform
 
-from conftest import ROW_PATTERNS, patterned_logits, stable_fit_inputs, stable_label_positions
+from conftest import (
+    ROW_PATTERNS,
+    patterned_logits,
+    projected_gradient_residual,
+    slsqp_fit,
+    stable_fit_inputs,
+    stable_label_positions,
+)
+
+ORACLE_CASES = [(pattern, k) for pattern in ROW_PATTERNS for k in (3, 8)] + [("overconfident-9000x10", 10)]
 
 
 class TestSolverConfig:
@@ -145,6 +154,23 @@ class TestFit:
             assert np.all(result.params.in_mode(transform.DIRECT).w >= optim.W_FLOOR)
             assert result.constraint_violation == 0.0
 
+    @pytest.mark.parametrize("pattern,k", ORACLE_CASES)
+    def test_newton_matches_slsqp_oracle(self, pattern, k):
+        if pattern in ROW_PATTERNS:
+            rng = np.random.default_rng(63)
+            z = patterned_logits(rng, 400, 8, k, pattern) * 1.5
+            y = np.where(rng.uniform(size=400) < 0.6, z.argmax(axis=1), rng.integers(0, 8, 400))
+        else:
+            z, y, _ = data_io.generate_synthetic(data_io.SynthConfig(n=9000, m=10, alpha=0.5, overconfidence=2.5, seed=7))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = optim.fit_mcct(z, y, k=k)
+        oracle_loss = slsqp_fit(z, y, k)[2]
+        assert result.converged
+        assert result.params.b[0] == 0.0
+        assert result.final_loss <= oracle_loss + 1e-8 * max(1.0, abs(oracle_loss))
+        assert projected_gradient_residual(z, y, result.params) < 1e-6
+
     def test_deterministic(self):
         cfg = data_io.SynthConfig(n=800, m=6, alpha=0.5, overconfidence=2.0, seed=13)
         z, y, _ = data_io.generate_synthetic(cfg)
@@ -251,6 +277,20 @@ class TestFit:
             result = optim.fit_mcct(z, y, mode=mode, cfg=optim.SolverConfig(max_iterations=1))
             p = core.softmax_rows(transform.apply_map_topk(z, result.params))
             assert core.nll(p, y) <= uncalibrated
+            assert result.final_loss <= result.initial_loss
+
+    def test_overflowing_hessian_is_not_convergence(self):
+        # s**2 overflows, so the Hessian holds NaNs and no step lowers the
+        # loss: the fit stops at the identity map and says so.
+        rng = np.random.default_rng(5)
+        z = rng.normal(0, 1, (50, 4)) * 1e200
+        y = rng.integers(0, 4, 50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = optim.fit_mcct(z, y)
+        assert not result.converged
+        assert result.final_loss == result.initial_loss
+        assert np.array_equal(result.params.w, np.ones(4))
 
     def test_rejects_single_sample(self):
         with pytest.raises(ValueError, match="at least 2"):
@@ -271,3 +311,59 @@ class TestFit:
         y = rng.integers(0, 4, 10)
         with pytest.raises(ValueError, match="mode must be one of"):
             optim.fit_mcct(z, y, mode="Inverse")
+
+
+class TestIncrementHessian:
+    def test_matches_finite_differences(self):
+        # The Hessian over the increments (dw, db[1:]) is L^T H L, taken by
+        # reverse cumulative sums; check it against central differences of
+        # the increments' gradient at random feasible points.
+        rng = np.random.default_rng(91)
+        step = 1e-6
+        worst = 0.0
+        for _ in range(40):
+            n = int(rng.integers(2, 60))
+            k = int(rng.integers(2, 9))
+            S = np.ascontiguousarray(np.sort(rng.normal(0, 2, (n, k)), axis=1).T)
+            pos = rng.integers(0, k, n)
+
+            def derivatives(x, order):
+                w, b = np.cumsum(x[:k]), np.concatenate([[0.0], np.cumsum(x[k:])])
+                _, gw, gb, *hess = transform._class_major_nll(S, pos, w, b, "direct", order)
+                grad = optim._reverse_cumsum(np.concatenate([gw, gb[1:]]), k, 0)
+                return grad, *(optim._reverse_cumsum(optim._reverse_cumsum(h, k, 0), k, 1) for h in hess)
+
+            x = np.concatenate([[rng.uniform(0.2, 2.0)], rng.uniform(0.0, 0.5, 2 * k - 2)])
+            hess = derivatives(x, 2)[1]
+            fd = np.empty_like(hess)
+            for j in range(2 * k - 1):
+                e = np.zeros(2 * k - 1)
+                e[j] = step
+                fd[:, j] = (derivatives(x + e, 1)[0] - derivatives(x - e, 1)[0]) / (2 * step)
+            worst = max(worst, np.abs(hess - fd).max() / max(np.abs(fd).max(), 1e-8))
+            # The two passes of cumulative sums add in different orders.
+            np.testing.assert_allclose(hess, hess.T, rtol=0, atol=1e-14 * np.abs(hess).max())
+            assert np.linalg.eigvalsh(hess).min() >= -1e-12
+        assert worst <= 1e-5
+
+
+class TestProjectedNewton:
+    def test_bound_quadratic(self):
+        # min (x - c)^T A (x - c) / 2 over x >= 0: the bound binds where c < 0
+        # once the others adjust, and the solve lands on the bound exactly.
+        a = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 3.0]])
+        c = np.array([1.0, -2.0, 0.5])
+
+        def evaluate(x, order):
+            r = x - c
+            out = (float(r @ a @ r / 2), a @ r, a)
+            return out[0] if order == 0 else out[: order + 1]
+
+        lines = []
+        x, iterations, converged = optim._projected_newton(
+            evaluate, np.ones(3), np.zeros(3), optim.SolverConfig(), trace=lines.append
+        )
+        assert converged and x[1] == 0.0
+        grad = a @ (x - c)
+        assert grad[1] > 0 and np.abs(grad[[0, 2]]).max() < 1e-9
+        assert len(lines) == iterations + 1 and lines[-1]["step"] == 0.0

@@ -6,7 +6,14 @@ from hypothesis import strategies as st
 from monocal import core, transform
 from monocal.transform import MonotoneParams
 
-from conftest import ROW_PATTERNS, patterned_logits, random_valid_params, stable_apply, stable_label_positions
+from conftest import (
+    ROW_PATTERNS,
+    patterned_logits,
+    random_valid_params,
+    reference_nll_objective,
+    stable_apply,
+    stable_label_positions,
+)
 
 
 def identity_params(m, mode=transform.DIRECT):
@@ -212,6 +219,63 @@ class TestObjective:
                     fd[j] = (f_hi - f_lo) / (2 * step)
                 rel = np.abs(grad - fd).max() / max(np.abs(fd).max(), 1e-8)
                 assert rel <= 1e-5
+
+    @pytest.mark.parametrize("mode", transform.MODES)
+    def test_class_major_kernel_matches_reference(self, mode):
+        # The kernel works on the (k, n) transpose; the row-major reference
+        # computes the same sums in another order.
+        rng = np.random.default_rng(18)
+        for _ in range(25):
+            n = int(rng.integers(2, 400))
+            m = int(rng.integers(2, 12))
+            s = np.sort(rng.normal(0, 3, (n, m)), axis=1)
+            pos = rng.integers(0, m, n)
+            w = np.sort(rng.uniform(0.2, 3.0, m))
+            if mode == "inverse":
+                w = w[::-1].copy()
+            b = np.sort(rng.normal(0, 1.0, m))
+            want = reference_nll_objective(s, pos, w, b, mode)
+            got = transform.sorted_nll_objective(s, pos, w, b, mode)
+            kernel = transform._class_major_nll(np.ascontiguousarray(s.T), pos, w, b, mode)
+            assert got[0] == kernel[0]
+            assert all(np.array_equal(g, k) for g, k in zip(got[1:], kernel[1:]))
+            assert got[0] == pytest.approx(want[0], rel=1e-12, abs=1e-12)
+            for g, r in zip(got[1:], want[1:]):
+                np.testing.assert_allclose(g, r, rtol=1e-12, atol=1e-12)
+            if mode == "direct":
+                # The loss and gradient do not depend on the order asked for.
+                full = transform._class_major_nll(np.ascontiguousarray(s.T), pos, w, b, mode, order=2)
+                assert full[0] == got[0] == transform._class_major_nll(np.ascontiguousarray(s.T), pos, w, b, mode, order=0)
+                assert all(np.array_equal(g, f) for g, f in zip(got[1:], full[1:3]))
+
+    def test_hessian_matches_finite_differences(self):
+        # The Hessian over (w, b[1:]) against central differences of the
+        # analytic gradient, at random feasible points (as criterion 2 does
+        # for the gradient).
+        rng = np.random.default_rng(19)
+        step = 1e-6
+        worst = 0.0
+        for _ in range(40):
+            n = int(rng.integers(2, 60))
+            k = int(rng.integers(2, 11))
+            S = np.ascontiguousarray(np.sort(rng.normal(0, 2, (n, k)), axis=1).T)
+            pos = rng.integers(0, k, n)
+
+            def gradient(theta):
+                b = np.concatenate([[0.0], theta[k:]])
+                _, gw, gb = transform._class_major_nll(S, pos, theta[:k], b, "direct")
+                return np.concatenate([gw, gb[1:]])
+
+            theta = np.concatenate([np.sort(rng.uniform(0.2, 3.0, k)), np.sort(rng.normal(0, 0.5, k - 1))])
+            hess = transform._class_major_nll(S, pos, theta[:k], np.concatenate([[0.0], theta[k:]]), "direct", 2)[3]
+            fd = np.empty_like(hess)
+            for j in range(2 * k - 1):
+                e = np.zeros(2 * k - 1)
+                e[j] = step
+                fd[:, j] = (gradient(theta + e) - gradient(theta - e)) / (2 * step)
+            worst = max(worst, np.abs(hess - fd).max() / max(np.abs(fd).max(), 1e-8))
+            assert np.array_equal(hess, hess.T)
+        assert worst <= 1e-5
 
     def test_rejects_nonpositive_w(self):
         with pytest.raises(ValueError, match="strictly positive"):
