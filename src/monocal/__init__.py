@@ -13,7 +13,7 @@ from .metrics import (
     ranking_diagnostics,
     reliability_data,
 )
-from .optim import FitResult, SolverConfig, fit_mcct, init_params
+from .optim import FitResult, fit_mcct, init_params
 from .transform import (
     DIRECT,
     INVERSE,
@@ -52,7 +52,6 @@ __all__ = [
     "ranking_diagnostics",
     "reliability_data",
     "FitResult",
-    "SolverConfig",
     "fit_mcct",
     "init_params",
     "DIRECT",

@@ -8,6 +8,7 @@ are byte-identical.
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import sys
 import threading
@@ -44,37 +45,18 @@ def _resolve_format(path, fmt):
         return data_io.CSV
 
 
-def _solver_config(args):
-    """The ``--solver-config`` file's settings, overridden by the solver flags given."""
-    doc = {}
-    if args.solver_config:
-        with open(args.solver_config) as fh:
-            doc = json.load(fh)
-    for name in ("max_iterations", "stationarity_tol"):
-        if getattr(args, name) is not None:
-            doc[name] = getattr(args, name)
-    return optim.SolverConfig.from_json(doc)
-
-
-def _fit_method(method, z, y, topk=None, cfg=None, trace=None):
+def _fit_method(method, z, y, topk=None, max_iterations=optim.MAX_ITERATIONS, trace=None):
     """Fit one method by name; returns (model, solver-diagnostics dict).
 
-    ``trace`` receives mcct/mcct-i's per-iterate solver records (see
-    ``optim.fit_mcct``); the baselines ignore it.
+    For mcct/mcct-i the diagnostics are the ``optim.FitResult`` fields other
+    than the parameters.  ``max_iterations`` and ``trace`` (which receives
+    the per-iterate solver records) only affect mcct/mcct-i.
     """
     if method in baselines.MONOTONE_MODES:
-        result = optim.fit_mcct(z, y, mode=baselines.MONOTONE_MODES[method], k=topk, cfg=cfg, trace=trace)
-        return baselines.from_monotone_params(result.params), {
-            "initial_loss": result.initial_loss,
-            "final_loss": result.final_loss,
-            "iterations": result.iterations,
-            "converged": result.converged,
-            "constraint_violation": result.constraint_violation,
-            "dropped_samples": result.dropped_samples,
-            "tied_rows": result.tied_rows,
-            "reordered_rows": result.reordered_rows,
-            "distinct_labels": result.distinct_labels,
-        }
+        mode = baselines.MONOTONE_MODES[method]
+        result = optim.fit_mcct(z, y, mode=mode, k=topk, max_iterations=max_iterations, trace=trace)
+        info = {f.name: getattr(result, f.name) for f in dataclasses.fields(result) if f.name != "params"}
+        return baselines.from_monotone_params(result.params), info
     if topk is not None:
         warnings.warn(f"--topk only affects mcct/mcct-i; ignored for {method}")
     model = baselines.fit_baseline(method, z, y)
@@ -168,7 +150,7 @@ def _run_cells(cells, worker, threads):
     return results
 
 
-def _shared_fits(cfg):
+def _shared_fits(max_iterations):
     """``fit(key, method, z, y)``: a fitted model, with one solve per key for mcct and mcct-i.
 
     mcct-i is the mcct fit with its scales written as divisors.  A per-key
@@ -178,10 +160,10 @@ def _shared_fits(cfg):
 
     def fit(key, method, z, y):
         if method not in baselines.MONOTONE_MODES:
-            return _fit_method(method, z, y, cfg=cfg)[0]
+            return _fit_method(method, z, y)[0]
         with locks.setdefault(key, threading.Lock()):  # one atomic dict call
             if key not in solves:
-                solves[key] = optim.fit_mcct(z, y, cfg=cfg).params
+                solves[key] = optim.fit_mcct(z, y, max_iterations=max_iterations).params
         return baselines.from_monotone_params(solves[key].in_mode(baselines.MONOTONE_MODES[method]))
 
     return fit
@@ -229,13 +211,12 @@ def cmd_gen_synth(args):
 def cmd_fit(args):
     clock = _Stopwatch()
     z, y = data_io.read_dataset(args.data, _resolve_format(args.data, args.format))
-    cfg = _solver_config(args)
     clock.lap("read")
     if args.trace and args.method not in baselines.MONOTONE_MODES:
         warnings.warn(f"--trace only affects mcct/mcct-i; ignored for {args.method}")
     with open(args.trace, "w") if args.trace else contextlib.nullcontext() as trace_fh:
         trace = (lambda record: trace_fh.write(json.dumps(record) + "\n")) if trace_fh else None
-        model, info = _fit_method(args.method, z, y, topk=args.topk, cfg=cfg, trace=trace)
+        model, info = _fit_method(args.method, z, y, topk=args.topk, max_iterations=args.max_iterations, trace=trace)
     clock.lap("fit")
     model.save(args.out)
     clock.lap("write")
@@ -246,7 +227,7 @@ def cmd_fit(args):
             "inputs": {"data": args.data},
             "method": args.method,
             "topk": args.topk,
-            "solver_config": cfg.to_json(),
+            "max_iterations": args.max_iterations,
             "outputs": [args.out],
             "trace": args.trace,
             "fit": info,
@@ -310,13 +291,12 @@ def _report_row(prefix, report_or_error):
 def cmd_compare(args):
     z, y = data_io.read_dataset(args.data, _resolve_format(args.data, args.format))
     methods = _method_list(args.methods)
-    cfg = _solver_config(args)
     seeds = [args.seed + i for i in range(args.runs)]
     clock = _Stopwatch()
 
     splits = {seed: data_io.split_dataset(z, y, args.split, seed) for seed in seeds}
     base_probs = {seed: core.softmax_rows(splits[seed][1][0]) for seed in seeds}
-    fit = _shared_fits(cfg)
+    fit = _shared_fits(args.max_iterations)
     clock.lap("split")
 
     def run_cell(seed, method):
@@ -395,7 +375,7 @@ def cmd_compare(args):
             "methods": methods,
             "split": args.split,
             "runs": args.runs,
-            "solver_config": cfg.to_json(),
+            "max_iterations": args.max_iterations,
             "seed": args.seed,
             "outputs": [args.out, csv_path],
             "failures": failures,
@@ -408,7 +388,6 @@ def cmd_compare(args):
 def cmd_sweep_size(args):
     z, y = data_io.read_dataset(args.data, _resolve_format(args.data, args.format))
     methods = _method_list(args.methods)
-    cfg = _solver_config(args)
     fractions = [float(f) for f in args.fractions.split(",")]
     if any(not 0.0 < f <= 1.0 for f in fractions):
         raise ValueError("fractions must lie in (0, 1]")
@@ -418,7 +397,7 @@ def cmd_sweep_size(args):
     (zc, yc), (zt, yt) = data_io.split_dataset(z, y, args.split, args.seed)
     p_base = core.softmax_rows(zt)
     n_cal = zc.shape[0]
-    fit = _shared_fits(cfg)
+    fit = _shared_fits(args.max_iterations)
     clock.lap("split")
 
     def run_cell(fraction, seed, method):
@@ -469,7 +448,7 @@ def cmd_sweep_size(args):
             "fractions": fractions,
             "seeds": seeds,
             "split": args.split,
-            "solver_config": cfg.to_json(),
+            "max_iterations": args.max_iterations,
             "seed": args.seed,
             "outputs": [args.out, json_path],
             "failures": failures,
@@ -481,7 +460,6 @@ def cmd_sweep_size(args):
 
 def cmd_sweep_topk(args):
     z, y = data_io.read_dataset(args.data, _resolve_format(args.data, args.format))
-    cfg = _solver_config(args)
     kvalues = [int(k) for k in args.kvalues.split(",")]
     clock = _Stopwatch()
 
@@ -496,7 +474,7 @@ def cmd_sweep_topk(args):
     for k in kvalues:
         try:
             fit_clock = _Stopwatch()
-            result = optim.fit_mcct(zc, yc, k=k, cfg=cfg)
+            result = optim.fit_mcct(zc, yc, k=k, max_iterations=args.max_iterations)
             fit_per_k[str(k)] = fit_clock.lap("fit")
             model = baselines.from_monotone_params(result.params)
             report = metrics.compute_report(model.apply(zt), yt, p_base, num_bins=args.bins)
@@ -523,7 +501,7 @@ def cmd_sweep_topk(args):
             "inputs": {"data": args.data},
             "kvalues": kvalues,
             "split": args.split,
-            "solver_config": cfg.to_json(),
+            "max_iterations": args.max_iterations,
             "seed": args.seed,
             "outputs": [args.out, json_path],
             "failures": failures,
@@ -531,6 +509,17 @@ def cmd_sweep_topk(args):
         },
     )
     return 0 if not failures else 1
+
+
+def _positive_int(text):
+    """An argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"need a positive integer, got {text!r}")
+    return value
 
 
 def _build_parser():
@@ -543,7 +532,7 @@ def _build_parser():
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=int, default=0, help="base random seed (default 0)")
     threaded = argparse.ArgumentParser(add_help=False)
-    threaded.add_argument("--threads", type=int, default=1, help="parallel workers for independent cells")
+    threaded.add_argument("--threads", type=_positive_int, default=1, help="parallel workers for independent cells")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format",
@@ -553,9 +542,12 @@ def _build_parser():
     )
 
     solver = argparse.ArgumentParser(add_help=False)
-    solver.add_argument("--solver-config", default=None, help="JSON file with solver settings")
-    solver.add_argument("--max-iterations", type=int, default=None)
-    solver.add_argument("--stationarity-tol", type=float, default=None)
+    solver.add_argument(
+        "--max-iterations",
+        type=_positive_int,
+        default=optim.MAX_ITERATIONS,
+        help=f"mcct/mcct-i solver iteration limit (default {optim.MAX_ITERATIONS})",
+    )
 
     p = sub.add_parser("gen-synth", parents=[common, seeded], help="generate a synthetic logit dataset")
     p.add_argument("--n", type=int, default=10_000)
@@ -577,7 +569,7 @@ def _build_parser():
     p = sub.add_parser("eval", parents=[common], help="evaluate a fitted model on a dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--bins", type=int, default=15)
+    p.add_argument("--bins", type=_positive_int, default=15)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 
@@ -585,8 +577,8 @@ def _build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--methods", required=True, help="comma-separated method list")
     p.add_argument("--split", type=float, default=0.5, help="calibration fraction of each split")
-    p.add_argument("--runs", type=int, default=1, help="number of consecutive split seeds")
-    p.add_argument("--bins", type=int, default=15)
+    p.add_argument("--runs", type=_positive_int, default=1, help="number of consecutive split seeds")
+    p.add_argument("--bins", type=_positive_int, default=15)
     p.add_argument("--out", required=True, help="JSON output path (.csv written beside it)")
     p.set_defaults(func=cmd_compare)
 
@@ -596,7 +588,7 @@ def _build_parser():
     p.add_argument("--methods", required=True)
     p.add_argument("--seeds", default=None, help="comma-separated subsample seeds (default: --seed)")
     p.add_argument("--split", type=float, default=0.5)
-    p.add_argument("--bins", type=int, default=15)
+    p.add_argument("--bins", type=_positive_int, default=15)
     p.add_argument("--out", required=True, help="CSV output path")
     p.set_defaults(func=cmd_sweep_size)
 
@@ -604,7 +596,7 @@ def _build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--kvalues", required=True, help="comma-separated k values")
     p.add_argument("--split", type=float, default=0.5)
-    p.add_argument("--bins", type=int, default=15)
+    p.add_argument("--bins", type=_positive_int, default=15)
     p.add_argument("--out", required=True, help="CSV output path")
     p.set_defaults(func=cmd_sweep_topk)
 

@@ -106,10 +106,13 @@ def read_dataset(path, fmt=None):
     if fmt == CSV:
         with open(path) as fh:
             header = fh.readline().rstrip("\n")
+            has_rows = any(line.strip() for line in fh)
         cols = header.split(",")
         m = len(cols) - 1
         if m < 2 or cols != _expected_header(m).split(","):
             raise HeaderError(f"malformed CSV header {header!r}")
+        if not has_rows:
+            raise DataFileError(f"{path} has a header but no data rows")
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         if data.shape[1] != m + 1:
             raise HeaderError(f"rows have {data.shape[1]} columns, header declares {m + 1}")

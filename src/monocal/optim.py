@@ -8,7 +8,7 @@ produce bitwise-identical results.
 """
 
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from .transform import (
     INVERSE,
     MODES,
     MonotoneParams,
-    _class_major_nll,
     label_positions,
     order_violations,
     sorted_nll_objective,
@@ -30,48 +29,22 @@ from .transform import (
 # open condition unusable as a solver bound, so the feasible set is closed at a
 # negligible distance from it; the cap keeps mcct-i's divisors above the floor.
 W_FLOOR = 1e-8
-# Projected Newton: the cap on the active-set margin, the Armijo constant and
-# the shortest step tried before the line search gives up.
+# Projected Newton: the cap on the active-set margin, the bound on the loss
+# still to gain at a stationary point (see _projected_newton), the Armijo
+# constant, the shortest step tried before the line search gives up, and the
+# default iteration limit.
 ACTIVE_EPS = 1e-3
+STATIONARITY_TOL = 1e-8
 ARMIJO = 1e-4
 MIN_STEP = 2.0**-40
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """The projected Newton solver's iteration limit and stopping tolerance.
-
-    ``stationarity_tol`` bounds half the Newton decrement of the free
-    variables, the loss the quadratic model still expects to gain (see
-    :func:`_projected_newton`).
-    """
-
-    max_iterations: int = 500
-    stationarity_tol: float = 1e-8
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.stationarity_tol <= 0:
-            raise ValueError("stationarity_tol must be > 0")
-
-    def to_json(self):
-        return asdict(self)
-
-    @classmethod
-    def from_json(cls, doc):
-        known = {f: doc[f] for f in ("max_iterations", "stationarity_tol") if f in doc}
-        unknown = set(doc) - set(known)
-        if unknown:
-            raise ValueError(f"unknown solver config fields: {sorted(unknown)}")
-        return cls(**known)
+MAX_ITERATIONS = 500
 
 
 @dataclass(frozen=True)
 class FitResult:
     params: MonotoneParams
-    final_loss: float
     initial_loss: float
+    final_loss: float
     iterations: int
     converged: bool
     constraint_violation: float
@@ -156,7 +129,7 @@ def _newton_direction(hess, grad):
     return -grad
 
 
-def _projected_newton(evaluate, x, lower, cfg, trace=None):
+def _projected_newton(evaluate, x, lower, max_iterations, trace=None):
     """Minimize a convex function over ``x >= lower`` from a feasible ``x`` by projected Newton.
 
     ``evaluate(x, order)`` returns the loss (order 0), the loss and gradient
@@ -174,16 +147,18 @@ def _projected_newton(evaluate, x, lower, cfg, trace=None):
     loss.
 
     The solve has converged when half the free block's Newton decrement,
-    ``g_F^T H_FF^-1 g_F / 2``, is at most ``cfg.stationarity_tol`` and
+    ``g_F^T H_FF^-1 g_F / 2``, is at most ``STATIONARITY_TOL`` and
     moving the held variables onto their bounds gains no more than that to
     first order: then no held bound has a gradient pointing into the
     feasible set.  The converged point still takes its full step when that
     step passes the Armijo test.  ``trace``, if given, is called with one
     dict per iterate: ``iteration``, ``loss``, ``pg_norm`` (the largest
     projected-gradient component), ``free`` (the free-variable count) and
-    ``step`` (the accepted step length, 0 at the returned point).
+    ``step`` (the accepted step length, 0 at the returned point).  The solve
+    takes at most ``max_iterations`` steps.
 
-    Returns ``(x, iterations, converged)``.
+    Returns ``(x, initial_loss, final_loss, iterations, converged)``, the
+    losses being those at the start and at the returned ``x``.
     """
 
     def near_bound(x, grad):
@@ -211,21 +186,21 @@ def _projected_newton(evaluate, x, lower, cfg, trace=None):
             })
 
     loss, grad, hess = evaluate(x, 2)
-    iterations = 0
+    initial_loss, iterations = loss, 0
     while True:
         residual, near = near_bound(x, grad)
         held = near & (grad > 0)
         direction, decrement = newton_step(x, grad, hess, held)
         converged = (
-            decrement / 2 <= cfg.stationarity_tol
-            and float((grad * (x - lower))[held].sum()) <= cfg.stationarity_tol
+            decrement / 2 <= STATIONARITY_TOL
+            and float((grad * (x - lower))[held].sum()) <= STATIONARITY_TOL
         )
         while (pushed := ~held & near & (direction < 0)).any():
             held |= pushed
             direction = newton_step(x, grad, hess, held)[0]
         if (grad * direction).sum() >= 0:
             direction = -residual
-        step = 1.0 if iterations < cfg.max_iterations else 0.0
+        step = 1.0 if iterations < max_iterations else 0.0
         while step:
             trial = np.maximum(x + step * direction, lower)
             slope = -float((grad * (trial - x)).sum())
@@ -234,18 +209,18 @@ def _projected_newton(evaluate, x, lower, cfg, trace=None):
             step = step / 2 if step > MIN_STEP and not converged else 0.0
         record(loss, residual, held, step)
         if not step:
-            return x, iterations, converged
+            return x, initial_loss, loss, iterations, converged
         x = trial
         iterations += 1
         if converged:
             loss, grad = evaluate(x, 1)
             residual, near = near_bound(x, grad)
             record(loss, residual, near & (grad > 0), 0.0)
-            return x, iterations, converged
+            return x, initial_loss, loss, iterations, converged
         loss, grad, hess = evaluate(x, 2)
 
 
-def fit_mcct(z, y, mode=DIRECT, k=None, cfg=None, trace=None):
+def fit_mcct(z, y, mode=DIRECT, k=None, max_iterations=MAX_ITERATIONS, trace=None):
     """Fit a monotone calibration map by constrained NLL minimization.
 
     Both modes solve the same problem: the direct map ``s * w + b`` over the
@@ -258,14 +233,16 @@ def fit_mcct(z, y, mode=DIRECT, k=None, cfg=None, trace=None):
     ``1 / w``), and the same biases, loss and iteration count.
 
     The solver is projected Newton (see :func:`_projected_newton`) on the
-    exact Hessian, which a private kernel of ``transform`` computes on a
-    class-major copy of the sorted block, made once per fit; in increment
-    coordinates it is ``L^T H L`` with ``L`` the cumulative-sum matrix,
-    formed by reverse cumulative sums of ``H``'s rows and columns.  Every
-    accepted step lowers the loss, so the fit is never worse than the
-    uncalibrated logits.  ``trace``, if given, receives the solver's
-    per-iterate records.  Every sum in the fit runs in a fixed order, so the
-    result does not depend on the BLAS thread count either.
+    exact Hessian, for at most ``max_iterations`` steps.  Each of its
+    evaluations is one call of :func:`~monocal.transform.sorted_nll_objective`
+    on the transpose view of a class-major copy of the sorted block, made
+    once per fit; the initial and final losses are the solver's own.  In
+    increment coordinates the Hessian is ``L^T H L`` with ``L`` the
+    cumulative-sum matrix, formed by reverse cumulative sums of ``H``'s rows
+    and columns.  Every accepted step lowers the loss, so the fit is never
+    worse than the uncalibrated logits.  ``trace``, if given, receives the
+    solver's per-iterate records.  Every sum in the fit runs in a fixed
+    order, so the result does not depend on the BLAS thread count either.
 
     With ``k`` below the class count, each row's sorted logits are truncated
     to the top k columns and samples whose true class falls outside them are
@@ -282,7 +259,8 @@ def fit_mcct(z, y, mode=DIRECT, k=None, cfg=None, trace=None):
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    cfg = cfg or SolverConfig()
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be >= 1")
     z = core.validate_logits(z)
     n, m = z.shape
     y = core.validate_labels(y, m, n=n)
@@ -302,13 +280,14 @@ def fit_mcct(z, y, mode=DIRECT, k=None, cfg=None, trace=None):
     s_fit, pos_fit, dropped = truncate_training_set(s, label_positions(z, y), k)
     if s_fit.shape[0] == 0:
         raise ValueError("every sample's true class fell outside the top k ranks")
-    S = np.ascontiguousarray(s_fit.T)
+    # The objective works on the class-major block and does not copy this view of it.
+    s_fit = np.ascontiguousarray(s_fit.T).T
 
     def params_of(x):
         return np.minimum(np.cumsum(x[:k]), 1.0 / W_FLOOR), np.concatenate([[0.0], np.cumsum(x[k:])])
 
     def evaluate(x, order):
-        out = _class_major_nll(S, pos_fit, *params_of(x), DIRECT, order)
+        out = sorted_nll_objective(s_fit, pos_fit, *params_of(x), DIRECT, order)
         if order == 0:
             return out
         # Through the cumulative sums, the gradient and Hessian take reverse
@@ -322,11 +301,8 @@ def fit_mcct(z, y, mode=DIRECT, k=None, cfg=None, trace=None):
     lower[0] = W_FLOOR
     start = init_params(DIRECT, k, m=m)
     x0 = np.concatenate([np.diff(start.w, prepend=0.0), np.diff(start.b)])
-    init_loss = sorted_nll_objective(S.T, pos_fit, *params_of(x0), DIRECT)[0]
-    x, iterations, converged = _projected_newton(evaluate, x0, lower, cfg, trace)
-    w, b = params_of(x)
-    final_loss = sorted_nll_objective(S.T, pos_fit, w, b, DIRECT)[0]
-    params = MonotoneParams(w=w, b=b, mode=DIRECT, m=m).in_mode(mode)
+    x, initial_loss, final_loss, iterations, converged = _projected_newton(evaluate, x0, lower, max_iterations, trace)
+    params = MonotoneParams(*params_of(x), mode=DIRECT, m=m).in_mode(mode)
     broken = order_violations(s, params)
     if broken:
         warnings.warn(
@@ -336,8 +312,8 @@ def fit_mcct(z, y, mode=DIRECT, k=None, cfg=None, trace=None):
         )
     return FitResult(
         params=params,
-        final_loss=float(final_loss),
-        initial_loss=float(init_loss),
+        initial_loss=initial_loss,
+        final_loss=final_loss,
         iterations=iterations,
         converged=converged,
         constraint_violation=constraint_violation(params),

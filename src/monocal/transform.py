@@ -231,18 +231,33 @@ def truncate_training_set(z_sorted, y_pos, k):
     return z_sorted[keep, cut:], (y_pos[keep] - cut).astype(np.int64), int(n - keep.sum())
 
 
-def _class_major_nll(S, y_pos, w, b, mode, order=1):
-    """Mean NLL of a class-major sorted block, with derivatives up to ``order``.
+def sorted_nll_objective(s, y_pos, w, b, mode, order=1):
+    """Mean NLL of the transformed sorted logits, with derivatives up to ``order``.
 
-    ``S`` is the C-contiguous (k, n) transpose of an ascending-sorted (n, k)
-    logit block, so every reduction over a row's k entries runs along the
-    long axis.  ``order`` 0 returns the loss; 1 adds ``(grad_w, grad_b)``;
-    2 (direct mode only) adds the exact Hessian over ``(w, b[1:])``:
-    ``diag(...) - A A^T / n`` with ``A = [s * p ; p[1:]]`` of shape
-    (2k - 1, n), where the first term holds ``mean(s**2 p)``, ``mean(p[1:])``
-    and, between ``w[j]`` and ``b[j]``, ``mean(s p)``.  ``b[0]`` is left out
-    because a common shift of ``b`` does not change the softmax.
+    ``s`` is an (n, k) ascending-sorted logit block and ``y_pos`` the true
+    class's position within each row.  ``order`` 0 returns the loss; 1 adds
+    ``(grad_w, grad_b)``, the means over samples of the per-sample
+    expressions ``s * (p - e_y)`` (direct) or ``-s / w**2 * (p - e_y)``
+    (inverse) and ``p - e_y``, with ``p`` the row softmax of the transformed
+    block and ``e_y`` the one-hot target at ``y_pos``; 2 (direct mode only)
+    adds the exact Hessian over ``(w, b[1:])``: ``diag(...) - A A^T / n``
+    with ``A = [s * p ; p[1:]]`` of shape (2k - 1, n), where the first term
+    holds ``mean(s**2 p)``, ``mean(p[1:])`` and, between ``w[j]`` and
+    ``b[j]``, ``mean(s p)``.  ``b[0]`` is left out because a common shift of
+    ``b`` does not change the softmax.
+
+    The work is done on the C-contiguous (k, n) transpose of ``s``, so every
+    reduction over a row's k entries runs along the long axis.  An ``s`` that
+    is already the transpose of a C-contiguous block is not copied.
     """
+    w = np.asarray(w, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if np.any(w <= 0):
+        raise ValueError("scale entries must be strictly positive")
+    if order == 2 and mode != DIRECT:
+        raise ValueError("the Hessian is computed in direct mode only")
+    S = np.ascontiguousarray(np.asarray(s, dtype=np.float64).T)
+    y_pos = np.asarray(y_pos, dtype=np.int64)
     k, n = S.shape
     label = y_pos * n + np.arange(n)  # flat index of each sample's target in S
     t = S * w[:, None] if mode == DIRECT else S / w[:, None]
@@ -275,26 +290,6 @@ def _class_major_nll(S, y_pos, w, b, mode, order=1):
     hess[wb, wb + k - 1] += sp_sum[1:] / n
     hess[wb + k - 1, wb] += sp_sum[1:] / n
     return loss, grad_w, grad_b, hess
-
-
-def sorted_nll_objective(s, y_pos, w, b, mode):
-    """Mean NLL of the transformed sorted logits, with analytic gradients.
-
-    ``s`` is an (n, k) ascending-sorted logit block and ``y_pos`` the true
-    class's position within each row.  Returns ``(loss, grad_w, grad_b)``
-    where the gradients are means over samples of the per-sample expressions
-    ``s * (p - e_y)`` (direct) or ``-s / w**2 * (p - e_y)`` (inverse) and
-    ``p - e_y`` respectively, with ``p`` the row softmax of the transformed
-    block and ``e_y`` the one-hot target at ``y_pos``.  The work is done on
-    a class-major copy of ``s``; an ``s`` that is already the transpose of a
-    C-contiguous block is not copied.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if np.any(w <= 0):
-        raise ValueError("scale entries must be strictly positive")
-    S = np.ascontiguousarray(np.asarray(s, dtype=np.float64).T)
-    return _class_major_nll(S, np.asarray(y_pos, dtype=np.int64), w, b, mode)
 
 
 def objective_and_gradient(z, y, params):

@@ -119,6 +119,7 @@ class TestFit:
         assert set(lines[0]) == {"iteration", "loss", "pg_norm", "free", "step"}
         losses = [line["loss"] for line in lines]
         assert all(later <= earlier for earlier, later in zip(losses, losses[1:]))
+        assert losses[0] == manifest["fit"]["initial_loss"]
         assert losses[-1] == manifest["fit"]["final_loss"]
         assert all(line["step"] > 0 for line in lines[:-1]) and lines[-1]["step"] == 0.0
         assert all(1 <= line["free"] <= 15 for line in lines)
@@ -154,24 +155,9 @@ class TestFit:
         )
         assert code == 3
         assert json.load(open(out))["kind"] == "mcct"  # best iterate still written
-        assert json.load(open(out + ".manifest.json"))["fit"]["converged"] is False
-
-    def test_solver_config_file(self, dataset, tmp_path):
-        cfg_path = tmp_path / "solver.json"
-        cfg_path.write_text(json.dumps({"max_iterations": 400, "stationarity_tol": 1e-9}))
-        out = str(tmp_path / "model.json")
-        assert run(
-            "fit", "--data", dataset, "--method", "mcct",
-            "--solver-config", cfg_path, "--out", out,
-        ) == 0
         manifest = json.load(open(out + ".manifest.json"))
-        assert manifest["solver_config"]["max_iterations"] == 400
-        assert manifest["solver_config"]["stationarity_tol"] == 1e-9
-        # A flag overrides the file's value of the same setting only.
-        run("fit", "--data", dataset, "--method", "mcct", "--solver-config", cfg_path,
-            "--max-iterations", 300, "--out", out)
-        manifest = json.load(open(out + ".manifest.json"))
-        assert manifest["solver_config"] == {"max_iterations": 300, "stationarity_tol": 1e-9}
+        assert manifest["fit"]["converged"] is False
+        assert manifest["max_iterations"] == 1
 
     @pytest.mark.parametrize("argv", [
         ("fit", "--method", "mcct"),
@@ -189,6 +175,27 @@ class TestFit:
             out = str(tmp_path / f"{method}.json")
             assert run("fit", "--data", dataset, "--method", method, "--out", out) == 0
             assert json.load(open(out))["kind"] == method
+
+
+class TestCountArguments:
+    @pytest.mark.parametrize("argv", [
+        ("compare", "--methods", "mcct", "--runs", "0"),
+        ("compare", "--methods", "mcct", "--runs", "-2"),
+        ("compare", "--methods", "mcct", "--runs", "two"),
+        ("compare", "--methods", "mcct", "--bins", "0"),
+        ("compare", "--methods", "mcct", "--threads", "0"),
+        ("compare", "--methods", "mcct", "--max-iterations", "0"),
+        ("fit", "--method", "mcct", "--max-iterations", "-1"),
+        ("eval", "--model", "model.json", "--bins", "0"),
+        ("sweep-size", "--fractions", "1", "--methods", "mcct", "--threads", "0"),
+        ("sweep-topk", "--kvalues", "2", "--bins", "0"),
+    ])
+    def test_rejected_before_any_work(self, dataset, tmp_path, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--data", dataset, "--out", tmp_path / "out")
+        assert exc.value.code == 2
+        assert "need a positive integer" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
 
 class TestEval:
@@ -345,7 +352,7 @@ class TestSharedFits:
     def test_one_solve_per_key_under_contention(self, solves):
         rng = np.random.default_rng(0)
         z, y = rng.normal(0, 2, (200, 4)), rng.integers(0, 4, 200)
-        fit = cli._shared_fits(optim.SolverConfig())
+        fit = cli._shared_fits(optim.MAX_ITERATIONS)
         calls = [(key, method) for key in range(3) for method in ("mcct", "mcct-i") * 4]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

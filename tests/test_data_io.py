@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,15 @@ class TestCsvFormat:
         path_obj.write_text("a,b,label\n0.0,0.0,0\n")
         with pytest.raises(data_io.HeaderError):
             data_io.read_dataset(path)
+
+    @pytest.mark.parametrize("text", ["z0,z1,label\n", "z0,z1,label\n\n"])
+    def test_header_only(self, tmp_path, text):
+        path_obj = tmp_path / "empty.csv"
+        path_obj.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(data_io.DataFileError, match="no data rows"):
+                data_io.read_dataset(str(path_obj))
 
     def test_label_out_of_range(self, tmp_path):
         path_obj = tmp_path / "bad.csv"

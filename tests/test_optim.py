@@ -18,32 +18,6 @@ from conftest import (
 ORACLE_CASES = [(pattern, k) for pattern in ROW_PATTERNS for k in (3, 8)] + [("overconfident-9000x10", 10)]
 
 
-class TestSolverConfig:
-    def test_defaults(self):
-        cfg = optim.SolverConfig()
-        assert cfg.max_iterations == 500
-        assert cfg.stationarity_tol == 1e-8
-        assert cfg.to_json() == {"max_iterations": 500, "stationarity_tol": 1e-8}
-        assert optim.W_FLOOR == 1e-8
-
-    def test_json_round_trip(self):
-        cfg = optim.SolverConfig(max_iterations=50, stationarity_tol=1e-6)
-        assert optim.SolverConfig.from_json(cfg.to_json()) == cfg
-
-    def test_rejects_unknown_fields(self):
-        with pytest.raises(ValueError, match="unknown solver config"):
-            optim.SolverConfig.from_json({"max_iterations": 10, "bogus": 1})
-
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            optim.SolverConfig(max_iterations=0)
-        with pytest.raises(ValueError):
-            optim.SolverConfig(stationarity_tol=-1.0)
-        # The scale floor is the constant W_FLOOR, not a setting.
-        with pytest.raises(ValueError, match="unknown solver config"):
-            optim.SolverConfig.from_json({"w_floor": 2.0})
-
-
 class TestInitParams:
     def test_direct_is_identity_map(self):
         params = optim.init_params("direct", 3)
@@ -142,11 +116,10 @@ class TestFit:
         rng = np.random.default_rng(62)
         z = patterned_logits(rng, 400, 8, k, pattern) * 1.5
         y = np.where(rng.uniform(size=400) < 0.6, z.argmax(axis=1), rng.integers(0, 8, 400))
-        cfg = optim.SolverConfig(max_iterations=max_iterations)
         for mode in transform.MODES:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                result = optim.fit_mcct(z, y, mode=mode, k=k, cfg=cfg)
+                result = optim.fit_mcct(z, y, mode=mode, k=k, max_iterations=max_iterations)
             w, b = result.params.w, result.params.b
             rising_w = w if mode == transform.DIRECT else w[::-1]
             assert np.all(np.diff(rising_w) >= 0)
@@ -262,7 +235,7 @@ class TestFit:
     def test_iteration_cap_reports_nonconvergence(self):
         cfg = data_io.SynthConfig(n=500, m=6, alpha=0.5, overconfidence=2.5, seed=3)
         z, y, _ = data_io.generate_synthetic(cfg)
-        result = optim.fit_mcct(z, y, cfg=optim.SolverConfig(max_iterations=1))
+        result = optim.fit_mcct(z, y, max_iterations=1)
         assert not result.converged
         # Best iterate is still feasible and no worse than the start.
         assert result.constraint_violation == 0.0
@@ -274,7 +247,7 @@ class TestFit:
         z, y, _ = data_io.generate_synthetic(cfg)
         uncalibrated = core.nll(core.softmax_rows(z), y)
         for mode in transform.MODES:
-            result = optim.fit_mcct(z, y, mode=mode, cfg=optim.SolverConfig(max_iterations=1))
+            result = optim.fit_mcct(z, y, mode=mode, max_iterations=1)
             p = core.softmax_rows(transform.apply_map_topk(z, result.params))
             assert core.nll(p, y) <= uncalibrated
             assert result.final_loss <= result.initial_loss
@@ -312,6 +285,40 @@ class TestFit:
         with pytest.raises(ValueError, match="mode must be one of"):
             optim.fit_mcct(z, y, mode="Inverse")
 
+    def test_rejects_nonpositive_max_iterations(self):
+        rng = np.random.default_rng(4)
+        z = rng.normal(0, 1, (10, 4))
+        y = rng.integers(0, 4, 10)
+        with pytest.raises(ValueError, match="max_iterations must be >= 1"):
+            optim.fit_mcct(z, y, max_iterations=0)
+
+    @pytest.mark.parametrize("mode", transform.MODES)
+    @pytest.mark.parametrize("k", [None, 3])
+    def test_objective_is_evaluated_only_by_the_solver(self, monkeypatch, mode, k):
+        # One gradient evaluation at the start and one per accepted step; the
+        # reported losses are the solver's, at the identity map and at the
+        # returned parameters.
+        cfg = data_io.SynthConfig(n=800, m=6, alpha=0.5, overconfidence=2.5, seed=8)
+        z, y, _ = data_io.generate_synthetic(cfg)
+        objective = optim.sorted_nll_objective
+        orders = []
+
+        def counted(*args, **kwargs):
+            orders.append(args[5] if len(args) > 5 else kwargs.get("order", 1))
+            return objective(*args, **kwargs)
+
+        monkeypatch.setattr(optim, "sorted_nll_objective", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = optim.fit_mcct(z, y, mode=mode, k=k)
+        assert result.iterations >= 1
+        assert sum(order >= 1 for order in orders) == result.iterations + 1
+        params = result.params
+        s, pos, _ = transform.truncate_training_set(np.sort(z, axis=1), transform.label_positions(z, y), params.k)
+        assert result.initial_loss == objective(s, pos, np.ones(params.k), np.zeros(params.k), "direct", 0)
+        if mode == transform.DIRECT:  # inverse mode's 1 / (1 / w) may round
+            assert result.final_loss == objective(s, pos, params.w, params.b, "direct", 0)
+
 
 class TestIncrementHessian:
     def test_matches_finite_differences(self):
@@ -329,7 +336,7 @@ class TestIncrementHessian:
 
             def derivatives(x, order):
                 w, b = np.cumsum(x[:k]), np.concatenate([[0.0], np.cumsum(x[k:])])
-                _, gw, gb, *hess = transform._class_major_nll(S, pos, w, b, "direct", order)
+                _, gw, gb, *hess = transform.sorted_nll_objective(S.T, pos, w, b, "direct", order)
                 grad = optim._reverse_cumsum(np.concatenate([gw, gb[1:]]), k, 0)
                 return grad, *(optim._reverse_cumsum(optim._reverse_cumsum(h, k, 0), k, 1) for h in hess)
 
@@ -360,10 +367,12 @@ class TestProjectedNewton:
             return out[0] if order == 0 else out[: order + 1]
 
         lines = []
-        x, iterations, converged = optim._projected_newton(
-            evaluate, np.ones(3), np.zeros(3), optim.SolverConfig(), trace=lines.append
+        x, initial_loss, final_loss, iterations, converged = optim._projected_newton(
+            evaluate, np.ones(3), np.zeros(3), optim.MAX_ITERATIONS, trace=lines.append
         )
         assert converged and x[1] == 0.0
+        assert initial_loss == evaluate(np.ones(3), 0) == lines[0]["loss"]
+        assert final_loss == evaluate(x, 0) == lines[-1]["loss"]
         grad = a @ (x - c)
         assert grad[1] > 0 and np.abs(grad[[0, 2]]).max() < 1e-9
         assert len(lines) == iterations + 1 and lines[-1]["step"] == 0.0

@@ -222,8 +222,9 @@ class TestObjective:
 
     @pytest.mark.parametrize("mode", transform.MODES)
     def test_class_major_kernel_matches_reference(self, mode):
-        # The kernel works on the (k, n) transpose; the row-major reference
-        # computes the same sums in another order.
+        # The objective works on the (k, n) transpose, copied from a row-major
+        # block or read through the transpose view of a class-major one; the
+        # row-major reference computes the same sums in another order.
         rng = np.random.default_rng(18)
         for _ in range(25):
             n = int(rng.integers(2, 400))
@@ -236,7 +237,8 @@ class TestObjective:
             b = np.sort(rng.normal(0, 1.0, m))
             want = reference_nll_objective(s, pos, w, b, mode)
             got = transform.sorted_nll_objective(s, pos, w, b, mode)
-            kernel = transform._class_major_nll(np.ascontiguousarray(s.T), pos, w, b, mode)
+            S = np.ascontiguousarray(s.T)
+            kernel = transform.sorted_nll_objective(S.T, pos, w, b, mode)
             assert got[0] == kernel[0]
             assert all(np.array_equal(g, k) for g, k in zip(got[1:], kernel[1:]))
             assert got[0] == pytest.approx(want[0], rel=1e-12, abs=1e-12)
@@ -244,8 +246,8 @@ class TestObjective:
                 np.testing.assert_allclose(g, r, rtol=1e-12, atol=1e-12)
             if mode == "direct":
                 # The loss and gradient do not depend on the order asked for.
-                full = transform._class_major_nll(np.ascontiguousarray(s.T), pos, w, b, mode, order=2)
-                assert full[0] == got[0] == transform._class_major_nll(np.ascontiguousarray(s.T), pos, w, b, mode, order=0)
+                full = transform.sorted_nll_objective(S.T, pos, w, b, mode, order=2)
+                assert full[0] == got[0] == transform.sorted_nll_objective(S.T, pos, w, b, mode, order=0)
                 assert all(np.array_equal(g, f) for g, f in zip(got[1:], full[1:3]))
 
     def test_hessian_matches_finite_differences(self):
@@ -263,11 +265,11 @@ class TestObjective:
 
             def gradient(theta):
                 b = np.concatenate([[0.0], theta[k:]])
-                _, gw, gb = transform._class_major_nll(S, pos, theta[:k], b, "direct")
+                _, gw, gb = transform.sorted_nll_objective(S.T, pos, theta[:k], b, "direct")
                 return np.concatenate([gw, gb[1:]])
 
             theta = np.concatenate([np.sort(rng.uniform(0.2, 3.0, k)), np.sort(rng.normal(0, 0.5, k - 1))])
-            hess = transform._class_major_nll(S, pos, theta[:k], np.concatenate([[0.0], theta[k:]]), "direct", 2)[3]
+            hess = transform.sorted_nll_objective(S.T, pos, theta[:k], np.concatenate([[0.0], theta[k:]]), "direct", 2)[3]
             fd = np.empty_like(hess)
             for j in range(2 * k - 1):
                 e = np.zeros(2 * k - 1)
@@ -276,6 +278,10 @@ class TestObjective:
             worst = max(worst, np.abs(hess - fd).max() / max(np.abs(fd).max(), 1e-8))
             assert np.array_equal(hess, hess.T)
         assert worst <= 1e-5
+
+    def test_hessian_is_direct_mode_only(self):
+        with pytest.raises(ValueError, match="direct mode only"):
+            transform.sorted_nll_objective(np.zeros((1, 2)), np.array([0]), np.ones(2), np.zeros(2), "inverse", 2)
 
     def test_rejects_nonpositive_w(self):
         with pytest.raises(ValueError, match="strictly positive"):
