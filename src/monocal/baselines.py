@@ -75,23 +75,23 @@ class CalibratedModel:
         if z.shape[1] != self.m:
             raise ValueError(f"model was fitted for m={self.m} classes, data has m={z.shape[1]}")
         p = self.payload
-        if self.kind == TS:
-            return core.softmax_rows(z / p["T"])
-        if self.kind == VS:
-            return core.softmax_rows(z * p["scale"] + p["bias"])
         if self.kind in (ETS_NLL, ETS_MSE):
             w = p["weights"]
-            return (
-                w[0] * core.softmax_rows(z / p["T"])
-                + w[1] * core.softmax_rows(z)
-                + w[2] / self.m
-            )
+            t = z / p["T"]
+            return w[0] * core._softmax(t, t) + w[1] * core.softmax_rows(z) + w[2] / self.m
         if self.kind == HB:
             return _apply_binning(core.softmax_rows(z), p["edges"], p["bin_confidence"])
-        # A stored model's kind names the formula; never apply the other one.
-        if p["params"].mode != MONOTONE_MODES[self.kind]:
-            raise ValueError(f"model kind {self.kind!r} does not match mode {p['params'].mode!r}")
-        return core.softmax_rows(apply_map_topk(z, p["params"]))
+        if self.kind == TS:
+            t = z / p["T"]
+        elif self.kind == VS:
+            t = z * p["scale"] + p["bias"]
+        else:
+            # A stored model's kind names the formula; never apply the other one.
+            if p["params"].mode != MONOTONE_MODES[self.kind]:
+                raise ValueError(f"model kind {self.kind!r} does not match mode {p['params'].mode!r}")
+            t = apply_map_topk(z, p["params"])
+        # The transformed logits are this call's own temporary: softmax them in place.
+        return core._softmax(t, t)
 
     def to_json(self):
         doc = {"kind": self.kind}

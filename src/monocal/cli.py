@@ -250,7 +250,8 @@ def cmd_eval(args):
     clock.lap("read")
     p = model.apply(z)
     clock.lap("apply")
-    report = metrics.compute_report(p, y, core.softmax_rows(z), num_bins=args.bins)
+    # The applied model is done with z, so the raw softmax overwrites it.
+    report = metrics.compute_report(p, y, core._softmax(z, z), num_bins=args.bins)
     clock.lap("metrics")
     _dump_json(args.out, report.to_json())
     reliability_path = _json_base(args.out) + ".reliability.csv"
@@ -511,15 +512,23 @@ def cmd_sweep_topk(args):
     return 0 if not failures else 1
 
 
-def _positive_int(text):
-    """An argparse type: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"need a positive integer, got {text!r}")
-    return value
+def _count_at_least(minimum):
+    """An argparse type: an integer of at least ``minimum`` (a positive bound)."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = 0
+        if value < minimum:
+            bound = "" if minimum == 1 else f" of at least {minimum}"
+            raise argparse.ArgumentTypeError(f"need a positive integer{bound}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _count_at_least(1)
 
 
 def _build_parser():
@@ -561,7 +570,7 @@ def _build_parser():
     p = sub.add_parser("fit", parents=[common, solver], help="fit a calibrator on a dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--method", required=True, choices=METHODS)
-    p.add_argument("--topk", type=int, default=None, help="retained ranks for mcct/mcct-i")
+    p.add_argument("--topk", type=_count_at_least(2), default=None, help="retained ranks for mcct/mcct-i (at least 2)")
     p.add_argument("--trace", default=None, help="JSON-lines file with one mcct/mcct-i solver record per iterate")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit)

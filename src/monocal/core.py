@@ -3,8 +3,14 @@
 Data model: a logit matrix is an (n, m) float array of finite pre-softmax
 scores (one row per sample), a label vector is a length-n integer array of
 class indices in [0, m), and a probability matrix is an (n, m) array whose
-rows lie on the simplex.  All functions here are pure and never mutate
-their inputs.
+rows lie on the simplex.  All public functions here are pure and never
+mutate their inputs.
+
+The softmax and the probability check walk a matrix in row blocks of about
+1 MB (``BLOCK_DOUBLES`` entries), doing every pass over a block while it is
+in cache.  Each row is reduced exactly as in the whole-matrix formulas, so
+the results are bitwise theirs (for a column-major matrix, when a row fits
+in one block).
 """
 
 import numpy as np
@@ -17,17 +23,35 @@ PROB_ROW_SUM_TOL = 1e-9
 # finite loss instead of -inf.
 LOG_FLOOR = 1e-300
 
+# Entries per row block (1 MB of doubles) of the blocked passes; a block holds
+# at least one row.
+BLOCK_DOUBLES = 131072
 
-def validate_logits(z):
-    """Coerce to a float64 (n, m) logit matrix, checking shape and finiteness."""
+_NONFINITE_LOGITS = "logit matrix contains NaN or infinite entries"
+
+
+def _row_blocks(n, m):
+    """Row slices covering an (n, m) matrix, each of at most ``BLOCK_DOUBLES`` entries or one row."""
+    rows = max(1, BLOCK_DOUBLES // m)
+    return (slice(start, start + rows) for start in range(0, n, rows))
+
+
+def _logit_matrix(z):
+    """Coerce to a float64 (n, m) logit matrix, checking its shape only."""
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2:
         raise ValueError(f"logit matrix must be 2-D (n, m), got shape {z.shape}")
     n, m = z.shape
     if n < 1 or m < 2:
         raise ValueError(f"need n >= 1 samples and m >= 2 classes, got shape {z.shape}")
+    return z
+
+
+def validate_logits(z):
+    """Coerce to a float64 (n, m) logit matrix, checking shape and finiteness."""
+    z = _logit_matrix(z)
     if not np.all(np.isfinite(z)):
-        raise ValueError("logit matrix contains NaN or infinite entries")
+        raise ValueError(_NONFINITE_LOGITS)
     return z
 
 
@@ -57,12 +81,21 @@ def validate_probs(p):
         raise ValueError(f"probability matrix must be 2-D, got shape {p.shape}")
     if p.shape[1] < 2:
         raise ValueError("probability matrix needs at least 2 classes")
-    if not np.all(np.isfinite(p)):
-        raise ValueError("probability matrix contains NaN or infinite entries")
-    if p.min() < -1e-12 or p.max() > 1 + 1e-12:
+    if p.shape[0] < 1:
+        raise ValueError("probability matrix needs at least one row")
+    # One blocked pass gathers what the three checks need; they are then
+    # made in order over the whole matrix.  A NaN propagates through min and
+    # max, so both are finite exactly when every entry is.
+    lo, hi, worst = np.inf, -np.inf, 0.0
+    for rows in _row_blocks(*p.shape):
+        block = p[rows]
+        block_lo, block_hi = block.min(), block.max()
+        if not (np.isfinite(block_lo) and np.isfinite(block_hi)):
+            raise ValueError("probability matrix contains NaN or infinite entries")
+        lo, hi = min(lo, block_lo), max(hi, block_hi)
+        worst = max(worst, np.abs(block.sum(axis=1) - 1.0).max())
+    if lo < -1e-12 or hi > 1 + 1e-12:
         raise ValueError("probabilities must lie in [0, 1]")
-    row_sums = p.sum(axis=1)
-    worst = np.abs(row_sums - 1.0).max()
     if worst > PROB_ROW_SUM_TOL:
         raise ValueError(f"rows must sum to 1 within {PROB_ROW_SUM_TOL}, worst deviation {worst:.3g}")
     return p
@@ -70,10 +103,28 @@ def validate_probs(p):
 
 def softmax_rows(z):
     """Row-wise softmax with per-row max subtraction for overflow safety."""
-    z = validate_logits(z)
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    z = _logit_matrix(z)
+    return _softmax(z, np.empty_like(z))
+
+
+def _softmax(z, out):
+    """Row softmax of a float64 (n, m) matrix ``z`` written into ``out``, which may be ``z``.
+
+    Each row block is checked for finiteness, shifted by its row maxima,
+    exponentiated and divided by its row sums, all in ``out``: bitwise
+    ``e = exp(z - max); e / e.sum`` without its whole-matrix temporaries.
+    A non-finite entry raises, leaving the blocks before it written.
+    """
+    for rows in _row_blocks(*z.shape):
+        block, e = z[rows], out[rows]
+        top = block.max(axis=1, keepdims=True)
+        # NaN or +inf shows in the row maxima, -inf (or NaN) in the minimum.
+        if not (np.isfinite(block.min()) and np.isfinite(top.max())):
+            raise ValueError(_NONFINITE_LOGITS)
+        np.subtract(block, top, out=e)
+        np.exp(e, out=e)
+        e /= e.sum(axis=1, keepdims=True)
+    return out
 
 
 def nll(p, y):

@@ -57,6 +57,31 @@ def _expected_header(m):
     return ",".join([f"z{j}" for j in range(m)] + ["label"])
 
 
+def _matrix_header(m):
+    return ",".join(f"p{j}" for j in range(m))
+
+
+def _read_csv(path, header_of, min_columns=1):
+    """The data rows of a CSV file whose header line is ``header_of(columns)``.
+
+    Raises :class:`HeaderError` when the header is not of that form for its
+    own column count, has fewer than ``min_columns`` columns, or disagrees
+    with the rows' width, and :class:`DataFileError` when no row follows it.
+    """
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n")
+        has_rows = any(line.strip() for line in fh)
+    columns = header.count(",") + 1
+    if columns < min_columns or header != header_of(columns):
+        raise HeaderError(f"malformed CSV header {header!r}")
+    if not has_rows:
+        raise DataFileError(f"{path} has a header but no data rows")
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if data.shape[1] != columns:
+        raise HeaderError(f"rows have {data.shape[1]} columns, header declares {columns}")
+    return data
+
+
 def _write_sidecar(path, n, m):
     with open(path + SIDECAR_SUFFIX, "w") as fh:
         json.dump({"v": 1, "n": int(n), "m": int(m), "dtype": "f32"}, fh)
@@ -104,18 +129,8 @@ def read_dataset(path, fmt=None):
     """Read a ``(logits, labels)`` pair written by :func:`write_dataset`."""
     fmt = infer_format(path) if fmt is None else fmt
     if fmt == CSV:
-        with open(path) as fh:
-            header = fh.readline().rstrip("\n")
-            has_rows = any(line.strip() for line in fh)
-        cols = header.split(",")
-        m = len(cols) - 1
-        if m < 2 or cols != _expected_header(m).split(","):
-            raise HeaderError(f"malformed CSV header {header!r}")
-        if not has_rows:
-            raise DataFileError(f"{path} has a header but no data rows")
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        if data.shape[1] != m + 1:
-            raise HeaderError(f"rows have {data.shape[1]} columns, header declares {m + 1}")
+        data = _read_csv(path, lambda columns: _expected_header(columns - 1), min_columns=3)
+        m = data.shape[1] - 1
         z = data[:, :m]
         raw_labels = data[:, m]
         y = raw_labels.astype(np.int64)
@@ -146,7 +161,7 @@ def write_matrix(path, a, fmt=None):
     fmt = infer_format(path) if fmt is None else fmt
     if fmt == CSV:
         with open(path, "w") as fh:
-            fh.write(",".join(f"p{j}" for j in range(a.shape[1])) + "\n")
+            fh.write(_matrix_header(a.shape[1]) + "\n")
             for row in a.tolist():
                 fh.write(",".join(map(repr, row)) + "\n")
     elif fmt == RAW_BINARY:
@@ -161,7 +176,7 @@ def read_matrix(path, fmt=None):
     """Read a matrix written by :func:`write_matrix`."""
     fmt = infer_format(path) if fmt is None else fmt
     if fmt == CSV:
-        return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        return _read_csv(path, _matrix_header)
     if fmt == RAW_BINARY:
         n, m = _read_sidecar(path)
         expected = n * m * 4

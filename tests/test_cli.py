@@ -186,6 +186,9 @@ class TestCountArguments:
         ("compare", "--methods", "mcct", "--threads", "0"),
         ("compare", "--methods", "mcct", "--max-iterations", "0"),
         ("fit", "--method", "mcct", "--max-iterations", "-1"),
+        ("fit", "--method", "mcct", "--topk", "0"),
+        ("fit", "--method", "mcct", "--topk", "-1"),
+        ("fit", "--method", "mcct", "--topk", "1"),
         ("eval", "--model", "model.json", "--bins", "0"),
         ("sweep-size", "--fractions", "1", "--methods", "mcct", "--threads", "0"),
         ("sweep-topk", "--kvalues", "2", "--bins", "0"),
@@ -252,6 +255,43 @@ class TestEval:
         assert all(v > 0 for v in times.values())
         with open(out) as fh:
             assert "time" not in fh.read()
+
+    def test_validation_count(self, dataset, tmp_path, monkeypatch):
+        # Logits are validated where they enter (read, apply, map); each
+        # probability matrix once, by the report.  A k = m map adds the
+        # full-row sort's own check.
+        model_path = str(tmp_path / "mcct.json")
+        assert run("fit", "--data", dataset, "--method", "mcct", "--topk", 3, "--out", model_path) == 0
+        calls = {"logits": 0, "probs": 0}
+        validate_logits, validate_probs = core.validate_logits, core.validate_probs
+
+        def count_logits(z):
+            calls["logits"] += 1
+            return validate_logits(z)
+
+        def count_probs(p):
+            calls["probs"] += 1
+            return validate_probs(p)
+
+        monkeypatch.setattr(core, "validate_logits", count_logits)
+        monkeypatch.setattr(core, "validate_probs", count_probs)
+        assert run("eval", "--data", dataset, "--model", model_path, "--out", tmp_path / "report.json") == 0
+        assert calls["probs"] == 2
+        assert calls["logits"] <= 3
+
+    @pytest.mark.parametrize("doc", [
+        {"kind": "mcct", "mode": "direct", "m": 8, "k": 8, "w": [1e308] * 8, "b": [0.0] * 8},
+        {"kind": "mcct", "mode": "direct", "m": 8, "k": 3, "w": [1e308] * 3, "b": [0.0] * 3},
+        {"kind": "ts", "T": 1e-308, "m": 8},
+    ])
+    def test_map_overflowing_to_inf_is_refused(self, dataset, tmp_path, doc, capsys):
+        model_path = tmp_path / "overflow.json"
+        model_path.write_text(json.dumps(doc))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run("eval", "--data", dataset, "--model", model_path, "--out", tmp_path / "report.json")
+        assert code == 2
+        assert "logit matrix contains NaN or infinite entries" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
     def test_class_count_mismatch(self, dataset, tmp_path):
         model_path = str(tmp_path / "wrong.json")

@@ -73,6 +73,84 @@ class TestSoftmax:
             core.softmax_rows([[1.0]])
 
 
+def whole_matrix_softmax(z):
+    """The unblocked softmax formula, kept as the blocked kernel's oracle."""
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+# Rows in a block of a 10-column matrix; PARTIAL_N rows end in a partial block.
+BLOCK_ROWS_M10 = core.BLOCK_DOUBLES // 10
+PARTIAL_N = 2 * BLOCK_ROWS_M10 + 5
+
+
+class TestBlockedKernels:
+    @pytest.mark.parametrize("n, m", [
+        (PARTIAL_N, 10),  # n not a multiple of the block's row count
+        (3, core.BLOCK_DOUBLES + 5),  # a row wider than a block: one row per block
+        (3 * core.BLOCK_DOUBLES // 2 + 1, 2),
+    ])
+    def test_softmax_matches_whole_matrix_formula(self, n, m):
+        z = np.random.default_rng(n).normal(0, 20, (n, m))
+        expected = whole_matrix_softmax(z)
+        assert np.array_equal(core.softmax_rows(z), expected)
+        out = np.empty_like(z)
+        assert core._softmax(z, out) is out
+        assert np.array_equal(out, expected)
+        assert core._softmax(z, z) is z
+        assert np.array_equal(z, expected)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_softmax_checks_the_last_partial_block(self, value):
+        z = np.random.default_rng(1).normal(0, 2, (PARTIAL_N, 10))
+        z[-1, 3] = value
+        with pytest.raises(ValueError, match="^logit matrix contains NaN or infinite entries$"):
+            core.softmax_rows(z)
+
+    @staticmethod
+    def probs():
+        return core.softmax_rows(np.random.default_rng(2).normal(0, 2, (PARTIAL_N, 10)))
+
+    @pytest.mark.parametrize("value, message", [
+        (np.nan, "probability matrix contains NaN or infinite entries"),
+        (np.inf, "probability matrix contains NaN or infinite entries"),
+        (-np.inf, "probability matrix contains NaN or infinite entries"),
+        (1.5, r"probabilities must lie in \[0, 1\]"),
+        (-0.25, r"probabilities must lie in \[0, 1\]"),
+    ])
+    def test_validate_probs_checks_the_last_partial_block(self, value, message):
+        p = self.probs()
+        p[-1, 3] = value
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            core.validate_probs(p)
+
+    def test_validate_probs_reports_the_worst_row_sum_of_the_whole_matrix(self):
+        p = self.probs()
+        p[0] *= 1 + 1e-7
+        p[-1] *= 1 + 1e-6
+        with pytest.raises(ValueError, match=r"^rows must sum to 1 within 1e-09, worst deviation 1e-06$"):
+            core.validate_probs(p)
+
+    def test_validate_probs_checks_in_order_over_the_whole_matrix(self):
+        # An out-of-range entry in the first block does not mask a NaN in the last.
+        p = self.probs()
+        p[0, 0] = 2.0
+        p[-1, 3] = np.nan
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            core.validate_probs(p)
+        p[-1, 3] = 0.5
+        with pytest.raises(ValueError, match="must lie in"):
+            core.validate_probs(p)
+
+    def test_validate_probs_refuses_an_empty_matrix(self):
+        with pytest.raises(ValueError, match="at least one row"):
+            core.validate_probs(np.zeros((0, 3)))
+
+    def test_validate_probs_returns_its_input(self):
+        p = self.probs()
+        assert core.validate_probs(p) is p
+
+
 class TestNll:
     def test_perfect_prediction_is_zero(self):
         p = np.eye(3)

@@ -61,6 +61,36 @@ class TestCsvFormat:
             data_io.read_dataset(str(path_obj))
 
 
+class TestCsvMatrix:
+    def test_round_trip(self, tmp_path):
+        path = str(tmp_path / "p.csv")
+        a = np.array([[0.25, 0.75], [1.0, 0.0], [0.5, 0.5]])
+        data_io.write_matrix(path, a)
+        assert np.array_equal(data_io.read_matrix(path), a)
+
+    @pytest.mark.parametrize("text", ["p0,p1\n", "p0,p1\n\n"])
+    def test_header_only(self, tmp_path, text):
+        path_obj = tmp_path / "empty.csv"
+        path_obj.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(data_io.DataFileError, match="no data rows"):
+                data_io.read_matrix(str(path_obj))
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "z0,z1\n0.5,0.5\n",
+        "p0,p2\n0.5,0.5\n",
+        "z0,z1,label\n0.5,0.5,1\n",
+        "p0,p1\n0.25,0.25,0.5\n",
+    ])
+    def test_malformed_header(self, tmp_path, text):
+        path_obj = tmp_path / "bad.csv"
+        path_obj.write_text(text)
+        with pytest.raises(data_io.HeaderError):
+            data_io.read_matrix(str(path_obj))
+
+
 class TestRawBinaryFormat:
     def test_round_trip_is_bitwise_at_f32(self, tmp_path):
         rng = np.random.default_rng(1)
