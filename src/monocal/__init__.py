@@ -11,7 +11,6 @@ from .metrics import (
     ece_kde,
     eq_mass_ece,
     ranking_diagnostics,
-    reliability_data,
 )
 from .optim import FitResult, fit_mcct, init_params
 from .transform import (
@@ -19,7 +18,6 @@ from .transform import (
     INVERSE,
     MonotoneParams,
     apply_map_topk,
-    objective_and_gradient,
     order_violations,
     truncate_training_set,
 )
@@ -50,7 +48,6 @@ __all__ = [
     "ece_kde",
     "eq_mass_ece",
     "ranking_diagnostics",
-    "reliability_data",
     "FitResult",
     "fit_mcct",
     "init_params",
@@ -58,7 +55,6 @@ __all__ = [
     "INVERSE",
     "MonotoneParams",
     "apply_map_topk",
-    "objective_and_gradient",
     "order_violations",
     "truncate_training_set",
     "__version__",

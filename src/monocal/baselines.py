@@ -146,7 +146,7 @@ def fit_ts(z, y):
     return CalibratedModel(TS, {"T": float(res.x), "m": z.shape[1]})
 
 
-def fit_vs(z, y, gtol=1e-6):
+def fit_vs(z, y):
     """Fit vector scaling: per-class scale and bias minimizing mean NLL."""
     z = core.validate_logits(z)
     n, m = z.shape
@@ -164,7 +164,7 @@ def fit_vs(z, y, gtol=1e-6):
         return loss, np.concatenate([(z * resid).sum(axis=0), resid.sum(axis=0)])
 
     x0 = np.concatenate([np.ones(m), np.zeros(m)])
-    res = minimize(fun, x0, jac=True, method="L-BFGS-B", options={"gtol": gtol, "ftol": 1e-15, "maxiter": 2000})
+    res = minimize(fun, x0, jac=True, method="L-BFGS-B", options={"gtol": 1e-6, "ftol": 1e-15, "maxiter": 2000})
     return CalibratedModel(VS, {"scale": res.x[:m].copy(), "bias": res.x[m:].copy(), "m": m})
 
 
@@ -276,14 +276,14 @@ def _apply_binning(p, edges, bin_conf):
     return out / out.sum(axis=1, keepdims=True)
 
 
-def fit_baseline(kind, z, y, hb_bins=HB_DEFAULT_BINS):
+def fit_baseline(kind, z, y):
     """Fit one of the baseline calibrators by kind name."""
     if kind == TS:
         return fit_ts(z, y)
     if kind == VS:
         return fit_vs(z, y)
     if kind == HB:
-        return fit_hb(core.softmax_rows(z), y, num_bins=hb_bins)
+        return fit_hb(core.softmax_rows(z), y)
     if kind == ETS_NLL:
         return fit_ets(z, y, loss="nll")
     if kind == ETS_MSE:

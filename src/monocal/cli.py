@@ -125,7 +125,7 @@ def _rank(values, descending=False):
 
 
 def _run_cells(cells, worker, threads):
-    """Evaluate independent cells, each ending in its method, optionally across threads.
+    """Evaluate ``worker(*cell)`` for independent cells, optionally across threads.
 
     Results are collected by cell index, so output order and content do not
     depend on scheduling.  Failures are captured per cell as strings.  The
@@ -133,7 +133,7 @@ def _run_cells(cells, worker, threads):
     (see ``_shared_fits``) done rather than wait on it.
     """
     results = [None] * len(cells)
-    order = sorted(range(len(cells)), key=lambda i: cells[i][-1] == baselines.MCCT_I)
+    order = sorted(range(len(cells)), key=lambda i: baselines.MCCT_I in cells[i])
 
     def guarded(i):
         try:
@@ -148,6 +148,57 @@ def _run_cells(cells, worker, threads):
         for i in order:
             guarded(i)
     return results
+
+
+def _grid(cells, run_cell, header, threads, clock):
+    """Run ``cells`` through ``_run_cells``; return the result rows and the failure records.
+
+    A cell's values are the first columns of ``header``.  ``run_cell(*cell)``
+    returns the values that follow them, and each row ends in its status.
+    A failed cell's row is its key, then ``None``s, then the error; its
+    failure record is the key by column name plus the ``error``.
+    """
+    results = _run_cells(cells, run_cell, threads)
+    clock.lap("cells")
+    rows, failures = [], []
+    for cell, (status, payload) in zip(cells, results):
+        if status == "ok":
+            rows.append([*cell, *payload, "ok"])
+        else:
+            rows.append([*cell] + [None] * (len(header) - len(cell) - 1) + [payload])
+            failures.append({**dict(zip(header, cell)), "error": payload})
+    return rows, failures
+
+
+def _write_grid(args, csv_path, json_path, header, rows, doc, failures, clock, fields, times=None):
+    """Write a grid's CSV, its JSON ``doc`` and the manifest; 1 if any cell failed, else 0.
+
+    ``fields`` are the command's own manifest entries and ``times`` extra
+    ``wall_time_s`` entries.  The primary output, ``args.out``, is one of the
+    two paths and is listed first.
+    """
+    _write_csv(csv_path, header, rows)
+    _dump_json(json_path, doc)
+    clock.lap("write")
+    _write_manifest(
+        args.out,
+        {
+            "command": args.command,
+            "inputs": {"data": args.data},
+            **fields,
+            "max_iterations": args.max_iterations,
+            "seed": args.seed,
+            "outputs": [args.out, json_path if csv_path == args.out else csv_path],
+            "failures": failures,
+            "wall_time_s": {**clock.with_total(), **(times or {})},
+        },
+    )
+    return 1 if failures else 0
+
+
+def _scalars(report):
+    scalars = report.scalars()
+    return [scalars[c] for c in SCALAR_COLUMNS]
 
 
 def _shared_fits(max_iterations):
@@ -281,14 +332,6 @@ def _method_list(raw):
     return methods
 
 
-def _report_row(prefix, report_or_error):
-    status, payload = report_or_error
-    if status == "error":
-        return list(prefix) + [None] * len(SCALAR_COLUMNS) + [payload]
-    scalars = payload.scalars()
-    return list(prefix) + [scalars[c] for c in SCALAR_COLUMNS] + ["ok"]
-
-
 def cmd_compare(args):
     z, y = data_io.read_dataset(args.data, _resolve_format(args.data, args.format))
     methods = _method_list(args.methods)
@@ -300,90 +343,54 @@ def cmd_compare(args):
     fit = _shared_fits(args.max_iterations)
     clock.lap("split")
 
-    def run_cell(seed, method):
+    def run_cell(method, seed):
         (zc, yc), (zt, yt) = splits[seed]
         p_base = base_probs[seed]
         p = p_base if method == UNCALIBRATED else fit(seed, method, zc, yc).apply(zt)
-        return metrics.compute_report(p, yt, p_base, num_bins=args.bins)
+        return _scalars(metrics.compute_report(p, yt, p_base, num_bins=args.bins))
 
     all_methods = [UNCALIBRATED] + methods
-    cells = [(seed, method) for method in all_methods for seed in seeds]
-    results = _run_cells(cells, run_cell, args.threads)
-    clock.lap("cells")
-
-    rows = []
-    per_method = {method: [] for method in all_methods}
-    failures = []
-    for (seed, method), outcome in zip(cells, results):
-        rows.append(_report_row([method, seed], outcome))
-        if outcome[0] == "ok":
-            per_method[method].append(outcome[1].scalars())
-        else:
-            failures.append({"method": method, "seed": seed, "error": outcome[1]})
+    header = ["method", "seed"] + list(SCALAR_COLUMNS) + ["status"]
+    cells = [(method, seed) for method in all_methods for seed in seeds]
+    rows, failures = _grid(cells, run_cell, header, args.threads, clock)
+    per_seed = [
+        {"method": method, "seed": seed, "status": "ok", **dict(zip(SCALAR_COLUMNS, values))}
+        if status == "ok"
+        else {"method": method, "seed": seed, "status": "error", "error": status}
+        for method, seed, *values, status in rows
+    ]
 
     means = {}
     for method in all_methods:
-        reports = per_method[method]
+        reports = [row[2:-1] for row in rows if row[0] == method and row[-1] == "ok"]
         if reports:
             means[method] = {
-                c: (
-                    float(np.mean([r[c] for r in reports]))
-                    if all(r[c] is not None for r in reports)
-                    else None
-                )
-                for c in SCALAR_COLUMNS
+                c: float(np.mean(values)) if None not in values else None
+                for c, values in zip(SCALAR_COLUMNS, zip(*reports))
             }
-    for method in all_methods:
-        if method in means:
-            rows.append([method, "mean"] + [means[method][c] for c in SCALAR_COLUMNS] + ["ok"])
+    for method in means:
+        rows.append([method, "mean"] + list(means[method].values()) + ["ok"])
 
-    ranked = [m for m in all_methods if m in means]
     rank_by_column = {}
     for c in SCALAR_COLUMNS:
-        values = [means[m][c] for m in ranked]
-        if any(v is None for v in values):
-            rank_by_column[c] = {m: None for m in ranked}
+        values = [means[m][c] for m in means]
+        if None in values:
+            rank_by_column[c] = {m: None for m in means}
         else:
-            ranks = _rank(values, descending=c in RANK_DESCENDING)
-            rank_by_column[c] = dict(zip(ranked, ranks))
-    for method in ranked:
+            rank_by_column[c] = dict(zip(means, _rank(values, descending=c in RANK_DESCENDING)))
+    for method in means:
         rows.append([method, "rank"] + [rank_by_column[c][method] for c in SCALAR_COLUMNS] + ["ok"])
 
-    header = ["method", "seed"] + list(SCALAR_COLUMNS) + ["status"]
-    csv_path = _json_base(args.out) + ".csv"
-    _write_csv(csv_path, header, rows)
-    _dump_json(
-        args.out,
-        {
-            "methods": all_methods,
-            "seeds": seeds,
-            "split": args.split,
-            "per_seed": [
-                {"method": method, "seed": seed, "status": outcome[0],
-                 **(outcome[1].scalars() if outcome[0] == "ok" else {"error": outcome[1]})}
-                for (seed, method), outcome in zip(cells, results)
-            ],
-            "mean": means,
-            "rank": rank_by_column,
-        },
-    )
-    clock.lap("write")
-    _write_manifest(
-        args.out,
-        {
-            "command": "compare",
-            "inputs": {"data": args.data},
-            "methods": methods,
-            "split": args.split,
-            "runs": args.runs,
-            "max_iterations": args.max_iterations,
-            "seed": args.seed,
-            "outputs": [args.out, csv_path],
-            "failures": failures,
-            "wall_time_s": clock.with_total(),
-        },
-    )
-    return 0 if not failures else 1
+    doc = {
+        "methods": all_methods,
+        "seeds": seeds,
+        "split": args.split,
+        "per_seed": per_seed,
+        "mean": means,
+        "rank": rank_by_column,
+    }
+    fields = {"methods": methods, "split": args.split, "runs": args.runs}
+    return _write_grid(args, _json_base(args.out) + ".csv", args.out, header, rows, doc, failures, clock, fields)
 
 
 def cmd_sweep_size(args):
@@ -411,105 +418,46 @@ def cmd_sweep_size(args):
             idx = np.random.default_rng(seed).permutation(n_cal)[:size]
             zs, ys = zc[idx], yc[idx]
         model = fit((fraction, seed), method, zs, ys)
-        return size, metrics.compute_report(model.apply(zt), yt, p_base, num_bins=args.bins)
-
-    cells = [(f, s, m) for f in fractions for s in seeds for m in methods]
-    results = _run_cells(cells, run_cell, args.threads)
-    clock.lap("cells")
-
-    rows = []
-    failures = []
-    for (fraction, seed, method), outcome in zip(cells, results):
-        if outcome[0] == "ok":
-            size, report = outcome[1]
-            rows.append(_report_row([fraction, seed, method, size], ("ok", report)))
-        else:
-            rows.append(_report_row([fraction, seed, method, None], outcome))
-            failures.append({"fraction": fraction, "seed": seed, "method": method, "error": outcome[1]})
+        return [size] + _scalars(metrics.compute_report(model.apply(zt), yt, p_base, num_bins=args.bins))
 
     header = ["fraction", "seed", "method", "n_calib"] + list(SCALAR_COLUMNS) + ["status"]
-    _write_csv(args.out, header, rows)
-    json_path = args.out + ".json"
-    _dump_json(
-        json_path,
-        {
-            "rows": [dict(zip(header, row)) for row in rows],
-            "fractions": fractions,
-            "seeds": seeds,
-            "methods": methods,
-        },
-    )
-    clock.lap("write")
-    _write_manifest(
-        args.out,
-        {
-            "command": "sweep-size",
-            "inputs": {"data": args.data},
-            "methods": methods,
-            "fractions": fractions,
-            "seeds": seeds,
-            "split": args.split,
-            "max_iterations": args.max_iterations,
-            "seed": args.seed,
-            "outputs": [args.out, json_path],
-            "failures": failures,
-            "wall_time_s": clock.with_total(),
-        },
-    )
-    return 0 if not failures else 1
+    cells = [(f, s, m) for f in fractions for s in seeds for m in methods]
+    rows, failures = _grid(cells, run_cell, header, args.threads, clock)
+    doc = {
+        "rows": [dict(zip(header, row)) for row in rows],
+        "fractions": fractions,
+        "seeds": seeds,
+        "methods": methods,
+    }
+    fields = {"methods": methods, "fractions": fractions, "seeds": seeds, "split": args.split}
+    return _write_grid(args, args.out, args.out + ".json", header, rows, doc, failures, clock, fields)
 
 
 def cmd_sweep_topk(args):
     z, y = data_io.read_dataset(args.data, _resolve_format(args.data, args.format))
-    kvalues = [int(k) for k in args.kvalues.split(",")]
     clock = _Stopwatch()
 
     (zc, yc), (zt, yt) = data_io.split_dataset(z, y, args.split, args.seed)
     p_base = core.softmax_rows(zt)
     clock.lap("split")
 
-    rows = []
-    failures = []
     fit_per_k = {}
-    # Cells run serially: the per-k fit time goes into the manifest.
-    for k in kvalues:
-        try:
-            fit_clock = _Stopwatch()
-            result = optim.fit_mcct(zc, yc, k=k, max_iterations=args.max_iterations)
-            fit_per_k[str(k)] = fit_clock.lap("fit")
-            model = baselines.from_monotone_params(result.params)
-            report = metrics.compute_report(model.apply(zt), yt, p_base, num_bins=args.bins)
-            scalars = report.scalars()
-            rows.append(
-                [k]
-                + [scalars[c] for c in SCALAR_COLUMNS]
-                + [result.dropped_samples, result.iterations, result.converged, "ok"]
-            )
-        except Exception as exc:
-            rows.append([k] + [None] * len(SCALAR_COLUMNS) + [None, None, None, f"{type(exc).__name__}: {exc}"])
-            failures.append({"k": k, "error": f"{type(exc).__name__}: {exc}"})
-    clock.lap("cells")
+
+    def run_cell(k):
+        fit_clock = _Stopwatch()
+        result = optim.fit_mcct(zc, yc, k=k, max_iterations=args.max_iterations)
+        fit_per_k[str(k)] = fit_clock.lap("fit")
+        model = baselines.from_monotone_params(result.params)
+        report = metrics.compute_report(model.apply(zt), yt, p_base, num_bins=args.bins)
+        return _scalars(report) + [result.dropped_samples, result.iterations, result.converged]
 
     header = ["k"] + list(SCALAR_COLUMNS) + ["dropped_samples", "iterations", "converged", "status"]
-    _write_csv(args.out, header, rows)
-    json_path = args.out + ".json"
-    _dump_json(json_path, {"rows": [dict(zip(header, row)) for row in rows]})
-    clock.lap("write")
-    _write_manifest(
-        args.out,
-        {
-            "command": "sweep-topk",
-            "inputs": {"data": args.data},
-            "kvalues": kvalues,
-            "split": args.split,
-            "max_iterations": args.max_iterations,
-            "seed": args.seed,
-            "outputs": [args.out, json_path],
-            "failures": failures,
-            "wall_time_s": {**clock.with_total(), "fit_per_k": fit_per_k},
-        },
-    )
-    return 0 if not failures else 1
+    # Cells run serially: the per-k fit time goes into the manifest.
+    rows, failures = _grid([(k,) for k in args.kvalues], run_cell, header, 1, clock)
+    doc = {"rows": [dict(zip(header, row)) for row in rows]}
+    fields = {"kvalues": args.kvalues, "split": args.split}
+    times = {"fit_per_k": fit_per_k}
+    return _write_grid(args, args.out, args.out + ".json", header, rows, doc, failures, clock, fields, times)
 
 
 def _count_at_least(minimum):
@@ -529,6 +477,11 @@ def _count_at_least(minimum):
 
 
 _positive_int = _count_at_least(1)
+
+
+def _kvalue_list(text):
+    """An argparse type: comma-separated retained-rank counts, each at least 2."""
+    return [_count_at_least(2)(k) for k in text.split(",")]
 
 
 def _build_parser():
@@ -603,7 +556,7 @@ def _build_parser():
 
     p = sub.add_parser("sweep-topk", parents=[common, seeded, solver], help="retained-rank sweep with fit timing")
     p.add_argument("--data", required=True)
-    p.add_argument("--kvalues", required=True, help="comma-separated k values")
+    p.add_argument("--kvalues", type=_kvalue_list, required=True, help="comma-separated k values, each at least 2")
     p.add_argument("--split", type=float, default=0.5)
     p.add_argument("--bins", type=_positive_int, default=15)
     p.add_argument("--out", required=True, help="CSV output path")

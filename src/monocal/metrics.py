@@ -129,11 +129,6 @@ def ece(p, y, num_bins=15):
     return value, bins
 
 
-def reliability_data(p, y, num_bins=15):
-    """Per-bin (count, mean confidence, accuracy) for external plotting."""
-    return ece(p, y, num_bins)[1]
-
-
 def eq_mass_ece(p, y, num_bins=15):
     """Calibration error with equal-count confidence bins.
 
@@ -174,9 +169,11 @@ KDE_CUTOFF = 9.0
 # Taylor terms are added until the remainder is below this fraction of every
 # kernel value the series stands for.
 KDE_TERM_TOL = 1e-17
+# Points of the uniform grid the kernel regression is evaluated on.
+KDE_GRID_SIZE = 1024
 
 
-def ece_kde(p, y, grid_size=1024):
+def ece_kde(p, y):
     """Binning-free calibration error via Gaussian-kernel regression.
 
     Estimates E over the confidence distribution of |confidence -
@@ -218,17 +215,15 @@ def ece_kde(p, y, grid_size=1024):
     n = conf.shape[0]
     if n < 10:
         raise ValueError(f"kernel estimate needs at least 10 samples, got {n}")
-    if grid_size < 2:
-        raise ValueError(f"need grid_size >= 2, got {grid_size}")
     lo, hi = conf.min(), conf.max()
     if lo == hi:
         warnings.warn("all confidences identical; falling back to |accuracy - mean confidence|")
         return float(abs(correct.mean() - conf.mean()))
     h = kde_bandwidth(conf)
-    grid = np.linspace(lo, hi, grid_size)
-    density, hits = _gauss_sums(conf, correct, lo, (hi - lo) / (grid_size - 1), h, grid_size)
+    grid = np.linspace(lo, hi, KDE_GRID_SIZE)
+    density, hits = _gauss_sums(conf, correct, lo, (hi - lo) / (KDE_GRID_SIZE - 1), h, KDE_GRID_SIZE)
     covered = density > 0.0
-    regression = np.zeros(grid_size)
+    regression = np.zeros(KDE_GRID_SIZE)
     regression[covered] = hits[covered] / density[covered]
     err = np.abs(grid - regression)
     return float((err[covered] * density[covered]).sum() / density[covered].sum())
@@ -276,7 +271,8 @@ class RankingDiagnostics:
 
     ``prediction_change_rate`` is over all rows; ``uncertain_alteration_rate``
     is the same fraction restricted to rows whose pre-calibration confidence
-    fell below the threshold (0 when that set is empty, see ``n_uncertain``).
+    fell below ``UNCERTAIN_CONFIDENCE`` (0 when that set is empty, see
+    ``n_uncertain``).
     """
 
     prediction_change_rate: float
@@ -284,17 +280,21 @@ class RankingDiagnostics:
     n_uncertain: int
 
 
-def ranking_diagnostics(p_before, p_after, threshold=0.7):
+# Rows whose pre-calibration confidence is below this form the uncertain set.
+UNCERTAIN_CONFIDENCE = 0.7
+
+
+def ranking_diagnostics(p_before, p_after):
     """Fraction of rows whose argmax changed, overall and on low-confidence rows."""
     before = _top_label(p_before)
     after = _top_label(p_after)
     if before.p.shape != after.p.shape:
         raise ValueError(f"shape mismatch: {before.p.shape} vs {after.p.shape}")
     changed = after.pred != before.pred
-    uncertain = before.conf < threshold
+    uncertain = before.conf < UNCERTAIN_CONFIDENCE
     n_uncertain = int(uncertain.sum())
     if n_uncertain == 0:
-        warnings.warn(f"no rows with confidence below {threshold}; uncertain-set rate is 0 by convention")
+        warnings.warn(f"no rows with confidence below {UNCERTAIN_CONFIDENCE}; uncertain-set rate is 0 by convention")
         uncertain_rate = 0.0
     else:
         uncertain_rate = float(changed[uncertain].mean())

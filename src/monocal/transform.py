@@ -290,17 +290,3 @@ def sorted_nll_objective(s, y_pos, w, b, mode, order=1):
     hess[wb, wb + k - 1] += sp_sum[1:] / n
     hess[wb + k - 1, wb] += sp_sum[1:] / n
     return loss, grad_w, grad_b, hess
-
-
-def objective_and_gradient(z, y, params):
-    """Fitting objective for a full-rank map: mean NLL and its (w, b) gradient.
-
-    The loss equals ``nll(softmax_rows(apply_map_topk(z, params)), y)``; the
-    gradients are evaluated in the sorted domain against the per-row
-    permuted one-hot target, which is the same quantity.
-    """
-    z = core.validate_logits(z)
-    y = core.validate_labels(y, z.shape[1], n=z.shape[0])
-    if params.k != params.m or params.m != z.shape[1]:
-        raise ValueError("objective_and_gradient requires a full-rank map matching the data")
-    return sorted_nll_objective(np.sort(z, axis=1), label_positions(z, y), params.w, params.b, params.mode)

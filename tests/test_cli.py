@@ -192,6 +192,7 @@ class TestCountArguments:
         ("eval", "--model", "model.json", "--bins", "0"),
         ("sweep-size", "--fractions", "1", "--methods", "mcct", "--threads", "0"),
         ("sweep-topk", "--kvalues", "2", "--bins", "0"),
+        ("sweep-topk", "--kvalues", "1,4"),
     ])
     def test_rejected_before_any_work(self, dataset, tmp_path, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -490,6 +491,20 @@ class TestSweepTopk:
         cmp_row = [r for r in json.load(open(cmp_out))["per_seed"] if r["method"] == "mcct"][0]
         assert rows[2]["ece"] == cmp_row["ece"]
 
+    def test_k_above_m_is_per_cell_failure(self, dataset, tmp_path):
+        out = str(tmp_path / "topk.csv")
+        assert run("sweep-topk", "--data", dataset, "--kvalues", "4,9", "--out", out) == 1
+        lines = open(out).read().strip().split("\n")
+        error = "ValueError: need 2 <= k <= m, got k=9, m=8"
+        assert lines[2] == "9," + "," * 10 + error  # 7 metrics, dropped_samples, iterations, converged
+        rows = json.load(open(out + ".json"))["rows"]
+        assert rows[0]["status"] == "ok" and rows[1]["k"] == 9 and rows[1]["status"] == error
+        assert rows[1]["ece"] is None and rows[1]["converged"] is None
+        manifest = json.load(open(out + ".manifest.json"))
+        assert manifest["failures"] == [{"k": 9, "error": error}]
+        assert manifest["kvalues"] == [4, 9]
+        assert set(manifest["wall_time_s"]["fit_per_k"]) == {"4"}
+
     def test_timing_column_excluded_from_json_metrics(self, dataset, tmp_path):
         out = str(tmp_path / "topk.csv")
         run("sweep-topk", "--data", dataset, "--kvalues", "8", "--out", out)
@@ -558,6 +573,19 @@ class TestDeterminism:
             run("gen-synth", "--n", 100, "--m", 5, "--seed", 9, "--out", path)
             paths.append(path)
         assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
+
+    def test_threaded_sweep_size_matches_serial(self, dataset, tmp_path):
+        # Two threads start the mcct-i cells after every other cell.
+        outs = []
+        for threads in (1, 2):
+            out = str(tmp_path / f"size{threads}.csv")
+            assert run(
+                "sweep-size", "--data", dataset, "--fractions", "0.3,1.0",
+                "--methods", "mcct,mcct-i,ts", "--seeds", "0,1", "--threads", threads, "--out", out,
+            ) == 0
+            outs.append(out)
+        for suffix in ("", ".json"):
+            assert open(outs[0] + suffix, "rb").read() == open(outs[1] + suffix, "rb").read()
 
     def test_threaded_compare_matches_serial(self, dataset, tmp_path):
         serial = str(tmp_path / "serial.json")

@@ -90,6 +90,7 @@ class TestEce:
         value, bins = metrics.ece(p, y, num_bins=10)
         assert value == pytest.approx(0.35, abs=1e-12)
         assert bins.count.sum() == 4
+        assert bins.count[8] == 2  # the two 0.9-confidence rows share (0.8, 0.9]
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(33)
@@ -127,16 +128,9 @@ class TestEce:
         assert np.array_equal(bins.lower, np.arange(8) / 8)
         assert np.array_equal(bins.upper, np.arange(1, 9) / 8)
 
-    def test_reliability_data_matches(self):
-        p, y = two_class_rows([0.9, 0.9, 0.8, 0.6], [1, 1, 0, 1])
-        bins = metrics.reliability_data(p, y, num_bins=10)
-        ece_bins = metrics.ece(p, y, num_bins=10)[1]
-        assert np.array_equal(bins.count, ece_bins.count)
-        assert bins.count[8] == 2  # the two 0.9-confidence rows share (0.8, 0.9]
-
     def test_empty_bins_counted_as_zero(self):
         p, y = two_class_rows([0.95], [1])
-        bins = metrics.reliability_data(p, y, num_bins=10)
+        bins = metrics.ece(p, y, num_bins=10)[1]
         assert bins.count[-1] == 1
         assert np.all(bins.count[:-1] == 0)
         assert np.isnan(bins.accuracy[0])
@@ -221,7 +215,7 @@ class TestEceKde:
         assert_matches_dense(metrics.ece_kde(p, y), expected)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from(KDE_PATTERNS), st.integers(0, 2**32 - 1), st.sampled_from((1024, 60, 16)))
+    @given(st.sampled_from(KDE_PATTERNS), st.integers(0, 2**32 - 1), st.sampled_from((metrics.KDE_GRID_SIZE, 60, 16)))
     def test_matches_dense_kernel(self, pattern, seed, grid_size):
         p, y = kde_rows(np.random.default_rng(seed), pattern)
         conf, correct = p.max(axis=1), (p.argmax(axis=1) == y).astype(float)
@@ -229,7 +223,8 @@ class TestEceKde:
         step = (hi - lo) / (grid_size - 1)
         if pattern == "outlier":
             assert h < step
-        assert_matches_dense(metrics.ece_kde(p, y, grid_size), dense_ece_kde(p, y, grid_size))
+        if grid_size == metrics.KDE_GRID_SIZE:
+            assert_matches_dense(metrics.ece_kde(p, y), dense_ece_kde(p, y))
         # Each grid sum: relative rounding (the dense sums' own rounding grows
         # with range / bandwidth, to about 2e-12 on "outlier") plus at most
         # exp(-KDE_CUTOFF**2 / 2) per point cut off.
@@ -237,11 +232,6 @@ class TestEceKde:
         dense = np.array(dense_kernel_sums(conf, correct, np.linspace(lo, hi, grid_size)))
         cut = conf.shape[0] * np.exp(-(metrics.KDE_CUTOFF**2) / 2)
         assert np.all(np.abs(fast - dense) <= 1e-11 * dense + cut)
-
-    def test_rejects_single_point_grid(self):
-        p, y = kde_rows(np.random.default_rng(0), "n10")
-        with pytest.raises(ValueError, match="grid_size"):
-            metrics.ece_kde(p, y, grid_size=1)
 
     def test_constant_confidence_fallback(self):
         p, y = two_class_rows([0.8] * 12, [1] * 10 + [0] * 2)
@@ -287,7 +277,7 @@ class TestRankingDiagnostics:
         vs = baselines.fit_vs(z[:100], y[:100])
         p_before = core.softmax_rows(z[100:])
         p_after = vs.apply(z[100:])
-        diag = metrics.ranking_diagnostics(p_before, p_after, threshold=0.7)
+        diag = metrics.ranking_diagnostics(p_before, p_after)
         n = p_before.shape[0]
         changed = unc = changed_unc = 0
         for i in range(n):
@@ -378,7 +368,7 @@ class TestReport:
 
     def test_bin_csv_shape(self):
         p, y = two_class_rows([0.9, 0.6], [1, 0])
-        bins = metrics.reliability_data(p, y, num_bins=5)
+        bins = metrics.ece(p, y, num_bins=5)[1]
         lines = bins.to_csv().strip().split("\n")
         assert lines[0] == "bin,lower,upper,count,confidence,accuracy"
         assert len(lines) == 6

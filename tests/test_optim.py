@@ -99,7 +99,8 @@ class TestFit:
     def test_descent_from_init(self, overconfident_split, fitted_direct):
         (zc, yc), _ = overconfident_split
         start = optim.init_params("direct", 10, m=10)
-        init_loss = transform.objective_and_gradient(zc, yc, start)[0]
+        s, y_pos = np.sort(zc, axis=1), transform.label_positions(zc, yc)
+        init_loss = transform.sorted_nll_objective(s, y_pos, start.w, start.b, start.mode)[0]
         assert fitted_direct.final_loss <= init_loss
 
     def test_returned_params_feasible(self, fitted_direct, fitted_inverse):

@@ -175,7 +175,9 @@ class TestObjective:
     def test_identity_transform_is_plain_nll(self):
         z = np.array([[0.0, 0.1]])
         y = np.array([0])
-        loss, grad_w, grad_b = transform.objective_and_gradient(z, y, identity_params(2))
+        loss, grad_w, grad_b = transform.sorted_nll_objective(
+            np.sort(z, axis=1), transform.label_positions(z, y), np.ones(2), np.zeros(2), transform.DIRECT
+        )
         p = core.softmax_rows(z)
         assert loss == pytest.approx(-np.log(p[0, 0]), rel=1e-15)
         # Sorted order is already ascending, so the permuted target is (1, 0).
@@ -186,8 +188,9 @@ class TestObjective:
         rng = np.random.default_rng(2)
         z = rng.normal(0, 1, (6, 4))
         y = rng.integers(0, 4, 6)
-        loss_d = transform.objective_and_gradient(z, y, identity_params(4, "direct"))[0]
-        loss_i = transform.objective_and_gradient(z, y, identity_params(4, "inverse"))[0]
+        s, y_pos = np.sort(z, axis=1), transform.label_positions(z, y)
+        loss_d = transform.sorted_nll_objective(s, y_pos, np.ones(4), np.zeros(4), "direct")[0]
+        loss_i = transform.sorted_nll_objective(s, y_pos, np.ones(4), np.zeros(4), "inverse")[0]
         assert loss_d == loss_i
 
     @pytest.mark.parametrize("mode", transform.MODES)
