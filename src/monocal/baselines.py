@@ -12,15 +12,22 @@ Implemented baselines:
 
 Temperature and ensemble scaling preserve each sample's prediction; vector
 scaling and histogram binning may change it.
+
+Every iterative fit here runs the monotone maps' solver, projected Newton on
+the exact Hessian (:func:`monocal.optim._projected_newton`), on a convex
+objective: temperature scaling on ``1 / T``, vector scaling on its scales
+and biases, and ensemble NLL scaling on its weights.  Ensemble MSE scaling
+is a quadratic in three weights, solved exactly.  Every sum runs in a fixed
+order, so the fits do not depend on the BLAS thread count.
 """
 
+import itertools
 import json
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
-from . import core
-from .transform import DIRECT, INVERSE, MonotoneParams, apply_map_topk
+from . import core, optim
+from .transform import DIRECT, INVERSE, MonotoneParams, apply_map_topk, softmax_nll, sorted_nll_objective
 
 TS = "ts"
 VS = "vs"
@@ -32,6 +39,10 @@ MCCT_I = "mcct-i"
 KINDS = (TS, VS, HB, ETS_NLL, ETS_MSE, MCCT, MCCT_I)
 # The monotone-map kinds and the mode each one is applied in.
 MONOTONE_MODES = {MCCT: DIRECT, MCCT_I: INVERSE}
+# The ensemble kinds and the loss each one fits its weights against.
+ENSEMBLE_LOSSES = {ETS_NLL: "nll", ETS_MSE: "mse"}
+# Temperature scaling fits beta = 1 / T within these bounds: T in [1e-3, 1e3].
+BETA_MIN, BETA_MAX = 1e-3, 1e3
 
 HB_DEFAULT_BINS = 15
 
@@ -135,91 +146,162 @@ def from_monotone_params(params):
 
 
 def fit_ts(z, y):
-    """Fit temperature scaling: the scalar T > 0 minimizing mean NLL of softmax(z / T)."""
-    z = core.validate_logits(z)
-    y = core.validate_labels(y, z.shape[1], n=z.shape[0])
+    """Fit temperature scaling: the scalar T > 0 minimizing mean NLL of softmax(z / T).
 
-    def nll_at(t):
-        return core._nll(core.softmax_rows(z / t), y)
-
-    res = minimize_scalar(nll_at, bounds=(1e-3, 1e3), method="bounded", options={"xatol": 1e-6})
-    return CalibratedModel(TS, {"T": float(res.x), "m": z.shape[1]})
-
-
-def fit_vs(z, y):
-    """Fit vector scaling: per-class scale and bias minimizing mean NLL."""
+    The loss is convex in ``beta = 1 / T``, which is fitted by projected
+    Newton from ``beta = 1``: its derivatives are the mean over samples of
+    ``E_p[z] - z_y`` and of ``Var_p(z)``, ``p`` being the row softmax of
+    ``z * beta``.  The solver bounds ``beta`` below by ``BETA_MIN``; its
+    point is capped at ``BETA_MAX``, and ``BETA_MAX`` itself is taken when
+    its loss is lower.  So on a calibration set that the logits separate,
+    where the loss falls as T falls, T is its bound ``1 / BETA_MAX``.  Logits
+    constant within each row leave the loss flat, and T stays 1.
+    """
     z = core.validate_logits(z)
     n, m = z.shape
     y = core.validate_labels(y, m, n=n)
-    onehot = core.one_hot(y, m)
-    rows = np.arange(n)
+    s = np.ascontiguousarray(z.T)
+    label = y * n + np.arange(n)  # flat index of each sample's target in s
 
-    def fun(x):
-        t = z * x[:m] + x[m:]
-        t = t - t.max(axis=1, keepdims=True)
-        e = np.exp(t)
-        p = e / e.sum(axis=1, keepdims=True)
-        loss = float(-np.log(np.maximum(p[rows, y], core.LOG_FLOOR)).mean())
-        resid = (p - onehot) / n
-        return loss, np.concatenate([(z * resid).sum(axis=0), resid.sum(axis=0)])
+    def evaluate(x, order):
+        loss, p, total = softmax_nll(s * x[0], label)
+        if order == 0:
+            return loss
+        p /= total
+        mean = np.einsum("ij,ij->j", p, s)
+        grad = np.array([(mean - s.ravel()[label]).mean()])
+        if order == 1:
+            return loss, grad
+        centred = s - mean
+        return loss, grad, np.array([[np.einsum("ij,ij,ij->", p, centred, centred) / n]])
 
-    x0 = np.concatenate([np.ones(m), np.zeros(m)])
-    res = minimize(fun, x0, jac=True, method="L-BFGS-B", options={"gtol": 1e-6, "ftol": 1e-15, "maxiter": 2000})
-    return CalibratedModel(VS, {"scale": res.x[:m].copy(), "bias": res.x[m:].copy(), "m": m})
+    x, _, loss, _, _ = optim._projected_newton(evaluate, np.ones(1), np.full(1, BETA_MIN), optim.MAX_ITERATIONS)
+    beta = BETA_MAX if x[0] >= BETA_MAX or evaluate(np.full(1, BETA_MAX), 0) < loss else x[0]
+    return CalibratedModel(TS, {"T": 1.0 / beta, "m": m})
 
 
-def fit_ets(z, y, loss="nll"):
+def fit_vs(z, y):
+    """Fit vector scaling: per-class scale and bias minimizing mean NLL.
+
+    Newton with no bounds on ``(scale, bias[1:])`` from the identity map,
+    on the exact Hessian of :func:`~monocal.transform.sorted_nll_objective`
+    (``z * scale + bias`` is a rank map's formula applied by class).
+    ``bias[0]`` is pinned at 0: a common shift of the biases leaves the
+    softmax unchanged.  The Hessian has ``(2m - 1)**2`` entries, so one
+    iteration costs of order ``n * m**2``.
+    """
+    z = core.validate_logits(z)
+    n, m = z.shape
+    y = core.validate_labels(y, m, n=n)
+    # The objective works on a class-major block and does not copy this view of it.
+    s = np.ascontiguousarray(z.T).T
+
+    def params_of(x):
+        return x[:m], np.concatenate([[0.0], x[m:]])
+
+    def evaluate(x, order):
+        out = sorted_nll_objective(s, y, *params_of(x), DIRECT, order)
+        if order == 0:
+            return out
+        loss, grad_w, grad_b, *hess = out
+        return (loss, np.concatenate([grad_w, grad_b[1:]]), *hess)
+
+    x0 = np.concatenate([np.ones(m), np.zeros(m - 1)])
+    scale, bias = params_of(optim._projected_newton(evaluate, x0, np.full(2 * m - 1, -np.inf), optim.MAX_ITERATIONS)[0])
+    return CalibratedModel(VS, {"scale": scale.copy(), "bias": bias, "m": m})
+
+
+def ensemble_terms(z, y, temperature):
+    """What both ensemble losses read of a calibration set: ``(temperature, true, gram)``.
+
+    The components are ``softmax(z / temperature)``, ``softmax(z)`` and the
+    uniform distribution.  ``true`` is the (n, 3) matrix of each sample's
+    inner products of the components with its one-hot target, that is its
+    true-class probabilities, and ``gram`` the (3, 3) means over samples of
+    the components' inner products with each other.
+    """
+    z = core.validate_logits(z)
+    n, m = z.shape
+    y = core.validate_labels(y, m, n=n)
+    q = np.stack([core.softmax_rows(z / temperature), core.softmax_rows(z), np.full((n, m), 1.0 / m)])
+    return temperature, np.einsum("aij,ij->ia", q, core.one_hot(y, m)), np.einsum("aij,bij->ab", q, q) / n
+
+
+def _ensemble_nll_weights(true):
+    """Weights ``v >= 0`` minimizing ``-mean(log(true @ v)) + sum(v)``, by projected Newton.
+
+    Each component is a probability vector, so at the minimum over the
+    simplex its constraint's multiplier is 1: this unconstrained-sum problem
+    has the same minimizer, and its weights sum to 1 without the constraint.
+    The start is the uniform mixture, whose loss is finite.
+    """
+    n = true.shape[0]
+
+    def evaluate(v, order):
+        mix = np.maximum(np.einsum("ij,j->i", true, v), core.LOG_FLOOR)
+        loss = float(v.sum() - np.log(mix).mean())
+        if order == 0:
+            return loss
+        ratio = true / mix[:, None]
+        grad = 1.0 - ratio.mean(axis=0)
+        if order == 1:
+            return loss, grad
+        return loss, grad, np.einsum("ij,ik->jk", ratio, ratio) / n
+
+    return optim._projected_newton(evaluate, np.full(3, 1.0 / 3.0), np.zeros(3), optim.MAX_ITERATIONS)[0]
+
+
+def _simplex_quadratic_min(gram, h):
+    """The minimizer of ``v @ gram @ v - 2 h @ v`` over the probability simplex in three weights.
+
+    On each face the minimizer over its affine hull solves ``gram_F v_F = h_F
+    + mu`` with ``mu`` set by ``sum(v_F) = 1``.  Every face is tried,
+    vertices first; a face whose Gram block is singular or whose point
+    leaves the simplex is skipped, and the point of least value wins (the
+    first one found, on a tie).  A convex quadratic's minimum over the
+    simplex lies in the relative interior of some face, so no iteration is
+    needed.
+    """
+    best, best_value = None, np.inf
+    for size in (1, 2, 3):
+        for face in map(list, itertools.combinations(range(3), size)):
+            try:
+                a, b = optim._cholesky_solve(gram[np.ix_(face, face)], np.stack([h[face], np.ones(size)], axis=1)).T
+            except np.linalg.LinAlgError:
+                continue
+            v = np.zeros(3)
+            v[face] = a + (1.0 - a.sum()) / b.sum() * b
+            value = float(np.einsum("i,ij,j->", v, gram, v) - 2.0 * np.einsum("i,i->", h, v))
+            if (v >= 0).all() and value < best_value:
+                best, best_value = v, value
+    return best
+
+
+def fit_ets(z, y, loss="nll", terms=None):
     """Fit ensemble temperature scaling.
 
-    The temperature is taken from :func:`fit_ts` first; the three mixture
-    weights are then fitted on the probability simplex against the chosen
-    loss (mean NLL or mean squared error to the one-hot labels).
+    The mixture of ``softmax(z / T)``, ``softmax(z)`` and the uniform
+    distribution takes its temperature from :func:`fit_ts`; its weights are
+    then fitted on the probability simplex against the chosen loss, mean
+    NLL (by :func:`_ensemble_nll_weights`) or mean squared error to the
+    one-hot labels (a quadratic, solved exactly face by face).  ``terms``,
+    if given, are :func:`ensemble_terms` of the same calibration set, which
+    the fit then reads instead of fitting a temperature and both softmaxes.
     """
     if loss not in ("nll", "mse"):
         raise ValueError("loss must be 'nll' or 'mse'")
     z = core.validate_logits(z)
     n, m = z.shape
     y = core.validate_labels(y, m, n=n)
-    temperature = fit_ts(z, y).payload["T"]
-    q1 = core.softmax_rows(z / temperature)
-    q2 = core.softmax_rows(z)
-    onehot = core.one_hot(y, m)
-    rows = np.arange(n)
-
-    def fun(x):
-        p = x[0] * q1 + x[1] * q2 + x[2] / m
-        if loss == "nll":
-            true = np.maximum(p[rows, y], core.LOG_FLOOR)
-            value = float(-np.log(true).mean())
-            grad = -np.array(
-                [
-                    (q1[rows, y] / true).mean(),
-                    (q2[rows, y] / true).mean(),
-                    (1.0 / (m * true)).mean(),
-                ]
-            )
-        else:
-            resid = p - onehot
-            value = float((resid * resid).sum(axis=1).mean())
-            grad = 2.0 * np.array(
-                [
-                    (resid * q1).sum(axis=1).mean(),
-                    (resid * q2).sum(axis=1).mean(),
-                    resid.sum(axis=1).mean() / m,
-                ]
-            )
-        return value, grad
-
-    res = minimize(
-        fun,
-        np.array([1.0, 0.0, 0.0]),
-        jac=True,
-        method="SLSQP",
-        bounds=[(0.0, 1.0)] * 3,
-        constraints=[{"type": "eq", "fun": lambda x: x.sum() - 1.0, "jac": lambda x: np.ones(3)}],
-        options={"maxiter": 200, "ftol": 1e-12},
-    )
-    weights = np.clip(res.x, 0.0, None)
+    if terms is None:
+        terms = ensemble_terms(z, y, fit_ts(z, y).payload["T"])
+    temperature, true, gram = terms
+    if loss == "nll":
+        v = _ensemble_nll_weights(true)
+    else:
+        # mean |v @ q - e_y|^2 = v @ gram @ v - 2 * mean(true) @ v + 1
+        v = _simplex_quadratic_min(gram, true.mean(axis=0))
+    weights = np.clip(v, 0.0, None)
     weights = weights / weights.sum()
     kind = ETS_NLL if loss == "nll" else ETS_MSE
     return CalibratedModel(kind, {"T": temperature, "weights": weights, "m": m})
@@ -284,8 +366,6 @@ def fit_baseline(kind, z, y):
         return fit_vs(z, y)
     if kind == HB:
         return fit_hb(core.softmax_rows(z), y)
-    if kind == ETS_NLL:
-        return fit_ets(z, y, loss="nll")
-    if kind == ETS_MSE:
-        return fit_ets(z, y, loss="mse")
+    if kind in ENSEMBLE_LOSSES:
+        return fit_ets(z, y, loss=ENSEMBLE_LOSSES[kind])
     raise ValueError(f"not a baseline kind: {kind!r}")

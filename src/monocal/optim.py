@@ -132,6 +132,8 @@ def _newton_direction(hess, grad):
 def _projected_newton(evaluate, x, lower, max_iterations, trace=None):
     """Minimize a convex function over ``x >= lower`` from a feasible ``x`` by projected Newton.
 
+    A ``lower`` entry of ``-inf`` leaves its variable unbounded.
+
     ``evaluate(x, order)`` returns the loss (order 0), the loss and gradient
     (order 1), or the loss, gradient and Hessian (order 2).  The method is
     Bertsekas's (1982, "Projected Newton methods for optimization problems
@@ -193,7 +195,7 @@ def _projected_newton(evaluate, x, lower, max_iterations, trace=None):
         direction, decrement = newton_step(x, grad, hess, held)
         converged = (
             decrement / 2 <= STATIONARITY_TOL
-            and float((grad * (x - lower))[held].sum()) <= STATIONARITY_TOL
+            and float((grad[held] * (x[held] - lower[held])).sum()) <= STATIONARITY_TOL
         )
         while (pushed := ~held & near & (direction < 0)).any():
             held |= pushed

@@ -231,11 +231,26 @@ def truncate_training_set(z_sorted, y_pos, k):
     return z_sorted[keep, cut:], (y_pos[keep] - cut).astype(np.int64), int(n - keep.sum())
 
 
+def softmax_nll(t, label):
+    """Mean NLL of the class-major logits ``t`` (k, n) at the flat target indices ``label``.
+
+    Returns ``(loss, e, total)``: ``e``, made in place of ``t``, holds each
+    column's exponentials after its maximum is subtracted, and ``total``
+    their column sums, so ``e / total`` is the column softmax.
+    """
+    t -= t.max(axis=0)
+    e = np.exp(t, out=t)
+    total = e.sum(axis=0)
+    return float(-np.log(np.maximum(e.ravel()[label] / total, core.LOG_FLOOR)).mean()), e, total
+
+
 def sorted_nll_objective(s, y_pos, w, b, mode, order=1):
     """Mean NLL of the transformed sorted logits, with derivatives up to ``order``.
 
-    ``s`` is an (n, k) ascending-sorted logit block and ``y_pos`` the true
-    class's position within each row.  ``order`` 0 returns the loss; 1 adds
+    ``s`` is an (n, k) logit block and ``y_pos`` the true class's position
+    within each row.  The monotone fit passes rows sorted ascending; nothing
+    here depends on that, and vector scaling passes its logits as they are
+    (``w`` may then be any sign in direct mode).  ``order`` 0 returns the loss; 1 adds
     ``(grad_w, grad_b)``, the means over samples of the per-sample
     expressions ``s * (p - e_y)`` (direct) or ``-s / w**2 * (p - e_y)``
     (inverse) and ``p - e_y``, with ``p`` the row softmax of the transformed
@@ -252,7 +267,7 @@ def sorted_nll_objective(s, y_pos, w, b, mode, order=1):
     """
     w = np.asarray(w, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if np.any(w <= 0):
+    if mode != DIRECT and np.any(w <= 0):
         raise ValueError("scale entries must be strictly positive")
     if order == 2 and mode != DIRECT:
         raise ValueError("the Hessian is computed in direct mode only")
@@ -262,10 +277,7 @@ def sorted_nll_objective(s, y_pos, w, b, mode, order=1):
     label = y_pos * n + np.arange(n)  # flat index of each sample's target in S
     t = S * w[:, None] if mode == DIRECT else S / w[:, None]
     t += b[:, None]
-    t -= t.max(axis=0)
-    p = np.exp(t, out=t)
-    total = p.sum(axis=0)
-    loss = float(-np.log(np.maximum(p.ravel()[label] / total, core.LOG_FLOOR)).mean())
+    loss, p, total = softmax_nll(t, label)
     if order == 0:
         return loss
     p /= total

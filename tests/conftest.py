@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.optimize import minimize
+from scipy.optimize import minimize, minimize_scalar
 
 from monocal import core, data_io, optim, transform
 
@@ -168,3 +168,89 @@ def projected_gradient_residual(z, y, params):
     lower = np.zeros_like(x)
     lower[0] = optim.W_FLOOR
     return float(np.abs(x - np.maximum(x - grad, lower)).max())
+
+
+# The baseline fits as they were before they moved onto projected Newton
+# (bounded Brent for ts, L-BFGS-B for vs, SLSQP for the ets weights), kept as
+# the oracles of the Newton fits.
+
+
+def brent_temperature(z, y):
+    """Reference ts fit: bounded Brent on T over [1e-3, 1e3]."""
+    z = core.validate_logits(z)
+    y = core.validate_labels(y, z.shape[1], n=z.shape[0])
+
+    def nll_at(t):
+        return core._nll(core.softmax_rows(z / t), y)
+
+    res = minimize_scalar(nll_at, bounds=(1e-3, 1e3), method="bounded", options={"xatol": 1e-6})
+    return float(res.x)
+
+
+def lbfgsb_vector_scaling(z, y):
+    """Reference vs fit: L-BFGS-B on every scale and bias.  Returns ``(scale, bias)``."""
+    z = core.validate_logits(z)
+    n, m = z.shape
+    y = core.validate_labels(y, m, n=n)
+    onehot = core.one_hot(y, m)
+    rows = np.arange(n)
+
+    def fun(x):
+        t = z * x[:m] + x[m:]
+        t = t - t.max(axis=1, keepdims=True)
+        e = np.exp(t)
+        p = e / e.sum(axis=1, keepdims=True)
+        loss = float(-np.log(np.maximum(p[rows, y], core.LOG_FLOOR)).mean())
+        resid = (p - onehot) / n
+        return loss, np.concatenate([(z * resid).sum(axis=0), resid.sum(axis=0)])
+
+    x0 = np.concatenate([np.ones(m), np.zeros(m)])
+    res = minimize(fun, x0, jac=True, method="L-BFGS-B", options={"gtol": 1e-6, "ftol": 1e-15, "maxiter": 2000})
+    return res.x[:m].copy(), res.x[m:].copy()
+
+
+def slsqp_ensemble_weights(z, y, temperature, loss="nll"):
+    """Reference ets weight fit at a given temperature: SLSQP on the simplex."""
+    z = core.validate_logits(z)
+    n, m = z.shape
+    y = core.validate_labels(y, m, n=n)
+    q1 = core.softmax_rows(z / temperature)
+    q2 = core.softmax_rows(z)
+    onehot = core.one_hot(y, m)
+    rows = np.arange(n)
+
+    def fun(x):
+        p = x[0] * q1 + x[1] * q2 + x[2] / m
+        if loss == "nll":
+            true = np.maximum(p[rows, y], core.LOG_FLOOR)
+            value = float(-np.log(true).mean())
+            grad = -np.array(
+                [
+                    (q1[rows, y] / true).mean(),
+                    (q2[rows, y] / true).mean(),
+                    (1.0 / (m * true)).mean(),
+                ]
+            )
+        else:
+            resid = p - onehot
+            value = float((resid * resid).sum(axis=1).mean())
+            grad = 2.0 * np.array(
+                [
+                    (resid * q1).sum(axis=1).mean(),
+                    (resid * q2).sum(axis=1).mean(),
+                    resid.sum(axis=1).mean() / m,
+                ]
+            )
+        return value, grad
+
+    res = minimize(
+        fun,
+        np.array([1.0, 0.0, 0.0]),
+        jac=True,
+        method="SLSQP",
+        bounds=[(0.0, 1.0)] * 3,
+        constraints=[{"type": "eq", "fun": lambda x: x.sum() - 1.0, "jac": lambda x: np.ones(3)}],
+        options={"maxiter": 200, "ftol": 1e-12},
+    )
+    weights = np.clip(res.x, 0.0, None)
+    return weights / weights.sum()

@@ -4,6 +4,8 @@ import pytest
 from monocal import baselines, core, data_io, metrics, optim, transform
 from monocal.baselines import CalibratedModel
 
+from conftest import brent_temperature, lbfgsb_vector_scaling, slsqp_ensemble_weights
+
 
 @pytest.fixture(scope="module")
 def scaled_fixture():
@@ -240,3 +242,105 @@ class TestModelSerialization:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown model kind"):
             CalibratedModel("platt", {"m": 2})
+
+
+def seeded_problem(name):
+    """Three calibration sets: overconfident, random labels, underconfident."""
+    if name == "random":
+        rng = np.random.default_rng(1)
+        return rng.normal(0, 2, (500, 5)), rng.integers(0, 5, 500)
+    overconfidence = {"over": 2.5, "under": 0.5}[name]
+    cfg = data_io.SynthConfig(n=3000, m=10, alpha=0.5, overconfidence=overconfidence, seed=11)
+    z, y, _ = data_io.generate_synthetic(cfg)
+    return z, y
+
+
+PROBLEMS = ("over", "random", "under")
+
+
+class TestNewtonFitsMatchOracles:
+    @pytest.mark.parametrize("name", PROBLEMS)
+    def test_temperature_matches_brent(self, name):
+        z, y = seeded_problem(name)
+        reference = brent_temperature(z, y)
+        assert abs(baselines.fit_ts(z, y).payload["T"] / reference - 1.0) <= 1e-6
+
+    @pytest.mark.parametrize("name", PROBLEMS)
+    def test_vector_scaling_loss_at_most_lbfgsb(self, name):
+        z, y = seeded_problem(name)
+        scale, bias = lbfgsb_vector_scaling(z, y)
+        reference = CalibratedModel(baselines.VS, {"scale": scale, "bias": bias, "m": z.shape[1]})
+        model = baselines.fit_vs(z, y)
+        assert model.payload["bias"][0] == 0.0
+        assert core.nll(model.apply(z), y) <= core.nll(reference.apply(z), y) + 1e-10
+
+    @pytest.mark.parametrize("loss", ["nll", "mse"])
+    @pytest.mark.parametrize("name", PROBLEMS)
+    def test_ensemble_weights_match_slsqp(self, name, loss):
+        z, y = seeded_problem(name)
+        model = baselines.fit_ets(z, y, loss=loss)
+        reference = slsqp_ensemble_weights(z, y, model.payload["T"], loss)
+        assert np.abs(model.payload["weights"] - reference).max() <= 1e-6
+
+    @pytest.mark.parametrize("loss", ["nll", "mse"])
+    def test_shared_terms_give_the_same_fit(self, loss):
+        z, y = seeded_problem("over")
+        terms = baselines.ensemble_terms(z, y, baselines.fit_ts(z, y).payload["T"])
+        shared = baselines.fit_ets(z, y, loss, terms)
+        alone = baselines.fit_ets(z, y, loss)
+        assert shared.to_json() == alone.to_json()
+
+
+class TestDegenerateCalibrationSets:
+    def test_separable_set_takes_the_temperature_bound(self):
+        # Every label is its row's argmax, so the loss falls as T falls.
+        rng = np.random.default_rng(0)
+        z = rng.normal(0, 2, (300, 5))
+        y = core.argmax_rows(z)
+        assert baselines.fit_ts(z, y).payload["T"] == 1e-3
+        assert brent_temperature(z, y) == pytest.approx(1e-3, abs=1e-5)
+        for loss in ("nll", "mse"):
+            model = baselines.fit_ets(z, y, loss=loss)
+            assert model.payload["T"] == 1e-3
+            np.testing.assert_allclose(model.payload["weights"], [1.0, 0.0, 0.0], atol=1e-9)
+
+    @pytest.mark.parametrize("offsets", ["zero", "per-row"])
+    def test_constant_logits(self, offsets):
+        # Every softmax of a row-constant matrix is uniform: the temperature
+        # stays at its start, the ensemble outputs the uniform distribution
+        # and vector scaling learns the label frequencies through its biases.
+        rng = np.random.default_rng(2)
+        shift = 0.0 if offsets == "zero" else rng.normal(0, 3, (200, 1))
+        z = np.zeros((200, 4)) + shift
+        y = rng.integers(0, 4, 200)
+        assert baselines.fit_ts(z, y).payload["T"] == 1.0
+        for loss in ("nll", "mse"):
+            model = baselines.fit_ets(z, y, loss=loss)
+            assert model.payload["T"] == 1.0
+            assert np.abs(model.apply(z) - 0.25).max() <= 1e-15
+        vs = baselines.fit_vs(z, y)
+        if offsets == "zero":
+            np.testing.assert_allclose(vs.apply(z), np.tile(np.bincount(y) / 200, (200, 1)), atol=1e-6)
+        scale, bias = lbfgsb_vector_scaling(z, y)
+        reference = CalibratedModel(baselines.VS, {"scale": scale, "bias": bias, "m": 4})
+        assert core.nll(vs.apply(z), y) <= core.nll(reference.apply(z), y) + 1e-10
+
+    def test_single_label(self):
+        # Temperature and ensemble scaling fit as usual.  Vector scaling has
+        # no minimizer, and its fit stops with every sample's probability of
+        # the one label near 1.
+        rng = np.random.default_rng(3)
+        z = rng.normal(0, 2, (300, 5))
+        y = np.full(300, 2)
+        temperature = baselines.fit_ts(z, y).payload["T"]
+        assert abs(temperature / brent_temperature(z, y) - 1.0) <= 1e-6
+        assert core.nll(baselines.fit_vs(z, y).apply(z), y) <= 1e-6
+        # The ensemble NLL is nearly flat along the weights here: SLSQP stops
+        # 2e-6 away, at a higher loss.
+        model = baselines.fit_ets(z, y, loss="nll")
+        weights = slsqp_ensemble_weights(z, y, temperature, "nll")
+        reference = CalibratedModel(baselines.ETS_NLL, {"T": temperature, "weights": weights, "m": 5})
+        assert np.abs(model.payload["weights"] - weights).max() <= 1e-5
+        assert core.nll(model.apply(z), y) <= core.nll(reference.apply(z), y)
+        model = baselines.fit_ets(z, y, loss="mse")
+        assert np.abs(model.payload["weights"] - slsqp_ensemble_weights(z, y, temperature, "mse")).max() <= 1e-6

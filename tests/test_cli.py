@@ -177,29 +177,53 @@ class TestFit:
             assert json.load(open(out))["kind"] == method
 
 
+COUNT = "need a positive integer"
+REJECTED_ARGUMENTS = [
+    (("compare", "--methods", "mcct", "--runs", "0"), COUNT),
+    (("compare", "--methods", "mcct", "--runs", "-2"), COUNT),
+    (("compare", "--methods", "mcct", "--runs", "two"), COUNT),
+    (("compare", "--methods", "mcct", "--bins", "0"), COUNT),
+    (("compare", "--methods", "mcct", "--threads", "0"), COUNT),
+    (("compare", "--methods", "mcct", "--max-iterations", "0"), COUNT),
+    (("fit", "--method", "mcct", "--max-iterations", "-1"), COUNT),
+    (("fit", "--method", "mcct", "--topk", "0"), COUNT),
+    (("fit", "--method", "mcct", "--topk", "-1"), COUNT),
+    (("fit", "--method", "mcct", "--topk", "1"), COUNT),
+    (("eval", "--model", "model.json", "--bins", "0"), COUNT),
+    (("sweep-size", "--fractions", "1", "--methods", "mcct", "--threads", "0"), COUNT),
+    (("sweep-topk", "--kvalues", "2", "--bins", "0"), COUNT),
+    (("sweep-topk", "--kvalues", "1,4"), COUNT),
+    (("compare", "--methods", "platt"), "unknown methods ['platt']"),
+    (("compare", "--methods", " , "), "need at least one method"),
+    (("sweep-size", "--fractions", "1.5", "--methods", "mcct"), "fractions must lie in (0, 1]"),
+    (("sweep-size", "--fractions", "0", "--methods", "mcct"), "fractions must lie in (0, 1]"),
+    (("sweep-size", "--fractions", "0.5,half", "--methods", "mcct"), "fractions must lie in (0, 1]"),
+    (("sweep-size", "--fractions", "1", "--methods", "mcct,platt"), "unknown methods ['platt']"),
+    (("sweep-size", "--fractions", "1", "--methods", "mcct", "--seeds", "0,x"), "seeds must be integers"),
+]
+
+
 class TestCountArguments:
-    @pytest.mark.parametrize("argv", [
-        ("compare", "--methods", "mcct", "--runs", "0"),
-        ("compare", "--methods", "mcct", "--runs", "-2"),
-        ("compare", "--methods", "mcct", "--runs", "two"),
-        ("compare", "--methods", "mcct", "--bins", "0"),
-        ("compare", "--methods", "mcct", "--threads", "0"),
-        ("compare", "--methods", "mcct", "--max-iterations", "0"),
-        ("fit", "--method", "mcct", "--max-iterations", "-1"),
-        ("fit", "--method", "mcct", "--topk", "0"),
-        ("fit", "--method", "mcct", "--topk", "-1"),
-        ("fit", "--method", "mcct", "--topk", "1"),
-        ("eval", "--model", "model.json", "--bins", "0"),
-        ("sweep-size", "--fractions", "1", "--methods", "mcct", "--threads", "0"),
-        ("sweep-topk", "--kvalues", "2", "--bins", "0"),
-        ("sweep-topk", "--kvalues", "1,4"),
-    ])
-    def test_rejected_before_any_work(self, dataset, tmp_path, argv, capsys):
+    @pytest.mark.parametrize(
+        "argv, message", REJECTED_ARGUMENTS, ids=[f"argv{i}" for i in range(len(REJECTED_ARGUMENTS))]
+    )
+    def test_rejected_before_any_work(self, dataset, tmp_path, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
             run(*argv, "--data", dataset, "--out", tmp_path / "out")
         assert exc.value.code == 2
-        assert "need a positive integer" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    def test_list_is_checked_before_the_read(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(
+                "sweep-size", "--data", tmp_path / "nosuch.csv", "--fractions", "1.5",
+                "--methods", "ts", "--out", tmp_path / "out",
+            )
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "fractions must lie in (0, 1]" in err
+        assert "nosuch" not in err
 
 
 class TestEval:
@@ -386,7 +410,9 @@ class TestCompare:
 
     def test_unknown_method_rejected(self, dataset, tmp_path):
         out = str(tmp_path / "cmp.json")
-        assert run("compare", "--data", dataset, "--methods", "platt", "--out", out) == 2
+        with pytest.raises(SystemExit) as exc:
+            run("compare", "--data", dataset, "--methods", "platt", "--out", out)
+        assert exc.value.code == 2
 
 
 class TestSharedFits:
@@ -404,6 +430,48 @@ class TestSharedFits:
             sys.setswitchinterval(interval)
         assert len(solves) == 3
         assert [model.kind for model in models] == [method for _, method in calls]
+
+    def test_one_temperature_per_split(self, dataset, tmp_path, monkeypatch):
+        temperatures = []
+        fit_ts = baselines.fit_ts
+
+        def counted(*args):
+            temperatures.append(args)
+            return fit_ts(*args)
+
+        monkeypatch.setattr(baselines, "fit_ts", counted)
+        outs = []
+        for threads in (1, 2):
+            temperatures.clear()
+            out = str(tmp_path / f"cmp{threads}.json")
+            assert run(
+                "compare", "--data", dataset, "--methods", "ts,ets-nll,ets-mse",
+                "--runs", 2, "--threads", threads, "--out", out,
+            ) == 0
+            assert len(temperatures) == 2
+            outs.append(out)
+        tables = [out[: -len(".json")] + ".csv" for out in outs]
+        for one, two in (outs, tables):
+            assert open(one, "rb").read() == open(two, "rb").read()
+        # Each shared fit equals a separate fit of its kind.
+        doc = json.load(open(outs[0]))
+        (zc, yc), (zt, yt) = data_io.split_dataset(*data_io.read_dataset(dataset), 0.5, 1)
+        for method in ("ts", "ets-nll", "ets-mse"):
+            model = baselines.fit_baseline(method, zc, yc)
+            report = metrics.compute_report(model.apply(zt), yt, core.softmax_rows(zt))
+            cell = next(c for c in doc["per_seed"] if c["method"] == method and c["seed"] == 1)
+            assert cell["nll"] == report.scalars()["nll"]
+
+
+class TestImports:
+    def test_cli_does_not_import_scipy(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = "import sys, monocal.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True, timeout=60,
+        )
+        assert out.stdout.strip() == "[]"
 
 class TestSweepSize:
     def test_full_fraction_reproduces_compare(self, dataset, tmp_path):
@@ -462,10 +530,12 @@ class TestSweepSize:
         assert by_fraction[0.5] == "ok"
 
     def test_rejects_fraction_above_one(self, dataset, tmp_path):
-        assert run(
-            "sweep-size", "--data", dataset, "--fractions", "1.5",
-            "--methods", "ts", "--out", str(tmp_path / "s.csv"),
-        ) == 2
+        with pytest.raises(SystemExit) as exc:
+            run(
+                "sweep-size", "--data", dataset, "--fractions", "1.5",
+                "--methods", "ts", "--out", str(tmp_path / "s.csv"),
+            )
+        assert exc.value.code == 2
 
 
 class TestSweepTopk:
@@ -531,6 +601,25 @@ class TestDeterminism:
                 env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
                 subprocess.run(
                     [sys.executable, "-m", "monocal.cli", "fit", "--data", data, "--method", "mcct", "--out", out],
+                    env=env, check=True, timeout=120,
+                )
+                models.append(open(out, "rb").read())
+            assert models[0] == models[1]
+
+    def test_baseline_fits_are_identical_with_one_and_two_blas_threads(self, tmp_path):
+        wide = str(tmp_path / "wide.csv")
+        assert run(
+            "gen-synth", "--n", 1000, "--m", 100, "--alpha", 0.2,
+            "--overconfidence", 2.5, "--seed", 4, "--out", wide,
+        ) == 0
+        src = str(Path(optim.__file__).resolve().parents[1])
+        for method in ("ts", "vs", "ets-nll", "ets-mse"):
+            models = []
+            for threads in ("1", "2"):
+                out = str(tmp_path / f"{method}{threads}.json")
+                env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+                subprocess.run(
+                    [sys.executable, "-m", "monocal.cli", "fit", "--data", wide, "--method", method, "--out", out],
                     env=env, check=True, timeout=120,
                 )
                 models.append(open(out, "rb").read())
