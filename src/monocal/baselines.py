@@ -61,6 +61,9 @@ class CalibratedModel:
             raise ValueError(f"unknown model kind {kind!r}")
         self.kind = kind
         self.payload = payload
+        # (iterations, converged) of the Newton solves that fitted this model, if
+        # any (see _solved); the fit's manifest reports them, the model file does not.
+        self._solver = None
         self._validate()
 
     def _validate(self):
@@ -82,7 +85,8 @@ class CalibratedModel:
 
     def apply(self, z):
         """Calibrated probability matrix for a logit matrix."""
-        z = core.validate_logits(z)
+        # A monotone map's entries are checked by apply_map_topk; here only its shape.
+        z = core._logit_matrix(z) if self.kind in MONOTONE_MODES else core.validate_logits(z)
         if z.shape[1] != self.m:
             raise ValueError(f"model was fitted for m={self.m} classes, data has m={z.shape[1]}")
         p = self.payload
@@ -145,6 +149,13 @@ def from_monotone_params(params):
     return CalibratedModel(kind, {"params": params, "m": params.m})
 
 
+def _solved(model, *solves):
+    """``model`` with its fit's Newton solves, each ``(iterations, converged)``, summed and kept as ``_solver``."""
+    if solves:
+        model._solver = (sum(i for i, _ in solves), all(c for _, c in solves))
+    return model
+
+
 def fit_ts(z, y):
     """Fit temperature scaling: the scalar T > 0 minimizing mean NLL of softmax(z / T).
 
@@ -175,9 +186,9 @@ def fit_ts(z, y):
         centred = s - mean
         return loss, grad, np.array([[np.einsum("ij,ij,ij->", p, centred, centred) / n]])
 
-    x, _, loss, _, _ = optim._projected_newton(evaluate, np.ones(1), np.full(1, BETA_MIN), optim.MAX_ITERATIONS)
+    x, _, loss, *solve = optim._projected_newton(evaluate, np.ones(1), np.full(1, BETA_MIN), optim.MAX_ITERATIONS)
     beta = BETA_MAX if x[0] >= BETA_MAX or evaluate(np.full(1, BETA_MAX), 0) < loss else x[0]
-    return CalibratedModel(TS, {"T": 1.0 / beta, "m": m})
+    return _solved(CalibratedModel(TS, {"T": 1.0 / beta, "m": m}), solve)
 
 
 def fit_vs(z, y):
@@ -207,8 +218,9 @@ def fit_vs(z, y):
         return (loss, np.concatenate([grad_w, grad_b[1:]]), *hess)
 
     x0 = np.concatenate([np.ones(m), np.zeros(m - 1)])
-    scale, bias = params_of(optim._projected_newton(evaluate, x0, np.full(2 * m - 1, -np.inf), optim.MAX_ITERATIONS)[0])
-    return CalibratedModel(VS, {"scale": scale.copy(), "bias": bias, "m": m})
+    x, _, _, *solve = optim._projected_newton(evaluate, x0, np.full(2 * m - 1, -np.inf), optim.MAX_ITERATIONS)
+    scale, bias = params_of(x)
+    return _solved(CalibratedModel(VS, {"scale": scale.copy(), "bias": bias, "m": m}), solve)
 
 
 def ensemble_terms(z, y, temperature):
@@ -230,6 +242,8 @@ def ensemble_terms(z, y, temperature):
 def _ensemble_nll_weights(true):
     """Weights ``v >= 0`` minimizing ``-mean(log(true @ v)) + sum(v)``, by projected Newton.
 
+    Returns ``(v, (iterations, converged))``.
+
     Each component is a probability vector, so at the minimum over the
     simplex its constraint's multiplier is 1: this unconstrained-sum problem
     has the same minimizer, and its weights sum to 1 without the constraint.
@@ -248,7 +262,8 @@ def _ensemble_nll_weights(true):
             return loss, grad
         return loss, grad, np.einsum("ij,ik->jk", ratio, ratio) / n
 
-    return optim._projected_newton(evaluate, np.full(3, 1.0 / 3.0), np.zeros(3), optim.MAX_ITERATIONS)[0]
+    v, _, _, *solve = optim._projected_newton(evaluate, np.full(3, 1.0 / 3.0), np.zeros(3), optim.MAX_ITERATIONS)
+    return v, solve
 
 
 def _simplex_quadratic_min(gram, h):
@@ -293,18 +308,22 @@ def fit_ets(z, y, loss="nll", terms=None):
     z = core.validate_logits(z)
     n, m = z.shape
     y = core.validate_labels(y, m, n=n)
+    solves = []
     if terms is None:
-        terms = ensemble_terms(z, y, fit_ts(z, y).payload["T"])
+        ts = fit_ts(z, y)
+        solves.append(ts._solver)
+        terms = ensemble_terms(z, y, ts.payload["T"])
     temperature, true, gram = terms
     if loss == "nll":
-        v = _ensemble_nll_weights(true)
+        v, solve = _ensemble_nll_weights(true)
+        solves.append(solve)
     else:
         # mean |v @ q - e_y|^2 = v @ gram @ v - 2 * mean(true) @ v + 1
         v = _simplex_quadratic_min(gram, true.mean(axis=0))
     weights = np.clip(v, 0.0, None)
     weights = weights / weights.sum()
     kind = ETS_NLL if loss == "nll" else ETS_MSE
-    return CalibratedModel(kind, {"T": temperature, "weights": weights, "m": m})
+    return _solved(CalibratedModel(kind, {"T": temperature, "weights": weights, "m": m}), *solves)
 
 
 def fit_hb(p, y, num_bins=HB_DEFAULT_BINS):

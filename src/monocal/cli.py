@@ -49,8 +49,10 @@ def _fit_method(method, z, y, topk=None, max_iterations=optim.MAX_ITERATIONS, tr
     """Fit one method by name; returns (model, solver-diagnostics dict).
 
     For mcct/mcct-i the diagnostics are the ``optim.FitResult`` fields other
-    than the parameters.  ``max_iterations`` and ``trace`` (which receives
-    the per-iterate solver records) only affect mcct/mcct-i.
+    than the parameters; for a baseline, its calibration NLL and the
+    iterations and convergence of the Newton solves that fitted it (null and
+    true for hb, which runs none).  ``max_iterations`` and ``trace`` (which
+    receives the per-iterate solver records) only affect mcct/mcct-i.
     """
     if method in baselines.MONOTONE_MODES:
         mode = baselines.MONOTONE_MODES[method]
@@ -60,11 +62,8 @@ def _fit_method(method, z, y, topk=None, max_iterations=optim.MAX_ITERATIONS, tr
     if topk is not None:
         warnings.warn(f"--topk only affects mcct/mcct-i; ignored for {method}")
     model = baselines.fit_baseline(method, z, y)
-    return model, {
-        "final_loss": core.nll(model.apply(z), y),
-        "iterations": None,
-        "converged": True,
-    }
+    iterations, converged = model._solver or (None, True)
+    return model, {"final_loss": core.nll(model.apply(z), y), "iterations": iterations, "converged": converged}
 
 
 class _Stopwatch:
@@ -201,6 +200,11 @@ def _scalars(report):
     return [scalars[c] for c in SCALAR_COLUMNS]
 
 
+def _report(model, z, y, base, bins):
+    """The report's scalars for ``model`` on a test set against its uncalibrated statistics ``base``."""
+    return _scalars(metrics.compute_report(metrics._top_labels(model.apply, z, y), y, base, num_bins=bins))
+
+
 def _shared_fits(max_iterations):
     """``fit(key, method, z, y)``: a fitted model, sharing one solve per key among the methods that can.
 
@@ -314,10 +318,9 @@ def cmd_eval(args):
         print(f"model expects m={model.m} classes, data has m={z.shape[1]}", file=sys.stderr)
         return 2
     clock.lap("read")
-    p = model.apply(z)
+    top = metrics._top_labels(model.apply, z, y)
     clock.lap("apply")
-    # The applied model is done with z, so the raw softmax overwrites it.
-    report = metrics.compute_report(p, y, core._softmax(z, z), num_bins=args.bins)
+    report = metrics.compute_report(top, y, metrics._top_labels(core.softmax_rows, z), num_bins=args.bins)
     clock.lap("metrics")
     _dump_json(args.out, report.to_json())
     reliability_path = _json_base(args.out) + ".reliability.csv"
@@ -330,7 +333,8 @@ def cmd_eval(args):
             "inputs": {"data": args.data, "model": args.model},
             "bins": args.bins,
             "outputs": [args.out, reliability_path],
-            # "metrics" includes the softmax of the raw logits, which only the report reads.
+            # "apply" includes each block's top-label statistics, and "metrics"
+            # the softmax of the raw logits, which only the report reads.
             "wall_time_s": clock.stages,
         },
     )
@@ -343,15 +347,14 @@ def cmd_compare(args):
     clock = _Stopwatch()
 
     splits = {seed: data_io.split_dataset(z, y, args.split, seed) for seed in seeds}
-    base_probs = {seed: core.softmax_rows(splits[seed][1][0]) for seed in seeds}
+    bases = {seed: metrics._top_labels(core.softmax_rows, *splits[seed][1]) for seed in seeds}
     fit = _shared_fits(args.max_iterations)
     clock.lap("split")
 
     def run_cell(method, seed):
         (zc, yc), (zt, yt) = splits[seed]
-        p_base = base_probs[seed]
-        p = p_base if method == UNCALIBRATED else fit(seed, method, zc, yc).apply(zt)
-        return _scalars(metrics.compute_report(p, yt, p_base, num_bins=args.bins))
+        top = bases[seed] if method == UNCALIBRATED else metrics._top_labels(fit(seed, method, zc, yc).apply, zt, yt)
+        return _scalars(metrics.compute_report(top, yt, bases[seed], num_bins=args.bins))
 
     all_methods = [UNCALIBRATED] + args.methods
     header = ["method", "seed"] + list(SCALAR_COLUMNS) + ["status"]
@@ -404,7 +407,7 @@ def cmd_sweep_size(args):
     clock = _Stopwatch()
 
     (zc, yc), (zt, yt) = data_io.split_dataset(z, y, args.split, args.seed)
-    p_base = core.softmax_rows(zt)
+    base = metrics._top_labels(core.softmax_rows, zt, yt)
     n_cal = zc.shape[0]
     fit = _shared_fits(args.max_iterations)
     clock.lap("split")
@@ -418,8 +421,7 @@ def cmd_sweep_size(args):
         else:
             idx = np.random.default_rng(seed).permutation(n_cal)[:size]
             zs, ys = zc[idx], yc[idx]
-        model = fit((fraction, seed), method, zs, ys)
-        return [size] + _scalars(metrics.compute_report(model.apply(zt), yt, p_base, num_bins=args.bins))
+        return [size] + _report(fit((fraction, seed), method, zs, ys), zt, yt, base, args.bins)
 
     header = ["fraction", "seed", "method", "n_calib"] + list(SCALAR_COLUMNS) + ["status"]
     cells = [(f, s, m) for f in fractions for s in seeds for m in methods]
@@ -439,7 +441,7 @@ def cmd_sweep_topk(args):
     clock = _Stopwatch()
 
     (zc, yc), (zt, yt) = data_io.split_dataset(z, y, args.split, args.seed)
-    p_base = core.softmax_rows(zt)
+    base = metrics._top_labels(core.softmax_rows, zt, yt)
     clock.lap("split")
 
     fit_per_k = {}
@@ -449,8 +451,7 @@ def cmd_sweep_topk(args):
         result = optim.fit_mcct(zc, yc, k=k, max_iterations=args.max_iterations)
         fit_per_k[str(k)] = fit_clock.lap("fit")
         model = baselines.from_monotone_params(result.params)
-        report = metrics.compute_report(model.apply(zt), yt, p_base, num_bins=args.bins)
-        return _scalars(report) + [result.dropped_samples, result.iterations, result.converged]
+        return _report(model, zt, yt, base, args.bins) + [result.dropped_samples, result.iterations, result.converged]
 
     header = ["k"] + list(SCALAR_COLUMNS) + ["dropped_samples", "iterations", "converged", "status"]
     # Cells run serially: the per-k fit time goes into the manifest.
@@ -505,6 +506,17 @@ def _fraction_list(text):
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"fractions must lie in (0, 1], got {text!r}")
+
+
+def _split_fraction(text):
+    """An argparse type: a calibration fraction strictly between 0 and 1."""
+    try:
+        value = float(text)
+        if 0.0 < value < 1.0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"split must lie strictly between 0 and 1, got {text!r}")
 
 
 def _seed_list(text):
@@ -569,7 +581,7 @@ def _build_parser():
     p = sub.add_parser("compare", parents=[common, seeded, threaded, solver], help="fit and evaluate several methods over seeded splits")
     p.add_argument("--data", required=True)
     p.add_argument("--methods", type=_method_list, required=True, help="comma-separated method list")
-    p.add_argument("--split", type=float, default=0.5, help="calibration fraction of each split")
+    p.add_argument("--split", type=_split_fraction, default=0.5, help="calibration fraction of each split")
     p.add_argument("--runs", type=_positive_int, default=1, help="number of consecutive split seeds")
     p.add_argument("--bins", type=_positive_int, default=15)
     p.add_argument("--out", required=True, help="JSON output path (.csv written beside it)")
@@ -580,7 +592,7 @@ def _build_parser():
     p.add_argument("--fractions", type=_fraction_list, required=True, help="comma-separated fractions in (0, 1]")
     p.add_argument("--methods", type=_method_list, required=True)
     p.add_argument("--seeds", type=_seed_list, default=None, help="comma-separated subsample seeds (default: --seed)")
-    p.add_argument("--split", type=float, default=0.5)
+    p.add_argument("--split", type=_split_fraction, default=0.5)
     p.add_argument("--bins", type=_positive_int, default=15)
     p.add_argument("--out", required=True, help="CSV output path")
     p.set_defaults(func=cmd_sweep_size)
@@ -588,7 +600,7 @@ def _build_parser():
     p = sub.add_parser("sweep-topk", parents=[common, seeded, solver], help="retained-rank sweep with fit timing")
     p.add_argument("--data", required=True)
     p.add_argument("--kvalues", type=_kvalue_list, required=True, help="comma-separated k values, each at least 2")
-    p.add_argument("--split", type=float, default=0.5)
+    p.add_argument("--split", type=_split_fraction, default=0.5)
     p.add_argument("--bins", type=_positive_int, default=15)
     p.add_argument("--out", required=True, help="CSV output path")
     p.set_defaults(func=cmd_sweep_topk)

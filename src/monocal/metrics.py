@@ -14,9 +14,16 @@ correct.  Three estimators are provided:
   transform (Greengard & Strain 1991), exact to rounding; see
   :func:`ece_kde`.
 
-:func:`compute_report` validates each matrix and takes each row's
-confidence, prediction and correctness once, then passes them to the
-metric functions, so its values equal theirs bitwise.
+Every metric reads a probability matrix through four numbers per row: its
+prediction, its confidence and, given labels, its correctness and its
+true-class probability.  :func:`_top_labels` takes them from logits one row
+block of about 1 MB (``core.BLOCK_DOUBLES`` entries) at a time, calling a
+model's apply (or the softmax) on each block and validating its
+probabilities there, so no (n, m) probability matrix is ever held;
+:func:`_top_label` takes them from a whole matrix with the same per-row
+code.  :func:`compute_report` accepts either in place of a matrix and
+passes the one set to every metric function, so its values equal theirs
+bitwise.
 """
 
 import math
@@ -65,29 +72,66 @@ class BinStats:
 
 @dataclass(frozen=True)
 class _TopLabel:
-    """A validated probability matrix with each row's prediction and confidence.
+    """Each row's prediction and confidence from a validated probability matrix of ``shape``.
 
-    ``y`` and ``correct`` (prediction equals label, as floats) are set when
-    labels were given.  The metric functions accept one in place of ``p``,
-    which is how :func:`compute_report` validates each matrix once.
+    ``y``, ``correct`` (prediction equals label, as floats) and ``picked``
+    (the true-class probability) are set when labels were given.  The metric
+    functions accept one in place of ``p``, which is how :func:`compute_report`
+    reads each matrix once and how the commands report without holding one.
     """
 
-    p: np.ndarray
+    shape: tuple
     pred: np.ndarray
     conf: np.ndarray
     y: np.ndarray = None
     correct: np.ndarray = None
+    picked: np.ndarray = None
+
+
+def _row_stats(p, y=None):
+    """``(pred, conf, picked)`` of a validated probability matrix; ``picked`` is None without labels.
+
+    ``conf`` is the entry at the prediction, bitwise ``p.max(axis=1)``.
+    """
+    rows = np.arange(p.shape[0])
+    pred = core.argmax_rows(p)
+    return pred, p[rows, pred], None if y is None else p[rows, y]
+
+
+def _labelled(shape, y, pred, conf, picked):
+    if y is None:
+        return _TopLabel(shape, pred, conf)
+    return _TopLabel(shape, pred, conf, y, (pred == y).astype(float), picked)
 
 
 def _top_label(p, y=None):
     if isinstance(p, _TopLabel):
         return p
     p = core.validate_probs(p)
-    pred = core.argmax_rows(p)
-    if y is None:
-        return _TopLabel(p, pred, p.max(axis=1))
-    y = core.validate_labels(y, p.shape[1], n=p.shape[0])
-    return _TopLabel(p, pred, p.max(axis=1), y, (pred == y).astype(float))
+    if y is not None:
+        y = core.validate_labels(y, p.shape[1], n=p.shape[0])
+    return _labelled(p.shape, y, *_row_stats(p, y))
+
+
+def _top_labels(probs_of, z, y=None):
+    """:func:`_top_label` of ``probs_of(z)``, computed one row block of the logits ``z`` at a time.
+
+    ``probs_of`` maps a logit block to its probability rows: a model's
+    ``apply`` or ``core.softmax_rows``.  Each block's probabilities are
+    validated, reduced by :func:`_row_stats` and dropped, so at most one
+    block of them exists at a time, and the result equals the whole
+    matrix's bitwise.
+    """
+    z = core._logit_matrix(z)
+    n, m = z.shape
+    if y is not None:
+        y = core.validate_labels(y, m, n=n)
+    blocks = [
+        _row_stats(core.validate_probs(probs_of(z[rows])), None if y is None else y[rows])
+        for rows in core._row_blocks(n, m)
+    ]
+    pred, conf, picked = (None if parts[0] is None else np.concatenate(parts) for parts in zip(*blocks))
+    return _labelled((n, m), y, pred, conf, picked)
 
 
 def _bin_index(conf, num_bins):
@@ -288,8 +332,8 @@ def ranking_diagnostics(p_before, p_after):
     """Fraction of rows whose argmax changed, overall and on low-confidence rows."""
     before = _top_label(p_before)
     after = _top_label(p_after)
-    if before.p.shape != after.p.shape:
-        raise ValueError(f"shape mismatch: {before.p.shape} vs {after.p.shape}")
+    if before.shape != after.shape:
+        raise ValueError(f"shape mismatch: {before.shape} vs {after.shape}")
     changed = after.pred != before.pred
     uncertain = before.conf < UNCERTAIN_CONFIDENCE
     n_uncertain = int(uncertain.sum())
@@ -347,9 +391,12 @@ def compute_report(p, y, p_base, num_bins=15):
     """Full metric report for calibrated probabilities ``p``.
 
     ``p_base`` holds the pre-calibration probabilities used for the
-    ranking-preservation diagnostics.  Each matrix is validated once and
-    each row's confidence, prediction and correctness are taken once, then
-    passed to the metric functions, so every value equals theirs bitwise.
+    ranking-preservation diagnostics.  Either may be given as a matrix or as
+    its per-row top-label statistics (from :func:`_top_labels`, which is how
+    the commands report without building a probability matrix).  Each
+    matrix is validated once and each row's prediction, confidence,
+    correctness and true-class probability are taken once, then passed to
+    the metric functions, so every value equals theirs bitwise.
     """
     top = _top_label(p, y)
     ece_value, bins = ece(top, y, num_bins)
@@ -364,13 +411,14 @@ def compute_report(p, y, p_base, num_bins=15):
     else:
         warnings.warn(f"{n} samples is too few for the kernel estimate; reporting NaN")
         kde = float("nan")
-    ranking = ranking_diagnostics(_top_label(p_base), top)
+    ranking = ranking_diagnostics(p_base, top)
     return MetricReport(
         ece=ece_value,
         eq_mass_ece=eq_mass,
         ece_kde=kde,
         accuracy=accuracy(top, y),
-        nll=core._nll(top.p, top.y),
+        # Bitwise core._nll of the matrix, from its true-class probabilities.
+        nll=float(-np.log(np.maximum(top.picked, core.LOG_FLOOR)).mean()),
         prediction_change_rate=ranking.prediction_change_rate,
         uncertain_alteration_rate=ranking.uncertain_alteration_rate,
         bins=bins,

@@ -239,6 +239,31 @@ class TestModelSerialization:
         with pytest.raises(ValueError, match="m=4"):
             model.apply(np.zeros((2, 6)))
 
+    @pytest.mark.parametrize("kind", ["mcct", "mcct-i", "ts"])
+    def test_apply_validates_its_logits_once(self, kind, monkeypatch):
+        # A monotone model's apply leaves the check of its logits to apply_map_topk.
+        if kind == baselines.TS:
+            model = CalibratedModel(baselines.TS, {"T": 2.0, "m": 6})
+        else:
+            mode = baselines.MONOTONE_MODES[kind]
+            model = baselines.from_monotone_params(transform.MonotoneParams(np.ones(3), np.arange(3.0), mode, 6))
+        calls = []
+        validate_logits = core.validate_logits
+        monkeypatch.setattr(core, "validate_logits", lambda z: calls.append(1) or validate_logits(z))
+        model.apply(np.random.default_rng(0).normal(0, 2, (50, 6)))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("kind", ["mcct", "mcct-i"])
+    def test_monotone_apply_still_checks_its_logits(self, kind):
+        mode = baselines.MONOTONE_MODES[kind]
+        model = baselines.from_monotone_params(transform.MonotoneParams(np.ones(3), np.arange(3.0), mode, 6))
+        with pytest.raises(ValueError, match="model was fitted for m=6 classes, data has m=5"):
+            model.apply(np.zeros((2, 5)))
+        z = np.zeros((2, 6))
+        z[1, 4] = np.nan
+        with pytest.raises(ValueError, match="logit matrix contains NaN or infinite entries"):
+            model.apply(z)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown model kind"):
             CalibratedModel("platt", {"m": 2})

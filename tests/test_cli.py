@@ -170,6 +170,31 @@ class TestFit:
             run(*argv, "--data", dataset, "--out", tmp_path / "out", "--w-floor", 1e-8)
         assert "unrecognized arguments: --w-floor" in capsys.readouterr().err
 
+    def test_baseline_manifest_reports_its_solves(self, dataset, tmp_path):
+        for method in ("ts", "vs", "hb", "ets-nll", "ets-mse"):
+            out = str(tmp_path / f"{method}.json")
+            assert run("fit", "--data", dataset, "--method", method, "--out", out) == 0
+            info = json.load(open(out + ".manifest.json"))["fit"]
+            if method == "hb":
+                assert info["iterations"] is None and info["converged"] is True
+            else:
+                assert isinstance(info["iterations"], int) and info["iterations"] >= 1, method
+                assert info["converged"] is True, method
+            # The model file holds the parameters only.
+            assert "iterations" not in json.load(open(out)) and "converged" not in json.load(open(out))
+
+    def test_single_label_vs_manifest_agrees_with_exit_code(self, tmp_path):
+        # One label everywhere: vector scaling has no minimizer and stops at the solver's tolerance.
+        data_path = str(tmp_path / "single.csv")
+        rng = np.random.default_rng(0)
+        data_io.write_dataset(data_path, rng.normal(0, 1, (300, 4)), np.zeros(300, dtype=np.int64))
+        out = str(tmp_path / "vs.json")
+        code = run("fit", "--data", data_path, "--method", "vs", "--out", out)
+        info = json.load(open(out + ".manifest.json"))["fit"]
+        assert isinstance(info["iterations"], int) and info["iterations"] > 1
+        assert code == (0 if info["converged"] else 3)
+        assert info["final_loss"] < 1e-6
+
     def test_every_method_fits(self, dataset, tmp_path):
         for method in cli.METHODS:
             out = str(tmp_path / f"{method}.json")
@@ -178,6 +203,7 @@ class TestFit:
 
 
 COUNT = "need a positive integer"
+SPLIT = "split must lie strictly between 0 and 1"
 REJECTED_ARGUMENTS = [
     (("compare", "--methods", "mcct", "--runs", "0"), COUNT),
     (("compare", "--methods", "mcct", "--runs", "-2"), COUNT),
@@ -200,6 +226,11 @@ REJECTED_ARGUMENTS = [
     (("sweep-size", "--fractions", "0.5,half", "--methods", "mcct"), "fractions must lie in (0, 1]"),
     (("sweep-size", "--fractions", "1", "--methods", "mcct,platt"), "unknown methods ['platt']"),
     (("sweep-size", "--fractions", "1", "--methods", "mcct", "--seeds", "0,x"), "seeds must be integers"),
+    (("compare", "--methods", "mcct", "--split", "1.5"), SPLIT),
+    (("compare", "--methods", "mcct", "--split", "0"), SPLIT),
+    (("sweep-size", "--fractions", "1", "--methods", "mcct", "--split", "1"), SPLIT),
+    (("sweep-topk", "--kvalues", "2", "--split", "half"), SPLIT),
+    (("sweep-topk", "--kvalues", "2", "--split", "nan"), SPLIT),
 ]
 
 
@@ -223,6 +254,14 @@ class TestCountArguments:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "fractions must lie in (0, 1]" in err
+        assert "nosuch" not in err
+
+    def test_split_is_checked_before_the_read(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("compare", "--data", tmp_path / "nosuch.csv", "--methods", "ts", "--split", "1.5", "--out", tmp_path / "out")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{SPLIT}, got '1.5'" in err
         assert "nosuch" not in err
 
 
@@ -282,9 +321,10 @@ class TestEval:
             assert "time" not in fh.read()
 
     def test_validation_count(self, dataset, tmp_path, monkeypatch):
-        # Logits are validated where they enter (read, apply, map); each
-        # probability matrix once, by the report.  A k = m map adds the
-        # full-row sort's own check.
+        # Logits are validated where they enter: the read, then each block
+        # handed to the map (a k = m map adds the full-row sort's own check).
+        # Each block of each probability matrix is validated once, by the
+        # report's row statistics.  1000-row blocks make 3 of the 3000 rows.
         model_path = str(tmp_path / "mcct.json")
         assert run("fit", "--data", dataset, "--method", "mcct", "--topk", 3, "--out", model_path) == 0
         calls = {"logits": 0, "probs": 0}
@@ -300,9 +340,26 @@ class TestEval:
 
         monkeypatch.setattr(core, "validate_logits", count_logits)
         monkeypatch.setattr(core, "validate_probs", count_probs)
+        monkeypatch.setattr(core, "BLOCK_DOUBLES", 1000 * 8)
         assert run("eval", "--data", dataset, "--model", model_path, "--out", tmp_path / "report.json") == 0
-        assert calls["probs"] == 2
-        assert calls["logits"] <= 3
+        assert calls["probs"] == 2 * 3
+        assert calls["logits"] == 1 + 3
+
+    @pytest.mark.parametrize("method", ["mcct", "ets-nll"])
+    def test_apply_sees_one_block_at_a_time(self, dataset, tmp_path, monkeypatch, method):
+        model_path = str(tmp_path / "model.json")
+        assert run("fit", "--data", dataset, "--method", method, "--out", model_path) == 0
+        rows = []
+        apply = baselines.CalibratedModel.apply
+        monkeypatch.setattr(baselines.CalibratedModel, "apply", lambda self, z: rows.append(len(z)) or apply(self, z))
+        monkeypatch.setattr(core, "BLOCK_DOUBLES", 700 * 8)
+        out = str(tmp_path / "report.json")
+        assert run("eval", "--data", dataset, "--model", model_path, "--out", out) == 0
+        assert rows == [700] * 4 + [200]
+        monkeypatch.undo()
+        whole = str(tmp_path / "whole.json")
+        assert run("eval", "--data", dataset, "--model", model_path, "--out", whole) == 0
+        assert open(out, "rb").read() == open(whole, "rb").read()
 
     @pytest.mark.parametrize("doc", [
         {"kind": "mcct", "mode": "direct", "m": 8, "k": 8, "w": [1e308] * 8, "b": [0.0] * 8},
@@ -407,6 +464,20 @@ class TestCompare:
         assert statuses["ts"] == "ok"
         manifest = json.load(open(out + ".manifest.json"))
         assert len(manifest["failures"]) == 1
+
+    def test_base_statistics_once_per_split(self, dataset, tmp_path, monkeypatch):
+        bases, calibrated = [], []
+        top_labels = metrics._top_labels
+
+        def counted(probs_of, z, y=None):
+            (bases if probs_of is core.softmax_rows else calibrated).append(len(z))
+            return top_labels(probs_of, z, y)
+
+        monkeypatch.setattr(metrics, "_top_labels", counted)
+        out = str(tmp_path / "cmp.json")
+        assert run("compare", "--data", dataset, "--methods", ",".join(cli.METHODS), "--runs", 4, "--out", out) == 0
+        assert bases == [1500] * 4
+        assert calibrated == [1500] * 4 * len(cli.METHODS)
 
     def test_unknown_method_rejected(self, dataset, tmp_path):
         out = str(tmp_path / "cmp.json")

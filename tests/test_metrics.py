@@ -377,3 +377,46 @@ class TestReport:
             assert len(cells) == 6
             float(cells[1]), float(cells[2]), float(cells[4]), float(cells[5])
         assert lines[5].startswith("4,0.8,1.0,1,")
+
+
+def report_bytes(report):
+    """Every value of a report as bytes, so equality is bitwise."""
+    scalars = [np.float64(getattr(report, name)).tobytes() for name in report.scalars()]
+    return scalars, report.bins.to_csv()
+
+
+class TestStreamedReport:
+    @pytest.fixture(scope="class")
+    def models(self):
+        """A model of every kind, plus a top-k map, and test logits with ties straddling its cut."""
+        cfg = data_io.SynthConfig(n=1400, m=7, alpha=0.4, overconfidence=2.5, seed=31)
+        z, y, _ = data_io.generate_synthetic(cfg)
+        # Half-unit logits tie often, also across the top-k map's cut.
+        z = np.round(2.0 * z) / 2.0
+        zc, yc, zt, yt = z[:1000], y[:1000], z[1000:], y[1000:]
+        fits = {kind: baselines.fit_baseline(kind, zc, yc) for kind in ("ts", "vs", "hb", "ets-nll", "ets-mse")}
+        for kind, mode in baselines.MONOTONE_MODES.items():
+            fits[kind] = baselines.from_monotone_params(optim.fit_mcct(zc, yc, mode=mode).params)
+        fits["mcct-top3"] = baselines.from_monotone_params(optim.fit_mcct(zc, yc, k=3).params)
+        top = np.sort(zt, axis=1)[:, -3:]
+        straddling = (top[:, 1] == top[:, 0]) & ((zt >= top[:, :1]).sum(axis=1) > 3)
+        assert straddling.sum() >= 3
+        return fits, zt, yt
+
+    # Blocks of 1 entry (less than a row), of 3 rows and of 57 rows: the last
+    # two leave a short block at the end of the 400 rows.
+    @pytest.mark.parametrize("block_doubles", [1, 3 * 7, 57 * 7])
+    def test_equals_the_matrix_report_bitwise(self, models, monkeypatch, block_doubles):
+        fits, zt, yt = models
+        expected = {
+            kind: report_bytes(metrics.compute_report(model.apply(zt), yt, core.softmax_rows(zt)))
+            for kind, model in fits.items()
+        }
+        p_base = core.softmax_rows(zt)
+        expected["uncalibrated"] = report_bytes(metrics.compute_report(p_base, yt, p_base))
+        monkeypatch.setattr(core, "BLOCK_DOUBLES", block_doubles)
+        base = metrics._top_labels(core.softmax_rows, zt, yt)
+        assert report_bytes(metrics.compute_report(base, yt, base)) == expected["uncalibrated"]
+        for kind, model in fits.items():
+            streamed = metrics.compute_report(metrics._top_labels(model.apply, zt, yt), yt, base)
+            assert report_bytes(streamed) == expected[kind], kind
