@@ -41,6 +41,15 @@ KINDS = (TS, VS, HB, ETS_NLL, ETS_MSE, MCCT, MCCT_I)
 MONOTONE_MODES = {MCCT: DIRECT, MCCT_I: INVERSE}
 # The ensemble kinds and the loss each one fits its weights against.
 ENSEMBLE_LOSSES = {ETS_NLL: "nll", ETS_MSE: "mse"}
+# The fields of each kind's JSON document besides ``kind`` and ``m``.
+_JSON_FIELDS = {
+    TS: ("T",),
+    VS: ("scale", "bias"),
+    HB: ("edges", "bin_confidence"),
+    ETS_NLL: ("T", "weights"),
+    ETS_MSE: ("T", "weights"),
+    **dict.fromkeys(MONOTONE_MODES, ("mode", "k", "w", "b")),
+}
 # Temperature scaling fits beta = 1 / T within these bounds: T in [1e-3, 1e3].
 BETA_MIN, BETA_MAX = 1e-3, 1e3
 
@@ -68,7 +77,7 @@ class CalibratedModel:
 
     def _validate(self):
         p = self.payload
-        if self.kind == TS and not p["T"] > 0:
+        if self.kind in (TS, ETS_NLL, ETS_MSE) and not p["T"] > 0:
             raise ValueError("temperature must be > 0")
         if self.kind in (ETS_NLL, ETS_MSE):
             w = np.asarray(p["weights"], dtype=np.float64)
@@ -123,6 +132,9 @@ class CalibratedModel:
 
     @classmethod
     def from_json(cls, doc):
+        missing = [name for name in ("kind", "m", *_JSON_FIELDS.get(doc.get("kind"), ())) if name not in doc]
+        if missing:
+            raise ValueError(f"model document has no {missing[0]!r} field")
         doc = dict(doc)
         kind = doc.pop("kind")
         if kind in MONOTONE_MODES:

@@ -23,26 +23,9 @@ from . import baselines, core, data_io, metrics, optim
 METHODS = ("mcct", "mcct-i", "ts", "vs", "hb", "ets-nll", "ets-mse")
 UNCALIBRATED = "uncalibrated"
 
-SCALAR_COLUMNS = (
-    "ece",
-    "eq_mass_ece",
-    "ece_kde",
-    "accuracy",
-    "nll",
-    "prediction_change_rate",
-    "uncertain_alteration_rate",
-)
+SCALAR_COLUMNS = tuple(f.name for f in dataclasses.fields(metrics.MetricReport) if f.name != "bins")
 # Higher is better only for accuracy; every other column ranks ascending.
 RANK_DESCENDING = {"accuracy"}
-
-
-def _resolve_format(path, fmt):
-    if fmt is not None:
-        return fmt
-    try:
-        return data_io.infer_format(path)
-    except ValueError:
-        return data_io.CSV
 
 
 def _fit_method(method, z, y, topk=None, max_iterations=optim.MAX_ITERATIONS, trace=None):
@@ -89,10 +72,11 @@ def _dump_json(path, doc):
         fh.write("\n")
 
 
-def _write_manifest(primary_out, doc):
-    path = str(primary_out) + ".manifest.json"
-    _dump_json(path, doc)
-    return path
+def _write_manifest(args, outputs, wall_time_s, **fields):
+    """Write ``<args.out>.manifest.json``: the command, its inputs, its own ``fields``, outputs and wall times."""
+    inputs = {name: getattr(args, name) for name in ("data", "model") if hasattr(args, name)}
+    doc = {"command": args.command, "inputs": inputs, **fields, "outputs": outputs, "wall_time_s": wall_time_s}
+    _dump_json(f"{args.out}.manifest.json", doc)
 
 
 def _format_cell(value):
@@ -179,30 +163,17 @@ def _write_grid(args, csv_path, json_path, header, rows, doc, failures, clock, f
     _write_csv(csv_path, header, rows)
     _dump_json(json_path, doc)
     clock.lap("write")
+    outputs = [args.out, json_path if csv_path == args.out else csv_path]
+    wall_time_s = {**clock.with_total(), **(times or {})}
     _write_manifest(
-        args.out,
-        {
-            "command": args.command,
-            "inputs": {"data": args.data},
-            **fields,
-            "max_iterations": args.max_iterations,
-            "seed": args.seed,
-            "outputs": [args.out, json_path if csv_path == args.out else csv_path],
-            "failures": failures,
-            "wall_time_s": {**clock.with_total(), **(times or {})},
-        },
+        args, outputs, wall_time_s, **fields, max_iterations=args.max_iterations, seed=args.seed, failures=failures
     )
     return 1 if failures else 0
 
 
-def _scalars(report):
-    scalars = report.scalars()
-    return [scalars[c] for c in SCALAR_COLUMNS]
-
-
-def _report(model, z, y, base, bins):
-    """The report's scalars for ``model`` on a test set against its uncalibrated statistics ``base``."""
-    return _scalars(metrics.compute_report(metrics._top_labels(model.apply, z, y), y, base, num_bins=bins))
+def _report(top, y, base, bins):
+    """The report's scalars for a test set's top-label statistics ``top`` against its uncalibrated ``base``."""
+    return list(metrics.compute_report(top, y, base, num_bins=bins).scalars().values())
 
 
 def _shared_fits(max_iterations):
@@ -240,15 +211,8 @@ def _shared_fits(max_iterations):
 
 
 def cmd_gen_synth(args):
-    cfg = data_io.SynthConfig(
-        n=args.n,
-        m=args.m,
-        alpha=args.alpha,
-        overconfidence=args.overconfidence,
-        noise_sd=args.noise_sd,
-        seed=args.seed,
-    )
-    fmt = _resolve_format(args.out, args.format)
+    cfg = data_io.SynthConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(data_io.SynthConfig)})
+    fmt = args.format or data_io.infer_format(args.out)
     clock = _Stopwatch()
     z, y, true_probs = data_io.generate_synthetic(cfg)
     data_io.write_dataset(args.out, z, y, fmt=fmt)
@@ -258,29 +222,14 @@ def cmd_gen_synth(args):
     outputs = [args.out, true_path]
     if fmt == data_io.RAW_BINARY:
         outputs += [args.out + data_io.SIDECAR_SUFFIX, true_path + data_io.SIDECAR_SUFFIX]
-    _write_manifest(
-        args.out,
-        {
-            "command": "gen-synth",
-            "inputs": {},
-            "config": {
-                "n": cfg.n,
-                "m": cfg.m,
-                "alpha": cfg.alpha,
-                "overconfidence": cfg.overconfidence,
-                "noise_sd": cfg.noise_sd,
-            },
-            "seed": args.seed,
-            "outputs": outputs,
-            "wall_time_s": clock.stages,
-        },
-    )
+    config = {key: value for key, value in dataclasses.asdict(cfg).items() if key != "seed"}
+    _write_manifest(args, outputs, clock.stages, config=config, seed=args.seed)
     return 0
 
 
 def cmd_fit(args):
     clock = _Stopwatch()
-    z, y = data_io.read_dataset(args.data, _resolve_format(args.data, args.format))
+    z, y = data_io.read_dataset(args.data, args.format)
     clock.lap("read")
     if args.trace and args.method not in baselines.MONOTONE_MODES:
         warnings.warn(f"--trace only affects mcct/mcct-i; ignored for {args.method}")
@@ -290,20 +239,8 @@ def cmd_fit(args):
     clock.lap("fit")
     model.save(args.out)
     clock.lap("write")
-    _write_manifest(
-        args.out,
-        {
-            "command": "fit",
-            "inputs": {"data": args.data},
-            "method": args.method,
-            "topk": args.topk,
-            "max_iterations": args.max_iterations,
-            "outputs": [args.out],
-            "trace": args.trace,
-            "fit": info,
-            "wall_time_s": clock.stages,
-        },
-    )
+    fields = {"method": args.method, "topk": args.topk, "max_iterations": args.max_iterations, "trace": args.trace}
+    _write_manifest(args, [args.out], clock.stages, **fields, fit=info)
     if not info["converged"]:
         print(f"fit did not converge; best iterate written to {args.out}", file=sys.stderr)
         return 3
@@ -312,11 +249,8 @@ def cmd_fit(args):
 
 def cmd_eval(args):
     clock = _Stopwatch()
-    z, y = data_io.read_dataset(args.data, _resolve_format(args.data, args.format))
+    z, y = data_io.read_dataset(args.data, args.format)
     model = baselines.CalibratedModel.load(args.model)
-    if model.m != z.shape[1]:
-        print(f"model expects m={model.m} classes, data has m={z.shape[1]}", file=sys.stderr)
-        return 2
     clock.lap("read")
     top = metrics._top_labels(model.apply, z, y)
     clock.lap("apply")
@@ -326,23 +260,14 @@ def cmd_eval(args):
     reliability_path = _json_base(args.out) + ".reliability.csv"
     with open(reliability_path, "w") as fh:
         fh.write(report.bins.to_csv())
-    _write_manifest(
-        args.out,
-        {
-            "command": "eval",
-            "inputs": {"data": args.data, "model": args.model},
-            "bins": args.bins,
-            "outputs": [args.out, reliability_path],
-            # "apply" includes each block's top-label statistics, and "metrics"
-            # the softmax of the raw logits, which only the report reads.
-            "wall_time_s": clock.stages,
-        },
-    )
+    # "apply" includes each block's top-label statistics, and "metrics" the
+    # softmax of the raw logits, which only the report reads.
+    _write_manifest(args, [args.out, reliability_path], clock.stages, bins=args.bins)
     return 0
 
 
 def cmd_compare(args):
-    z, y = data_io.read_dataset(args.data, _resolve_format(args.data, args.format))
+    z, y = data_io.read_dataset(args.data, args.format)
     seeds = [args.seed + i for i in range(args.runs)]
     clock = _Stopwatch()
 
@@ -354,7 +279,7 @@ def cmd_compare(args):
     def run_cell(method, seed):
         (zc, yc), (zt, yt) = splits[seed]
         top = bases[seed] if method == UNCALIBRATED else metrics._top_labels(fit(seed, method, zc, yc).apply, zt, yt)
-        return _scalars(metrics.compute_report(top, yt, bases[seed], num_bins=args.bins))
+        return _report(top, yt, bases[seed], args.bins)
 
     all_methods = [UNCALIBRATED] + args.methods
     header = ["method", "seed"] + list(SCALAR_COLUMNS) + ["status"]
@@ -401,7 +326,7 @@ def cmd_compare(args):
 
 
 def cmd_sweep_size(args):
-    z, y = data_io.read_dataset(args.data, _resolve_format(args.data, args.format))
+    z, y = data_io.read_dataset(args.data, args.format)
     methods, fractions = args.methods, args.fractions
     seeds = args.seeds or [args.seed]
     clock = _Stopwatch()
@@ -421,7 +346,8 @@ def cmd_sweep_size(args):
         else:
             idx = np.random.default_rng(seed).permutation(n_cal)[:size]
             zs, ys = zc[idx], yc[idx]
-        return [size] + _report(fit((fraction, seed), method, zs, ys), zt, yt, base, args.bins)
+        top = metrics._top_labels(fit((fraction, seed), method, zs, ys).apply, zt, yt)
+        return [size] + _report(top, yt, base, args.bins)
 
     header = ["fraction", "seed", "method", "n_calib"] + list(SCALAR_COLUMNS) + ["status"]
     cells = [(f, s, m) for f in fractions for s in seeds for m in methods]
@@ -437,7 +363,7 @@ def cmd_sweep_size(args):
 
 
 def cmd_sweep_topk(args):
-    z, y = data_io.read_dataset(args.data, _resolve_format(args.data, args.format))
+    z, y = data_io.read_dataset(args.data, args.format)
     clock = _Stopwatch()
 
     (zc, yc), (zt, yt) = data_io.split_dataset(z, y, args.split, args.seed)
@@ -448,10 +374,10 @@ def cmd_sweep_topk(args):
 
     def run_cell(k):
         fit_clock = _Stopwatch()
-        result = optim.fit_mcct(zc, yc, k=k, max_iterations=args.max_iterations)
+        model, info = _fit_method(baselines.MCCT, zc, yc, topk=k, max_iterations=args.max_iterations)
         fit_per_k[str(k)] = fit_clock.lap("fit")
-        model = baselines.from_monotone_params(result.params)
-        return _report(model, zt, yt, base, args.bins) + [result.dropped_samples, result.iterations, result.converged]
+        top = metrics._top_labels(model.apply, zt, yt)
+        return _report(top, yt, base, args.bins) + [info["dropped_samples"], info["iterations"], info["converged"]]
 
     header = ["k"] + list(SCALAR_COLUMNS) + ["dropped_samples", "iterations", "converged", "status"]
     # Cells run serially: the per-k fit time goes into the manifest.
@@ -462,69 +388,34 @@ def cmd_sweep_topk(args):
     return _write_grid(args, args.out, args.out + ".json", header, rows, doc, failures, clock, fields, times)
 
 
-def _count_at_least(minimum):
-    """An argparse type: an integer of at least ``minimum`` (a positive bound)."""
+def _checked(parse, ok, message):
+    """An argparse type: ``parse(text)`` if it parses and ``ok`` holds of it, else ``message.format(text)``."""
 
-    def parse(text):
+    def check(text):
         try:
-            value = int(text)
+            value = parse(text)
+            if ok(value):
+                return value
         except ValueError:
-            value = 0
-        if value < minimum:
-            bound = "" if minimum == 1 else f" of at least {minimum}"
-            raise argparse.ArgumentTypeError(f"need a positive integer{bound}, got {text!r}")
-        return value
+            pass
+        raise argparse.ArgumentTypeError(message.format(text))
 
-    return parse
+    return check
 
 
-_positive_int = _count_at_least(1)
+def _comma_list(check, noun):
+    """An argparse type: the non-blank items of a comma-separated list, each through ``check``; at least one."""
+    return _checked(lambda text: [check(s.strip()) for s in text.split(",") if s.strip()], bool, f"need at least one {noun}, got {{!r}}")
 
 
-def _kvalue_list(text):
-    """An argparse type: comma-separated retained-rank counts, each at least 2."""
-    return [_count_at_least(2)(k) for k in text.split(",")]
-
-
-def _method_list(text):
-    """An argparse type: a non-empty comma-separated list of method names."""
-    methods = [m.strip() for m in text.split(",") if m.strip()]
-    if not methods:
-        raise argparse.ArgumentTypeError("need at least one method")
-    unknown = [m for m in methods if m not in METHODS]
-    if unknown:
-        raise argparse.ArgumentTypeError(f"unknown methods {unknown}; choose from {METHODS}")
-    return methods
-
-
-def _fraction_list(text):
-    """An argparse type: comma-separated calibration fractions, each in (0, 1]."""
-    try:
-        fractions = [float(f) for f in text.split(",")]
-        if all(0.0 < f <= 1.0 for f in fractions):
-            return fractions
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"fractions must lie in (0, 1], got {text!r}")
-
-
-def _split_fraction(text):
-    """An argparse type: a calibration fraction strictly between 0 and 1."""
-    try:
-        value = float(text)
-        if 0.0 < value < 1.0:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"split must lie strictly between 0 and 1, got {text!r}")
-
-
-def _seed_list(text):
-    """An argparse type: comma-separated integer seeds."""
-    try:
-        return [int(s) for s in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"seeds must be integers, got {text!r}") from None
+_positive_int = _checked(int, lambda v: v >= 1, "need a positive integer, got {!r}")
+_rank_count = _checked(int, lambda v: v >= 2, "need a positive integer of at least 2, got {!r}")
+_seed = _checked(int, lambda v: v >= 0, "seeds must be integers of at least 0, got {!r}")
+_split_fraction = _checked(float, lambda v: 0.0 < v < 1.0, "split must lie strictly between 0 and 1, got {!r}")
+_method_list = _comma_list(_checked(str, METHODS.__contains__, f"unknown methods [{{!r}}]; choose from {METHODS}"), "method")
+_fraction_list = _comma_list(_checked(float, lambda v: 0.0 < v <= 1.0, "fractions must lie in (0, 1], got {!r}"), "fraction")
+_seed_list = _comma_list(_seed, "seed")
+_kvalue_list = _comma_list(_rank_count, "k value")
 
 
 def _build_parser():
@@ -535,7 +426,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=0, help="base random seed (default 0)")
+    seeded.add_argument("--seed", type=_seed, default=0, help="base random seed (default 0)")
     threaded = argparse.ArgumentParser(add_help=False)
     threaded.add_argument("--threads", type=_positive_int, default=1, help="parallel workers for independent cells")
     common = argparse.ArgumentParser(add_help=False)
@@ -566,7 +457,7 @@ def _build_parser():
     p = sub.add_parser("fit", parents=[common, solver], help="fit a calibrator on a dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--method", required=True, choices=METHODS)
-    p.add_argument("--topk", type=_count_at_least(2), default=None, help="retained ranks for mcct/mcct-i (at least 2)")
+    p.add_argument("--topk", type=_rank_count, default=None, help="retained ranks for mcct/mcct-i (at least 2)")
     p.add_argument("--trace", default=None, help="JSON-lines file with one mcct/mcct-i solver record per iterate")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit)

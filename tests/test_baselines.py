@@ -268,6 +268,14 @@ class TestModelSerialization:
         with pytest.raises(ValueError, match="unknown model kind"):
             CalibratedModel("platt", {"m": 2})
 
+    @pytest.mark.parametrize("kind", ["ets-nll", "ets-mse"])
+    @pytest.mark.parametrize("temperature", [-1.0, 0.0, float("nan")])
+    def test_ensemble_temperature_must_be_positive(self, kind, temperature):
+        doc = {"kind": kind, "T": temperature, "weights": [0.5, 0.25, 0.25], "m": 4}
+        with pytest.raises(ValueError, match="temperature must be > 0"):
+            CalibratedModel.from_json(doc)
+        CalibratedModel.from_json({**doc, "T": 2.0})
+
 
 def seeded_problem(name):
     """Three calibration sets: overconfident, random labels, underconfident."""

@@ -72,6 +72,18 @@ class TestGenSynth:
         z, y = data_io.read_dataset(path)
         assert z.shape == (50, 4)
 
+    def test_negative_seed_is_refused(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("gen-synth", "--seed", -3, "--out", tmp_path / "d.csv")
+        assert exc.value.code == 2
+        assert "seeds must be integers of at least 0, got '-3'" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_unknown_extension_needs_a_format(self, tmp_path, capsys):
+        assert run("gen-synth", "--n", 50, "--m", 4, "--out", tmp_path / "d.txt") == 2
+        assert "cannot infer format" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
 
 class TestFit:
     def test_monotone_model_file(self, dataset, tmp_path):
@@ -204,6 +216,7 @@ class TestFit:
 
 COUNT = "need a positive integer"
 SPLIT = "split must lie strictly between 0 and 1"
+SEED = "seeds must be integers"
 REJECTED_ARGUMENTS = [
     (("compare", "--methods", "mcct", "--runs", "0"), COUNT),
     (("compare", "--methods", "mcct", "--runs", "-2"), COUNT),
@@ -231,6 +244,9 @@ REJECTED_ARGUMENTS = [
     (("sweep-size", "--fractions", "1", "--methods", "mcct", "--split", "1"), SPLIT),
     (("sweep-topk", "--kvalues", "2", "--split", "half"), SPLIT),
     (("sweep-topk", "--kvalues", "2", "--split", "nan"), SPLIT),
+    (("compare", "--methods", "mcct", "--seed", "-1"), SEED),
+    (("sweep-topk", "--kvalues", "2", "--seed", "-1"), SEED),
+    (("sweep-size", "--fractions", "0.5", "--methods", "mcct", "--seeds", "0,-1"), SEED),
 ]
 
 
@@ -263,6 +279,38 @@ class TestCountArguments:
         err = capsys.readouterr().err
         assert f"{SPLIT}, got '1.5'" in err
         assert "nosuch" not in err
+
+    def test_seed_is_checked_before_the_read(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("compare", "--data", tmp_path / "nosuch.csv", "--methods", "ts", "--seed", "-1", "--out", tmp_path / "out")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{SEED} of at least 0, got '-1'" in err
+        assert "nosuch" not in err
+
+
+# A complete model document of each kind, for m = 8.
+MODEL_DOCS = {
+    "ts": {"kind": "ts", "m": 8, "T": 2.0},
+    "vs": {"kind": "vs", "m": 8, "scale": [1.0] * 8, "bias": [0.0] * 8},
+    "hb": {"kind": "hb", "m": 8, "edges": [0.0, 0.5, 1.0], "bin_confidence": [0.25, 0.75]},
+    "ets-nll": {"kind": "ets-nll", "m": 8, "T": 2.0, "weights": [0.5, 0.25, 0.25]},
+    "ets-mse": {"kind": "ets-mse", "m": 8, "T": 2.0, "weights": [0.5, 0.25, 0.25]},
+    "mcct": {"kind": "mcct", "m": 8, "mode": "direct", "k": 8, "w": [1.0] * 8, "b": [0.0] * 8},
+    "mcct-i": {"kind": "mcct-i", "m": 8, "mode": "inverse", "k": 8, "w": [1.0] * 8, "b": [0.0] * 8},
+}
+
+
+class TestFormat:
+    def test_unknown_extension_needs_a_format(self, dataset, tmp_path, capsys):
+        data_path = tmp_path / "data.txt"
+        data_path.write_bytes(open(dataset, "rb").read())
+        out = tmp_path / "model.json"
+        assert run("fit", "--data", data_path, "--method", "ts", "--out", out) == 2
+        assert "cannot infer format" in capsys.readouterr().err
+        assert not out.exists()
+        assert run("fit", "--data", data_path, "--method", "ts", "--format", "csv", "--out", out) == 0
+        assert json.load(open(out))["kind"] == "ts"
 
 
 class TestEval:
@@ -375,11 +423,28 @@ class TestEval:
         assert "logit matrix contains NaN or infinite entries" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
-    def test_class_count_mismatch(self, dataset, tmp_path):
+    def test_class_count_mismatch(self, dataset, tmp_path, capsys):
         model_path = str(tmp_path / "wrong.json")
         baselines.CalibratedModel(baselines.TS, {"T": 2.0, "m": 5}).save(model_path)
         out = str(tmp_path / "report.json")
         assert run("eval", "--data", dataset, "--model", model_path, "--out", out) == 2
+        assert "model was fitted for m=5 classes, data has m=8" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("kind, field", [(kind, field) for kind, doc in MODEL_DOCS.items() for field in doc])
+    def test_model_file_missing_a_field_is_refused(self, dataset, tmp_path, kind, field, capsys):
+        doc = dict(MODEL_DOCS[kind])
+        baselines.CalibratedModel.from_json(doc)  # the whole document loads
+        del doc[field]
+        message = f"model document has no '{field}' field"
+        with pytest.raises(ValueError, match=message):
+            baselines.CalibratedModel.from_json(doc)
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(doc))
+        out = tmp_path / "report.json"
+        assert run("eval", "--data", dataset, "--model", model_path, "--out", out) == 2
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
 
 
 @pytest.fixture
@@ -543,6 +608,30 @@ class TestImports:
             capture_output=True, text=True, check=True, timeout=60,
         )
         assert out.stdout.strip() == "[]"
+
+
+class TestScripts:
+    """The experiment scripts drive cli.main with argument lists of their own."""
+
+    def run_script(self, name, *argv):
+        script = Path(__file__).resolve().parents[1] / "scripts" / name
+        return subprocess.run(
+            [sys.executable, str(script), *map(str, argv)], capture_output=True, text=True, timeout=300,
+        )
+
+    def test_run_benchmark(self, tmp_path):
+        done = self.run_script("run_benchmark.py", "--workdir", tmp_path, "--n", 3000, "--runs", 1)
+        assert done.returncode == 0, done.stderr
+        assert f"full tables: {tmp_path / 'comparison.json'} and {tmp_path / 'comparison.csv'}" in done.stdout
+        assert (tmp_path / "comparison.json").is_file() and (tmp_path / "comparison.csv").is_file()
+
+    def test_run_sweeps(self, tmp_path):
+        done = self.run_script("run_sweeps.py", "--workdir", tmp_path, "--seeds", 0)
+        assert done.returncode == 0, done.stderr
+        for name in ("size_sweep.csv", "topk_sweep.csv"):
+            assert f"written to {tmp_path / name}" in done.stdout
+            assert (tmp_path / name).is_file()
+
 
 class TestSweepSize:
     def test_full_fraction_reproduces_compare(self, dataset, tmp_path):
