@@ -26,17 +26,17 @@ import json
 
 import numpy as np
 
-from . import core, optim
+from . import core, metrics, optim
 from .transform import DIRECT, INVERSE, MonotoneParams, apply_map_topk, softmax_nll, sorted_nll_objective
 
+MCCT = "mcct"
+MCCT_I = "mcct-i"
 TS = "ts"
 VS = "vs"
 HB = "hb"
 ETS_NLL = "ets-nll"
 ETS_MSE = "ets-mse"
-MCCT = "mcct"
-MCCT_I = "mcct-i"
-KINDS = (TS, VS, HB, ETS_NLL, ETS_MSE, MCCT, MCCT_I)
+KINDS = (MCCT, MCCT_I, TS, VS, HB, ETS_NLL, ETS_MSE)
 # The monotone-map kinds and the mode each one is applied in.
 MONOTONE_MODES = {MCCT: DIRECT, MCCT_I: INVERSE}
 # The ensemble kinds and the loss each one fits its weights against.
@@ -52,8 +52,6 @@ _JSON_FIELDS = {
 }
 # Temperature scaling fits beta = 1 / T within these bounds: T in [1e-3, 1e3].
 BETA_MIN, BETA_MAX = 1e-3, 1e3
-
-HB_DEFAULT_BINS = 15
 
 
 class CalibratedModel:
@@ -76,17 +74,25 @@ class CalibratedModel:
         self._validate()
 
     def _validate(self):
+        if self.kind in MONOTONE_MODES:
+            return  # MonotoneParams has checked the parameters
         p = self.payload
         if self.kind in (TS, ETS_NLL, ETS_MSE) and not p["T"] > 0:
             raise ValueError("temperature must be > 0")
-        if self.kind in (ETS_NLL, ETS_MSE):
-            w = np.asarray(p["weights"], dtype=np.float64)
-            if w.shape != (3,) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
-                raise ValueError("ensemble weights must be non-negative and sum to 1")
+        arrays = {name: np.asarray(p[name], dtype=np.float64) for name in _JSON_FIELDS[self.kind]}
+        if not all(np.isfinite(v).all() for v in arrays.values()):
+            raise ValueError(f"{self.kind} model parameters must be finite")
+        w = arrays.get("weights")
+        if w is not None and (w.shape != (3,) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9):
+            raise ValueError("ensemble weights must be non-negative and sum to 1")
+        if self.kind == VS and not arrays["scale"].shape == arrays["bias"].shape == (self.m,):
+            raise ValueError(f"vector scaling needs {self.m} scales and {self.m} biases")
         if self.kind == HB:
-            edges = np.asarray(p["edges"], dtype=np.float64)
-            if np.any(np.diff(edges) <= 0) or edges[0] != 0.0 or edges[-1] != 1.0:
+            edges, conf = arrays["edges"], arrays["bin_confidence"]
+            if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0) or edges[0] != 0.0 or edges[-1] != 1.0:
                 raise ValueError("bin edges must strictly increase over [0, 1]")
+            if conf.shape != (edges.size - 1,) or np.any(conf < 0) or np.any(conf > 1):
+                raise ValueError("histogram binning needs one bin confidence in [0, 1] per bin")
 
     @property
     def m(self):
@@ -338,27 +344,18 @@ def fit_ets(z, y, loss="nll", terms=None):
     return _solved(CalibratedModel(kind, {"T": temperature, "weights": weights, "m": m}), *solves)
 
 
-def fit_hb(p, y, num_bins=HB_DEFAULT_BINS):
+def fit_hb(p, y, num_bins=metrics.NUM_BINS):
     """Fit top-label histogram binning on a probability matrix.
 
-    Confidences are grouped into ``num_bins`` equal-width bins over (0, 1];
-    each bin's calibrated confidence is its empirical accuracy, and empty
-    bins fall back to their midpoint.
+    Confidences are grouped into the ``num_bins`` equal-width bins over
+    (0, 1] of :func:`monocal.metrics.ece`; each bin's calibrated confidence
+    is its empirical accuracy, and empty bins fall back to their midpoint.
     """
-    p = core.validate_probs(p)
-    y = core.validate_labels(y, p.shape[1], n=p.shape[0])
-    if num_bins < 1:
-        raise ValueError("need num_bins >= 1")
-    conf = p.max(axis=1)
-    correct = (core.argmax_rows(p) == y).astype(float)
-    upper = np.arange(1, num_bins + 1) / num_bins
-    idx = np.minimum(np.searchsorted(upper, conf, side="left"), num_bins - 1)
-    count = np.bincount(idx, minlength=num_bins)
-    hits = np.bincount(idx, weights=correct, minlength=num_bins)
+    bins = metrics.ece(p, y, num_bins)[1]
     midpoints = (np.arange(num_bins) + 0.5) / num_bins
-    bin_conf = np.where(count > 0, hits / np.maximum(count, 1), midpoints)
-    edges = np.concatenate([[0.0], upper])
-    return CalibratedModel(HB, {"edges": edges, "bin_confidence": bin_conf, "m": p.shape[1]})
+    bin_conf = np.where(bins.count > 0, bins.accuracy, midpoints)
+    edges = np.concatenate([[0.0], bins.upper])
+    return CalibratedModel(HB, {"edges": edges, "bin_confidence": bin_conf, "m": np.shape(p)[1]})
 
 
 def _apply_binning(p, edges, bin_conf):
@@ -372,8 +369,7 @@ def _apply_binning(p, edges, bin_conf):
     bin_conf = np.asarray(bin_conf, dtype=np.float64)
     num_bins = bin_conf.shape[0]
     n, m = p.shape
-    conf = p.max(axis=1)
-    pred = core.argmax_rows(p)
+    pred, conf, _ = metrics._row_stats(p)
     idx = np.minimum(np.searchsorted(edges[1:], conf, side="left"), num_bins - 1)
     new_conf = bin_conf[idx]
     rest = 1.0 - conf

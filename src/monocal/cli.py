@@ -20,10 +20,10 @@ import numpy as np
 
 from . import baselines, core, data_io, metrics, optim
 
-METHODS = ("mcct", "mcct-i", "ts", "vs", "hb", "ets-nll", "ets-mse")
+METHODS = baselines.KINDS
 UNCALIBRATED = "uncalibrated"
 
-SCALAR_COLUMNS = tuple(f.name for f in dataclasses.fields(metrics.MetricReport) if f.name != "bins")
+SCALAR_COLUMNS = metrics.SCALAR_FIELDS
 # Higher is better only for accuracy; every other column ranks ascending.
 RANK_DESCENDING = {"accuracy"}
 
@@ -429,6 +429,8 @@ def _build_parser():
     seeded.add_argument("--seed", type=_seed, default=0, help="base random seed (default 0)")
     threaded = argparse.ArgumentParser(add_help=False)
     threaded.add_argument("--threads", type=_positive_int, default=1, help="parallel workers for independent cells")
+    binned = argparse.ArgumentParser(add_help=False)
+    binned.add_argument("--bins", type=_positive_int, default=metrics.NUM_BINS, help="ECE bins (default %(default)s)")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format",
@@ -462,37 +464,33 @@ def _build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("eval", parents=[common], help="evaluate a fitted model on a dataset")
+    p = sub.add_parser("eval", parents=[common, binned], help="evaluate a fitted model on a dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--bins", type=_positive_int, default=15)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("compare", parents=[common, seeded, threaded, solver], help="fit and evaluate several methods over seeded splits")
+    p = sub.add_parser("compare", parents=[common, seeded, threaded, solver, binned], help="fit and evaluate several methods over seeded splits")
     p.add_argument("--data", required=True)
     p.add_argument("--methods", type=_method_list, required=True, help="comma-separated method list")
     p.add_argument("--split", type=_split_fraction, default=0.5, help="calibration fraction of each split")
     p.add_argument("--runs", type=_positive_int, default=1, help="number of consecutive split seeds")
-    p.add_argument("--bins", type=_positive_int, default=15)
     p.add_argument("--out", required=True, help="JSON output path (.csv written beside it)")
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("sweep-size", parents=[common, seeded, threaded, solver], help="calibration-set-size sweep")
+    p = sub.add_parser("sweep-size", parents=[common, seeded, threaded, solver, binned], help="calibration-set-size sweep")
     p.add_argument("--data", required=True)
     p.add_argument("--fractions", type=_fraction_list, required=True, help="comma-separated fractions in (0, 1]")
     p.add_argument("--methods", type=_method_list, required=True)
     p.add_argument("--seeds", type=_seed_list, default=None, help="comma-separated subsample seeds (default: --seed)")
     p.add_argument("--split", type=_split_fraction, default=0.5)
-    p.add_argument("--bins", type=_positive_int, default=15)
     p.add_argument("--out", required=True, help="CSV output path")
     p.set_defaults(func=cmd_sweep_size)
 
-    p = sub.add_parser("sweep-topk", parents=[common, seeded, solver], help="retained-rank sweep with fit timing")
+    p = sub.add_parser("sweep-topk", parents=[common, seeded, solver, binned], help="retained-rank sweep with fit timing")
     p.add_argument("--data", required=True)
     p.add_argument("--kvalues", type=_kvalue_list, required=True, help="comma-separated k values, each at least 2")
     p.add_argument("--split", type=_split_fraction, default=0.5)
-    p.add_argument("--bins", type=_positive_int, default=15)
     p.add_argument("--out", required=True, help="CSV output path")
     p.set_defaults(func=cmd_sweep_topk)
 

@@ -139,7 +139,11 @@ def nll(p, y):
 
 def _nll(p, y):
     """:func:`nll` of an already validated probability matrix and label vector."""
-    picked = p[np.arange(p.shape[0]), y]
+    return _picked_nll(p[np.arange(p.shape[0]), y])
+
+
+def _picked_nll(picked):
+    """Mean of ``-log`` of the true-class probabilities ``picked``, each clamped below at ``LOG_FLOOR``."""
     return float(-np.log(np.maximum(picked, LOG_FLOOR)).mean())
 
 

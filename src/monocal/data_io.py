@@ -8,11 +8,16 @@ Two interchange formats are supported:
   uint32 labels, with a JSON sidecar ``{"v": 1, "n": ..., "m": ...,
   "dtype": "f32"}`` at ``<path>.meta.json``.
 
+One codec (:func:`_write_table`, :func:`_read_table`) writes and reads
+both file kinds: a dataset as above, and a bare matrix (e.g. reference
+probabilities) laid out the same without labels, CSV header ``p0,...``.
+
 Binary round trips are bitwise exact at float32 fidelity (float64 inputs
 are quantized on write); CSV round trips are exact because values are
 written with shortest-repr formatting.
 """
 
+import itertools
 import json
 import os
 from dataclasses import dataclass
@@ -53,33 +58,9 @@ def infer_format(path):
     raise ValueError(f"cannot infer format from {path!r}; pass fmt explicitly")
 
 
-def _expected_header(m):
-    return ",".join([f"z{j}" for j in range(m)] + ["label"])
-
-
-def _matrix_header(m):
-    return ",".join(f"p{j}" for j in range(m))
-
-
-def _read_csv(path, header_of, min_columns=1):
-    """The data rows of a CSV file whose header line is ``header_of(columns)``.
-
-    Raises :class:`HeaderError` when the header is not of that form for its
-    own column count, has fewer than ``min_columns`` columns, or disagrees
-    with the rows' width, and :class:`DataFileError` when no row follows it.
-    """
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n")
-        has_rows = any(line.strip() for line in fh)
-    columns = header.count(",") + 1
-    if columns < min_columns or header != header_of(columns):
-        raise HeaderError(f"malformed CSV header {header!r}")
-    if not has_rows:
-        raise DataFileError(f"{path} has a header but no data rows")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] != columns:
-        raise HeaderError(f"rows have {data.shape[1]} columns, header declares {columns}")
-    return data
+def _header(m, labelled):
+    """The CSV header of ``m`` matrix columns: ``z0,...,z{m-1},label`` if ``labelled``, else ``p0,...,p{m-1}``."""
+    return ",".join([f"z{j}" for j in range(m)] + ["label"]) if labelled else ",".join(f"p{j}" for j in range(m))
 
 
 def _write_sidecar(path, n, m):
@@ -105,51 +86,74 @@ def _read_sidecar(path):
     return int(meta["n"]), int(meta["m"])
 
 
-def write_dataset(path, z, y, fmt=None):
-    """Write a logit matrix and its labels to ``path`` in the given format."""
-    z = core.validate_logits(z)
-    n, m = z.shape
-    y = core.validate_labels(y, m, n=n)
+def _write_table(path, a, y, fmt):
+    """Write the (n, m) matrix ``a`` and, unless ``y`` is None, its labels to ``path`` in ``fmt``."""
     fmt = infer_format(path) if fmt is None else fmt
+    n, m = a.shape
     if fmt == CSV:
+        ends = itertools.repeat("\n") if y is None else (f",{label}\n" for label in y.tolist())
         with open(path, "w") as fh:
-            fh.write(_expected_header(m) + "\n")
-            for row, label in zip(z.tolist(), y.tolist()):
-                fh.write(",".join(map(repr, row)) + f",{label}\n")
+            fh.write(_header(m, y is not None) + "\n")
+            for row, end in zip(a.tolist(), ends):
+                fh.write(",".join(map(repr, row)) + end)
     elif fmt == RAW_BINARY:
         with open(path, "wb") as fh:
-            fh.write(np.ascontiguousarray(z, dtype="<f4").tobytes())
-            fh.write(np.ascontiguousarray(y, dtype="<u4").tobytes())
+            fh.write(np.ascontiguousarray(a, dtype="<f4").tobytes())
+            if y is not None:
+                fh.write(np.ascontiguousarray(y, dtype="<u4").tobytes())
         _write_sidecar(path, n, m)
     else:
         raise ValueError(f"unknown format {fmt!r}")
 
 
-def read_dataset(path, fmt=None):
-    """Read a ``(logits, labels)`` pair written by :func:`write_dataset`."""
+def _read_table(path, fmt, labelled):
+    """``(a, labels)`` of a file written by :func:`_write_table`; ``labels`` is None unless ``labelled``.
+
+    Raises :class:`HeaderError` for a CSV header that is not :func:`_header`
+    of its own width (at least 3 columns with labels) or is not as wide as
+    the rows, :class:`DataFileError` for no data rows and :class:`SidecarError`
+    for a binary size other than the sidecar implies.  Labels are unchecked.
+    """
     fmt = infer_format(path) if fmt is None else fmt
     if fmt == CSV:
-        data = _read_csv(path, lambda columns: _expected_header(columns - 1), min_columns=3)
-        m = data.shape[1] - 1
-        z = data[:, :m]
-        raw_labels = data[:, m]
-        y = raw_labels.astype(np.int64)
-        if not np.array_equal(y, raw_labels):
-            raise LabelRangeError("labels must be integers")
-    elif fmt == RAW_BINARY:
+        with open(path) as fh:
+            header = fh.readline().rstrip("\n")
+            has_rows = any(line.strip() for line in fh)
+        columns = header.count(",") + 1
+        if columns < (3 if labelled else 1) or header != _header(columns - labelled, labelled):
+            raise HeaderError(f"malformed CSV header {header!r}")
+        if not has_rows:
+            raise DataFileError(f"{path} has a header but no data rows")
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        if data.shape[1] != columns:
+            raise HeaderError(f"rows have {data.shape[1]} columns, header declares {columns}")
+        return (data[:, :-1], data[:, -1]) if labelled else (data, None)
+    if fmt == RAW_BINARY:
         n, m = _read_sidecar(path)
-        expected = n * m * 4 + n * 4
+        expected = n * m * 4 + (n * 4 if labelled else 0)
         actual = os.path.getsize(path)
         if actual != expected:
             raise SidecarError(f"{path} holds {actual} bytes but sidecar implies {expected}")
         with open(path, "rb") as fh:
             buf = fh.read()
-        z = np.frombuffer(buf, dtype="<f4", count=n * m).reshape(n, m).astype(np.float64)
-        y = np.frombuffer(buf, dtype="<u4", count=n, offset=n * m * 4).astype(np.int64)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    if y.size and (y.min() < 0 or y.max() >= z.shape[1]):
-        raise LabelRangeError(f"labels must lie in [0, {z.shape[1]})")
+        a = np.frombuffer(buf, dtype="<f4", count=n * m).reshape(n, m).astype(np.float64)
+        return a, np.frombuffer(buf, dtype="<u4", count=n, offset=n * m * 4).astype(np.int64) if labelled else None
+    raise ValueError(f"unknown format {fmt!r}")
+
+
+def write_dataset(path, z, y, fmt=None):
+    """Write a logit matrix and its labels to ``path`` in the given format."""
+    z = core.validate_logits(z)
+    _write_table(path, z, core.validate_labels(y, z.shape[1], n=z.shape[0]), fmt)
+
+
+def read_dataset(path, fmt=None):
+    """Read a ``(logits, labels)`` pair written by :func:`write_dataset`."""
+    z, y = _read_table(path, fmt, labelled=True)
+    try:
+        y = core.validate_labels(y, z.shape[1])
+    except ValueError as exc:
+        raise LabelRangeError(str(exc)) from exc
     return core.validate_logits(z), y
 
 
@@ -158,35 +162,12 @@ def write_matrix(path, a, fmt=None):
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError("expected a 2-D matrix")
-    fmt = infer_format(path) if fmt is None else fmt
-    if fmt == CSV:
-        with open(path, "w") as fh:
-            fh.write(_matrix_header(a.shape[1]) + "\n")
-            for row in a.tolist():
-                fh.write(",".join(map(repr, row)) + "\n")
-    elif fmt == RAW_BINARY:
-        with open(path, "wb") as fh:
-            fh.write(np.ascontiguousarray(a, dtype="<f4").tobytes())
-        _write_sidecar(path, a.shape[0], a.shape[1])
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+    _write_table(path, a, None, fmt)
 
 
 def read_matrix(path, fmt=None):
     """Read a matrix written by :func:`write_matrix`."""
-    fmt = infer_format(path) if fmt is None else fmt
-    if fmt == CSV:
-        return _read_csv(path, _matrix_header)
-    if fmt == RAW_BINARY:
-        n, m = _read_sidecar(path)
-        expected = n * m * 4
-        actual = os.path.getsize(path)
-        if actual != expected:
-            raise SidecarError(f"{path} holds {actual} bytes but sidecar implies {expected}")
-        with open(path, "rb") as fh:
-            buf = fh.read()
-        return np.frombuffer(buf, dtype="<f4", count=n * m).reshape(n, m).astype(np.float64)
-    raise ValueError(f"unknown format {fmt!r}")
+    return _read_table(path, fmt, labelled=False)[0]
 
 
 def split_dataset(z, y, calib_fraction, seed):
@@ -227,10 +208,11 @@ class SynthConfig:
     def __post_init__(self):
         if self.n < 1 or self.m < 2:
             raise ValueError("need n >= 1 and m >= 2")
-        if self.alpha <= 0 or self.overconfidence <= 0:
-            raise ValueError("alpha and overconfidence must be > 0")
-        if self.noise_sd < 0:
-            raise ValueError("noise_sd must be >= 0")
+        # Written so that NaN fails each comparison, as inf fails the upper one.
+        if not (0 < self.alpha < np.inf and 0 < self.overconfidence < np.inf):
+            raise ValueError("alpha and overconfidence must be finite and > 0")
+        if not 0 <= self.noise_sd < np.inf:
+            raise ValueError("noise_sd must be finite and >= 0")
 
 
 def generate_synthetic(cfg):

@@ -28,11 +28,19 @@ bitwise.
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import core
+
+# Equal-width (and equal-count) confidence bins of a report, and histogram binning's bins, by default.
+NUM_BINS = 15
+
+
+def _json_float(v):
+    """``v`` as a JSON number, or None (null) when it is NaN."""
+    return None if np.isnan(v) else float(v)
 
 
 @dataclass(frozen=True)
@@ -49,15 +57,12 @@ class BinStats:
     accuracy: np.ndarray
 
     def to_json(self):
-        def col(a):
-            return [None if np.isnan(v) else float(v) for v in a]
-
         return {
             "lower": [float(v) for v in self.lower],
             "upper": [float(v) for v in self.upper],
             "count": [int(v) for v in self.count],
-            "confidence": col(self.confidence),
-            "accuracy": col(self.accuracy),
+            "confidence": [_json_float(v) for v in self.confidence],
+            "accuracy": [_json_float(v) for v in self.accuracy],
         }
 
     def to_csv(self):
@@ -140,7 +145,7 @@ def _bin_index(conf, num_bins):
     return np.minimum(np.searchsorted(upper, conf, side="left"), num_bins - 1)
 
 
-def ece(p, y, num_bins=15):
+def ece(p, y, num_bins=NUM_BINS):
     """Expected calibration error with equal-width confidence bins.
 
     Returns the bin-proportion-weighted sum of |accuracy - confidence| over
@@ -173,7 +178,7 @@ def ece(p, y, num_bins=15):
     return value, bins
 
 
-def eq_mass_ece(p, y, num_bins=15):
+def eq_mass_ece(p, y, num_bins=NUM_BINS):
     """Calibration error with equal-count confidence bins.
 
     Samples are sorted by confidence and split into ``num_bins`` contiguous
@@ -368,18 +373,7 @@ class MetricReport:
     bins: BinStats
 
     def scalars(self):
-        def clean(v):
-            return None if np.isnan(v) else float(v)
-
-        return {
-            "ece": float(self.ece),
-            "eq_mass_ece": clean(self.eq_mass_ece),
-            "ece_kde": clean(self.ece_kde),
-            "accuracy": float(self.accuracy),
-            "nll": float(self.nll),
-            "prediction_change_rate": float(self.prediction_change_rate),
-            "uncertain_alteration_rate": float(self.uncertain_alteration_rate),
-        }
+        return {name: _json_float(getattr(self, name)) for name in SCALAR_FIELDS}
 
     def to_json(self):
         doc = self.scalars()
@@ -387,7 +381,11 @@ class MetricReport:
         return doc
 
 
-def compute_report(p, y, p_base, num_bins=15):
+# The report's scalar fields in order: every field but ``bins``.
+SCALAR_FIELDS = tuple(f.name for f in fields(MetricReport) if f.name != "bins")
+
+
+def compute_report(p, y, p_base, num_bins=NUM_BINS):
     """Full metric report for calibrated probabilities ``p``.
 
     ``p_base`` holds the pre-calibration probabilities used for the
@@ -417,8 +415,7 @@ def compute_report(p, y, p_base, num_bins=15):
         eq_mass_ece=eq_mass,
         ece_kde=kde,
         accuracy=accuracy(top, y),
-        # Bitwise core._nll of the matrix, from its true-class probabilities.
-        nll=float(-np.log(np.maximum(top.picked, core.LOG_FLOOR)).mean()),
+        nll=core._picked_nll(top.picked),
         prediction_change_rate=ranking.prediction_change_rate,
         uncertain_alteration_rate=ranking.uncertain_alteration_rate,
         bins=bins,

@@ -241,7 +241,7 @@ def softmax_nll(t, label):
     t -= t.max(axis=0)
     e = np.exp(t, out=t)
     total = e.sum(axis=0)
-    return float(-np.log(np.maximum(e.ravel()[label] / total, core.LOG_FLOOR)).mean()), e, total
+    return core._picked_nll(e.ravel()[label] / total), e, total
 
 
 def sorted_nll_objective(s, y_pos, w, b, mode, order=1):

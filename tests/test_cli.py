@@ -79,6 +79,20 @@ class TestGenSynth:
         assert "seeds must be integers of at least 0, got '-3'" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--alpha", "nan", "alpha and overconfidence must be finite and > 0"),
+        ("--alpha", "inf", "alpha and overconfidence must be finite and > 0"),
+        ("--overconfidence", "nan", "alpha and overconfidence must be finite and > 0"),
+        ("--overconfidence", "inf", "alpha and overconfidence must be finite and > 0"),
+        ("--noise-sd", "nan", "noise_sd must be finite and >= 0"),
+        ("--noise-sd", "inf", "noise_sd must be finite and >= 0"),
+    ])
+    def test_non_finite_parameter_is_refused_before_generating(self, tmp_path, flag, value, message, monkeypatch, capsys):
+        monkeypatch.setattr(data_io, "generate_synthetic", lambda cfg: pytest.fail("generated before the check"))
+        assert run("gen-synth", "--n", 50, "--m", 4, flag, value, "--out", tmp_path / "d.csv") == 2
+        assert message in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_unknown_extension_needs_a_format(self, tmp_path, capsys):
         assert run("gen-synth", "--n", 50, "--m", 4, "--out", tmp_path / "d.txt") == 2
         assert "cannot infer format" in capsys.readouterr().err
@@ -446,6 +460,30 @@ class TestEval:
         assert message in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
 
+    @pytest.mark.parametrize("kind, changes, message", [
+        ("ets-nll", {"weights": [float("nan"), 0.5, 0.5]}, "ets-nll model parameters must be finite"),
+        ("ets-mse", {"T": float("inf")}, "ets-mse model parameters must be finite"),
+        ("ts", {"T": float("inf")}, "ts model parameters must be finite"),
+        ("vs", {"bias": [0.0] * 7 + [float("nan")]}, "vs model parameters must be finite"),
+        ("vs", {"m": 3, "scale": [1.0, 1.0], "bias": [0.0] * 3}, "vector scaling needs 3 scales and 3 biases"),
+        ("vs", {"bias": [0.0] * 9}, "vector scaling needs 8 scales and 8 biases"),
+        ("hb", {"bin_confidence": [0.5, 2.0]}, "one bin confidence in \\[0, 1\\] per bin"),
+        ("hb", {"bin_confidence": [-0.1, 0.5]}, "one bin confidence in \\[0, 1\\] per bin"),
+        ("hb", {"bin_confidence": [0.5]}, "one bin confidence in \\[0, 1\\] per bin"),
+        ("hb", {"bin_confidence": [float("nan"), 0.5]}, "hb model parameters must be finite"),
+        ("hb", {"edges": [0.0, float("nan"), 1.0]}, "hb model parameters must be finite"),
+        ("hb", {"edges": []}, "bin edges must strictly increase over \\[0, 1\\]"),
+    ])
+    def test_model_parameters_out_of_range_are_refused(self, dataset, tmp_path, kind, changes, message, capsys):
+        doc = {**MODEL_DOCS[kind], **changes}
+        with pytest.raises(ValueError, match=message):
+            baselines.CalibratedModel.from_json(doc)
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(doc))
+        assert run("eval", "--data", dataset, "--model", model_path, "--out", tmp_path / "report.json") == 2
+        assert "error: " in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+
 
 @pytest.fixture
 def solves(monkeypatch):
@@ -597,6 +635,38 @@ class TestSharedFits:
             report = metrics.compute_report(model.apply(zt), yt, core.softmax_rows(zt))
             cell = next(c for c in doc["per_seed"] if c["method"] == method and c["seed"] == 1)
             assert cell["nll"] == report.scalars()["nll"]
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+class TestStrictJson:
+    def test_every_emitted_json_document_is_standard_json(self, tmp_path):
+        data = str(tmp_path / "data.csv")
+        assert run("gen-synth", "--n", 600, "--m", 5, "--overconfidence", 2.0, "--seed", 2, "--out", data) == 0
+        for method in cli.METHODS:
+            model = str(tmp_path / f"{method}.json")
+            assert run("fit", "--data", data, "--method", method, "--out", model) == 0
+            assert run("eval", "--data", data, "--model", model, "--out", tmp_path / f"{method}.report.json") == 0
+        model = str(tmp_path / "traced.json")
+        assert run("fit", "--data", data, "--method", "mcct", "--trace", tmp_path / "trace.jsonl", "--out", model) == 0
+        # More bins than rows: the equal-count ECE is NaN and must be written as null.
+        assert run("eval", "--data", data, "--model", model, "--bins", 1000, "--out", tmp_path / "wide.json") == 0
+        methods = ",".join(cli.METHODS)
+        assert run("compare", "--data", data, "--methods", methods, "--runs", 2, "--out", tmp_path / "cmp.json") == 0
+        sweep = ["--fractions", "0.5,1", "--methods", "mcct,hb", "--out", tmp_path / "size.csv"]
+        assert run("sweep-size", "--data", data, *sweep) == 0
+        assert run("sweep-topk", "--data", data, "--kvalues", "2,5", "--out", tmp_path / "topk.csv") == 0
+        documents = sorted(tmp_path.glob("*.json"))
+        assert len(documents) == 39
+        for path in documents:
+            json.loads(path.read_text(), parse_constant=_refuse_constant)
+        lines = (tmp_path / "trace.jsonl").read_text().splitlines()
+        assert lines
+        for line in lines:
+            json.loads(line, parse_constant=_refuse_constant)
+        assert json.loads((tmp_path / "wide.json").read_text())["eq_mass_ece"] is None
 
 
 class TestImports:

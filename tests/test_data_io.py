@@ -57,8 +57,20 @@ class TestCsvFormat:
     def test_non_integer_label(self, tmp_path):
         path_obj = tmp_path / "bad.csv"
         path_obj.write_text("z0,z1,label\n0.0,1.0,0.5\n")
-        with pytest.raises(data_io.LabelRangeError):
+        with pytest.raises(data_io.LabelRangeError, match="labels must be integers"):
             data_io.read_dataset(str(path_obj))
+
+    def test_negative_label(self, tmp_path):
+        path_obj = tmp_path / "bad.csv"
+        path_obj.write_text("z0,z1,label\n0.0,1.0,-1\n")
+        with pytest.raises(data_io.LabelRangeError, match="labels must lie in \\[0, 2\\)"):
+            data_io.read_dataset(str(path_obj))
+
+    def test_matrix_is_not_a_dataset(self, tmp_path):
+        path = str(tmp_path / "p.csv")
+        data_io.write_matrix(path, np.array([[0.25, 0.75], [1.0, 0.0]]))
+        with pytest.raises(data_io.HeaderError):
+            data_io.read_dataset(path)
 
 
 class TestCsvMatrix:
@@ -134,6 +146,15 @@ class TestRawBinaryFormat:
         open(path, "wb").write(bytes(raw))
         with pytest.raises(data_io.LabelRangeError):
             data_io.read_dataset(path)
+
+    def test_size_rule_tells_the_file_kinds_apart(self, tmp_path):
+        dataset, matrix = str(tmp_path / "data.bin"), str(tmp_path / "probs.bin")
+        data_io.write_dataset(dataset, np.zeros((3, 4)), np.zeros(3, dtype=int))
+        data_io.write_matrix(matrix, np.zeros((3, 4)))
+        with pytest.raises(data_io.SidecarError, match="bytes"):
+            data_io.read_dataset(matrix)
+        with pytest.raises(data_io.SidecarError, match="bytes"):
+            data_io.read_matrix(dataset)
 
     def test_matrix_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -233,3 +254,11 @@ class TestSyntheticGenerator:
             data_io.SynthConfig(alpha=0.0)
         with pytest.raises(ValueError):
             data_io.SynthConfig(noise_sd=-1.0)
+        nan, inf = float("nan"), float("inf")
+        for field in ("alpha", "overconfidence"):
+            for value in (nan, inf, -inf):
+                with pytest.raises(ValueError, match="alpha and overconfidence must be finite and > 0"):
+                    data_io.SynthConfig(**{field: value})
+        for value in (nan, inf):
+            with pytest.raises(ValueError, match="noise_sd must be finite and >= 0"):
+                data_io.SynthConfig(noise_sd=value)
