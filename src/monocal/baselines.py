@@ -26,7 +26,7 @@ import json
 
 import numpy as np
 
-from . import core, metrics, optim
+from . import core, data_io, metrics, optim
 from .transform import DIRECT, INVERSE, MonotoneParams, apply_map_topk, softmax_nll, sorted_nll_objective
 
 MCCT = "mcct"
@@ -50,6 +50,8 @@ _JSON_FIELDS = {
     ETS_MSE: ("T", "weights"),
     **dict.fromkeys(MONOTONE_MODES, ("mode", "k", "w", "b")),
 }
+# The JSON types of a document's scalar fields, compared exactly: bool is a subclass of int.
+_SCALAR_TYPES = {"kind": (str,), "m": (int,), "k": (int,), "T": (int, float)}
 # Temperature scaling fits beta = 1 / T within these bounds: T in [1e-3, 1e3].
 BETA_MIN, BETA_MAX = 1e-3, 1e3
 
@@ -138,6 +140,11 @@ class CalibratedModel:
 
     @classmethod
     def from_json(cls, doc):
+        if not isinstance(doc, dict):
+            raise ValueError("model document must be a JSON object")
+        for name, types in _SCALAR_TYPES.items():
+            if name in doc and type(doc[name]) not in types:
+                raise ValueError(f"model field {name!r} must be {' or '.join(t.__name__ for t in types)}, got {doc[name]!r}")
         missing = [name for name in ("kind", "m", *_JSON_FIELDS.get(doc.get("kind"), ())) if name not in doc]
         if missing:
             raise ValueError(f"model document has no {missing[0]!r} field")
@@ -151,9 +158,7 @@ class CalibratedModel:
         return cls(kind, payload)
 
     def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2)
-            fh.write("\n")
+        data_io.write_json(path, self.to_json())
 
     @classmethod
     def load(cls, path):
@@ -186,9 +191,8 @@ def fit_ts(z, y):
     where the loss falls as T falls, T is its bound ``1 / BETA_MAX``.  Logits
     constant within each row leave the loss flat, and T stays 1.
     """
-    z = core.validate_logits(z)
+    z, y = core.validate_dataset(z, y)
     n, m = z.shape
-    y = core.validate_labels(y, m, n=n)
     s = np.ascontiguousarray(z.T)
     label = y * n + np.arange(n)  # flat index of each sample's target in s
 
@@ -219,9 +223,8 @@ def fit_vs(z, y):
     softmax unchanged.  The Hessian has ``(2m - 1)**2`` entries, so one
     iteration costs of order ``n * m**2``.
     """
-    z = core.validate_logits(z)
+    z, y = core.validate_dataset(z, y)
     n, m = z.shape
-    y = core.validate_labels(y, m, n=n)
     # The objective works on a class-major block and does not copy this view of it.
     s = np.ascontiguousarray(z.T).T
 
@@ -250,9 +253,8 @@ def ensemble_terms(z, y, temperature):
     true-class probabilities, and ``gram`` the (3, 3) means over samples of
     the components' inner products with each other.
     """
-    z = core.validate_logits(z)
+    z, y = core.validate_dataset(z, y)
     n, m = z.shape
-    y = core.validate_labels(y, m, n=n)
     q = np.stack([core.softmax_rows(z / temperature), core.softmax_rows(z), np.full((n, m), 1.0 / m)])
     return temperature, np.einsum("aij,ij->ia", q, core.one_hot(y, m)), np.einsum("aij,bij->ab", q, q) / n
 
@@ -323,9 +325,7 @@ def fit_ets(z, y, loss="nll", terms=None):
     """
     if loss not in ("nll", "mse"):
         raise ValueError("loss must be 'nll' or 'mse'")
-    z = core.validate_logits(z)
-    n, m = z.shape
-    y = core.validate_labels(y, m, n=n)
+    z, y = core.validate_dataset(z, y)
     solves = []
     if terms is None:
         ts = fit_ts(z, y)
@@ -341,7 +341,7 @@ def fit_ets(z, y, loss="nll", terms=None):
     weights = np.clip(v, 0.0, None)
     weights = weights / weights.sum()
     kind = ETS_NLL if loss == "nll" else ETS_MSE
-    return _solved(CalibratedModel(kind, {"T": temperature, "weights": weights, "m": m}), *solves)
+    return _solved(CalibratedModel(kind, {"T": temperature, "weights": weights, "m": z.shape[1]}), *solves)
 
 
 def fit_hb(p, y, num_bins=metrics.NUM_BINS):

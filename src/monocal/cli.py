@@ -34,16 +34,14 @@ def _fit_method(method, z, y, topk=None, max_iterations=optim.MAX_ITERATIONS, tr
     For mcct/mcct-i the diagnostics are the ``optim.FitResult`` fields other
     than the parameters; for a baseline, its calibration NLL and the
     iterations and convergence of the Newton solves that fitted it (null and
-    true for hb, which runs none).  ``max_iterations`` and ``trace`` (which
-    receives the per-iterate solver records) only affect mcct/mcct-i.
+    true for hb, which runs none).  ``topk``, ``max_iterations`` and ``trace``
+    (which receives the per-iterate solver records) only affect mcct/mcct-i.
     """
     if method in baselines.MONOTONE_MODES:
         mode = baselines.MONOTONE_MODES[method]
         result = optim.fit_mcct(z, y, mode=mode, k=topk, max_iterations=max_iterations, trace=trace)
         info = {f.name: getattr(result, f.name) for f in dataclasses.fields(result) if f.name != "params"}
         return baselines.from_monotone_params(result.params), info
-    if topk is not None:
-        warnings.warn(f"--topk only affects mcct/mcct-i; ignored for {method}")
     model = baselines.fit_baseline(method, z, y)
     iterations, converged = model._solver or (None, True)
     return model, {"final_loss": core.nll(model.apply(z), y), "iterations": iterations, "converged": converged}
@@ -66,17 +64,11 @@ class _Stopwatch:
         return {**self.stages, "total": sum(self.stages.values())}
 
 
-def _dump_json(path, doc):
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-
-
 def _write_manifest(args, outputs, wall_time_s, **fields):
     """Write ``<args.out>.manifest.json``: the command, its inputs, its own ``fields``, outputs and wall times."""
     inputs = {name: getattr(args, name) for name in ("data", "model") if hasattr(args, name)}
     doc = {"command": args.command, "inputs": inputs, **fields, "outputs": outputs, "wall_time_s": wall_time_s}
-    _dump_json(f"{args.out}.manifest.json", doc)
+    data_io.write_json(f"{args.out}.manifest.json", doc)
 
 
 def _format_cell(value):
@@ -108,7 +100,7 @@ def _rank(values, descending=False):
 
 
 def _run_cells(cells, worker, threads):
-    """Evaluate ``worker(*cell)`` for independent cells, optionally across threads.
+    """Evaluate ``worker(*cell)`` for independent cells on a pool of ``threads`` workers.
 
     Results are collected by cell index, so output order and content do not
     depend on scheduling.  Failures are captured per cell as strings.  The
@@ -124,12 +116,8 @@ def _run_cells(cells, worker, threads):
         except Exception as exc:  # recorded per-cell, run continues
             results[i] = ("error", f"{type(exc).__name__}: {exc}")
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(guarded, order))
-    else:
-        for i in order:
-            guarded(i)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(guarded, order))
     return results
 
 
@@ -161,7 +149,7 @@ def _write_grid(args, csv_path, json_path, header, rows, doc, failures, clock, f
     two paths and is listed first.
     """
     _write_csv(csv_path, header, rows)
-    _dump_json(json_path, doc)
+    data_io.write_json(json_path, doc)
     clock.lap("write")
     outputs = [args.out, json_path if csv_path == args.out else csv_path]
     wall_time_s = {**clock.with_total(), **(times or {})}
@@ -231,8 +219,9 @@ def cmd_fit(args):
     clock = _Stopwatch()
     z, y = data_io.read_dataset(args.data, args.format)
     clock.lap("read")
-    if args.trace and args.method not in baselines.MONOTONE_MODES:
-        warnings.warn(f"--trace only affects mcct/mcct-i; ignored for {args.method}")
+    for flag in ("trace", "topk"):
+        if getattr(args, flag) and args.method not in baselines.MONOTONE_MODES:
+            warnings.warn(f"--{flag} only affects mcct/mcct-i; ignored for {args.method}")
     with open(args.trace, "w") if args.trace else contextlib.nullcontext() as trace_fh:
         trace = (lambda record: trace_fh.write(json.dumps(record) + "\n")) if trace_fh else None
         model, info = _fit_method(args.method, z, y, topk=args.topk, max_iterations=args.max_iterations, trace=trace)
@@ -256,7 +245,7 @@ def cmd_eval(args):
     clock.lap("apply")
     report = metrics.compute_report(top, y, metrics._top_labels(core.softmax_rows, z), num_bins=args.bins)
     clock.lap("metrics")
-    _dump_json(args.out, report.to_json())
+    data_io.write_json(args.out, report.to_json())
     reliability_path = _json_base(args.out) + ".reliability.csv"
     with open(reliability_path, "w") as fh:
         fh.write(report.bins.to_csv())
@@ -380,7 +369,7 @@ def cmd_sweep_topk(args):
         return _report(top, yt, base, args.bins) + [info["dropped_samples"], info["iterations"], info["converged"]]
 
     header = ["k"] + list(SCALAR_COLUMNS) + ["dropped_samples", "iterations", "converged", "status"]
-    # Cells run serially: the per-k fit time goes into the manifest.
+    # One worker runs the cells one at a time: the per-k fit time goes into the manifest.
     rows, failures = _grid([(k,) for k in args.kvalues], run_cell, header, 1, clock)
     doc = {"rows": [dict(zip(header, row)) for row in rows]}
     fields = {"kvalues": args.kvalues, "split": args.split}
@@ -431,6 +420,10 @@ def _build_parser():
     threaded.add_argument("--threads", type=_positive_int, default=1, help="parallel workers for independent cells")
     binned = argparse.ArgumentParser(add_help=False)
     binned.add_argument("--bins", type=_positive_int, default=metrics.NUM_BINS, help="ECE bins (default %(default)s)")
+    dataset = argparse.ArgumentParser(add_help=False)
+    dataset.add_argument("--data", required=True, help="dataset file")
+    split = argparse.ArgumentParser(add_help=False)
+    split.add_argument("--split", type=_split_fraction, default=0.5, help="calibration fraction (default %(default)s)")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format",
@@ -446,51 +439,43 @@ def _build_parser():
         default=optim.MAX_ITERATIONS,
         help=f"mcct/mcct-i solver iteration limit (default {optim.MAX_ITERATIONS})",
     )
+    # The parents of compare and the sweeps.
+    grid = [dataset, common, seeded, solver, binned, split]
 
     p = sub.add_parser("gen-synth", parents=[common, seeded], help="generate a synthetic logit dataset")
-    p.add_argument("--n", type=int, default=10_000)
-    p.add_argument("--m", type=int, default=10)
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--overconfidence", type=float, default=1.0)
-    p.add_argument("--noise-sd", type=float, default=0.0)
+    for f in dataclasses.fields(data_io.SynthConfig):
+        if f.name != "seed":
+            p.add_argument("--" + f.name.replace("_", "-"), type=f.type, default=f.default)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_synth)
 
-    p = sub.add_parser("fit", parents=[common, solver], help="fit a calibrator on a dataset")
-    p.add_argument("--data", required=True)
+    p = sub.add_parser("fit", parents=[dataset, common, solver], help="fit a calibrator on a dataset")
     p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--topk", type=_rank_count, default=None, help="retained ranks for mcct/mcct-i (at least 2)")
     p.add_argument("--trace", default=None, help="JSON-lines file with one mcct/mcct-i solver record per iterate")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("eval", parents=[common, binned], help="evaluate a fitted model on a dataset")
-    p.add_argument("--data", required=True)
+    p = sub.add_parser("eval", parents=[dataset, common, binned], help="evaluate a fitted model on a dataset")
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("compare", parents=[common, seeded, threaded, solver, binned], help="fit and evaluate several methods over seeded splits")
-    p.add_argument("--data", required=True)
+    p = sub.add_parser("compare", parents=[*grid, threaded], help="fit and evaluate several methods over seeded splits")
     p.add_argument("--methods", type=_method_list, required=True, help="comma-separated method list")
-    p.add_argument("--split", type=_split_fraction, default=0.5, help="calibration fraction of each split")
     p.add_argument("--runs", type=_positive_int, default=1, help="number of consecutive split seeds")
     p.add_argument("--out", required=True, help="JSON output path (.csv written beside it)")
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("sweep-size", parents=[common, seeded, threaded, solver, binned], help="calibration-set-size sweep")
-    p.add_argument("--data", required=True)
+    p = sub.add_parser("sweep-size", parents=[*grid, threaded], help="calibration-set-size sweep")
     p.add_argument("--fractions", type=_fraction_list, required=True, help="comma-separated fractions in (0, 1]")
     p.add_argument("--methods", type=_method_list, required=True)
     p.add_argument("--seeds", type=_seed_list, default=None, help="comma-separated subsample seeds (default: --seed)")
-    p.add_argument("--split", type=_split_fraction, default=0.5)
     p.add_argument("--out", required=True, help="CSV output path")
     p.set_defaults(func=cmd_sweep_size)
 
-    p = sub.add_parser("sweep-topk", parents=[common, seeded, solver, binned], help="retained-rank sweep with fit timing")
-    p.add_argument("--data", required=True)
+    p = sub.add_parser("sweep-topk", parents=grid, help="retained-rank sweep with fit timing")
     p.add_argument("--kvalues", type=_kvalue_list, required=True, help="comma-separated k values, each at least 2")
-    p.add_argument("--split", type=_split_fraction, default=0.5)
     p.add_argument("--out", required=True, help="CSV output path")
     p.set_defaults(func=cmd_sweep_topk)
 

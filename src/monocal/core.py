@@ -74,6 +74,12 @@ def validate_labels(y, m, n=None):
     return y
 
 
+def validate_dataset(z, y):
+    """A checked ``(logits, labels)`` pair: :func:`validate_logits`, then :func:`validate_labels` of its shape."""
+    z = validate_logits(z)
+    return z, validate_labels(y, z.shape[1], n=z.shape[0])
+
+
 def validate_probs(p):
     """Coerce to a float64 (n, m) probability matrix with unit row sums."""
     p = np.asarray(p, dtype=np.float64)

@@ -63,6 +63,13 @@ def _header(m, labelled):
     return ",".join([f"z{j}" for j in range(m)] + ["label"]) if labelled else ",".join(f"p{j}" for j in range(m))
 
 
+def write_json(path, doc):
+    """Write ``doc`` to ``path`` as JSON indented by 2, with a trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
 def _write_sidecar(path, n, m):
     with open(path + SIDECAR_SUFFIX, "w") as fh:
         json.dump({"v": 1, "n": int(n), "m": int(m), "dtype": "f32"}, fh)
@@ -143,8 +150,7 @@ def _read_table(path, fmt, labelled):
 
 def write_dataset(path, z, y, fmt=None):
     """Write a logit matrix and its labels to ``path`` in the given format."""
-    z = core.validate_logits(z)
-    _write_table(path, z, core.validate_labels(y, z.shape[1], n=z.shape[0]), fmt)
+    _write_table(path, *core.validate_dataset(z, y), fmt)
 
 
 def read_dataset(path, fmt=None):
@@ -166,7 +172,7 @@ def write_matrix(path, a, fmt=None):
 
 
 def read_matrix(path, fmt=None):
-    """Read a matrix written by :func:`write_matrix`."""
+    """Read a matrix written by :func:`write_matrix`: its tested inverse, which no command calls."""
     return _read_table(path, fmt, labelled=False)[0]
 
 
@@ -176,9 +182,8 @@ def split_dataset(z, y, calib_fraction, seed):
     Deterministic per ``(seed, n)``; the two parts are disjoint and together
     contain every sample exactly once.
     """
-    z = core.validate_logits(z)
+    z, y = core.validate_dataset(z, y)
     n = z.shape[0]
-    y = core.validate_labels(y, z.shape[1], n=n)
     if not 0.0 < calib_fraction < 1.0:
         raise ValueError("calib_fraction must lie strictly between 0 and 1")
     n_cal = int(round(n * calib_fraction))

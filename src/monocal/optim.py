@@ -16,7 +16,6 @@ from . import core
 from .transform import (
     DIRECT,
     INVERSE,
-    MODES,
     MonotoneParams,
     label_positions,
     order_violations,
@@ -259,18 +258,17 @@ def fit_mcct(z, y, mode=DIRECT, k=None, max_iterations=MAX_ITERATIONS, trace=Non
     non-decreasing in floating point, and so is its minimum with a constant.
     Nothing is repaired after the solve.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
-    z = core.validate_logits(z)
+    z, y = core.validate_dataset(z, y)
     n, m = z.shape
-    y = core.validate_labels(y, m, n=n)
     if n < 2:
         raise ValueError("need at least 2 samples to fit")
     k = m if k is None else int(k)
     if not 2 <= k <= m:
         raise ValueError(f"need 2 <= k <= m, got k={k}, m={m}")
+    # The identity map, in either mode; building it refuses an unknown mode.
+    start = init_params(mode, k, m=m)
     s = np.sort(z, axis=1)
     tied = len({row for row, _ in core.validate_distinct(s)})
     if tied:
@@ -301,7 +299,6 @@ def fit_mcct(z, y, mode=DIRECT, k=None, max_iterations=MAX_ITERATIONS, trace=Non
 
     lower = np.zeros(2 * k - 1)
     lower[0] = W_FLOOR
-    start = init_params(DIRECT, k, m=m)
     x0 = np.concatenate([np.diff(start.w, prepend=0.0), np.diff(start.b)])
     x, initial_loss, final_loss, iterations, converged = _projected_newton(evaluate, x0, lower, max_iterations, trace)
     params = MonotoneParams(*params_of(x), mode=DIRECT, m=m).in_mode(mode)

@@ -275,8 +275,7 @@ def sorted_nll_objective(s, y_pos, w, b, mode, order=1):
     y_pos = np.asarray(y_pos, dtype=np.int64)
     k, n = S.shape
     label = y_pos * n + np.arange(n)  # flat index of each sample's target in S
-    t = S * w[:, None] if mode == DIRECT else S / w[:, None]
-    t += b[:, None]
+    t = _transform_sorted(S, w[:, None], b[:, None], mode)
     loss, p, total = softmax_nll(t, label)
     if order == 0:
         return loss

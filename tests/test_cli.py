@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -17,7 +18,7 @@ def run(*args):
 
 def assert_stage_times(out, stages):
     """Check a manifest's per-stage wall times and their total; return them."""
-    times = json.load(open(out + ".manifest.json"))["wall_time_s"]
+    times = json.loads(Path(out + ".manifest.json").read_text())["wall_time_s"]
     assert stages | {"total"} <= set(times)
     assert all(times[s] > 0 for s in stages)
     assert times["total"] == pytest.approx(sum(times[s] for s in stages))
@@ -51,6 +52,13 @@ class TestGenSynth:
         z2, y2 = data_io.read_dataset(dataset)
         assert np.array_equal(z2, z)
         assert np.array_equal(y2, y)
+
+    def test_defaults_are_the_config_defaults(self):
+        defaults = dataclasses.asdict(data_io.SynthConfig())
+        args = cli._build_parser().parse_args(["gen-synth", "--out", "x"])
+        assert {name: getattr(args, name) for name in defaults} == defaults
+        args = cli._build_parser().parse_args(["gen-synth", "--out", "x", "--n", "7", "--noise-sd", "0.25"])
+        assert (type(args.n), args.n, type(args.noise_sd), args.noise_sd) == (int, 7, float, 0.25)
 
     def test_manifest_lists_outputs(self, dataset):
         with open(dataset + ".manifest.json") as fh:
@@ -135,9 +143,9 @@ class TestFit:
         trace_path = tmp_path / "trace.jsonl"
         assert run("fit", "--data", dataset, "--method", "mcct-i", "--out", plain) == 0
         assert run("fit", "--data", dataset, "--method", "mcct-i", "--trace", trace_path, "--out", traced) == 0
-        assert open(plain, "rb").read() == open(traced, "rb").read()
+        assert Path(plain).read_bytes() == Path(traced).read_bytes()
         lines = [json.loads(line) for line in trace_path.read_text().splitlines()]
-        manifest = json.load(open(traced + ".manifest.json"))
+        manifest = json.loads(Path(traced + ".manifest.json").read_text())
         assert manifest["trace"] == str(trace_path)
         assert manifest["outputs"] == [traced]
         assert [line["iteration"] for line in lines] == list(range(len(lines)))
@@ -164,7 +172,7 @@ class TestFit:
         topk = str(tmp_path / "topk.json")
         run("fit", "--data", dataset, "--method", "mcct", "--out", plain)
         run("fit", "--data", dataset, "--method", "mcct", "--topk", 8, "--out", topk)
-        assert open(plain, "rb").read() == open(topk, "rb").read()
+        assert Path(plain).read_bytes() == Path(topk).read_bytes()
 
     def test_truncated_fit(self, dataset, tmp_path):
         out = str(tmp_path / "model.json")
@@ -180,8 +188,8 @@ class TestFit:
             "--max-iterations", 1, "--out", out,
         )
         assert code == 3
-        assert json.load(open(out))["kind"] == "mcct"  # best iterate still written
-        manifest = json.load(open(out + ".manifest.json"))
+        assert json.loads(Path(out).read_text())["kind"] == "mcct"  # best iterate still written
+        manifest = json.loads(Path(out + ".manifest.json").read_text())
         assert manifest["fit"]["converged"] is False
         assert manifest["max_iterations"] == 1
 
@@ -200,14 +208,14 @@ class TestFit:
         for method in ("ts", "vs", "hb", "ets-nll", "ets-mse"):
             out = str(tmp_path / f"{method}.json")
             assert run("fit", "--data", dataset, "--method", method, "--out", out) == 0
-            info = json.load(open(out + ".manifest.json"))["fit"]
+            info = json.loads(Path(out + ".manifest.json").read_text())["fit"]
             if method == "hb":
                 assert info["iterations"] is None and info["converged"] is True
             else:
                 assert isinstance(info["iterations"], int) and info["iterations"] >= 1, method
                 assert info["converged"] is True, method
             # The model file holds the parameters only.
-            assert "iterations" not in json.load(open(out)) and "converged" not in json.load(open(out))
+            assert "iterations" not in json.loads(Path(out).read_text()) and "converged" not in json.loads(Path(out).read_text())
 
     def test_single_label_vs_manifest_agrees_with_exit_code(self, tmp_path):
         # One label everywhere: vector scaling has no minimizer and stops at the solver's tolerance.
@@ -216,7 +224,7 @@ class TestFit:
         data_io.write_dataset(data_path, rng.normal(0, 1, (300, 4)), np.zeros(300, dtype=np.int64))
         out = str(tmp_path / "vs.json")
         code = run("fit", "--data", data_path, "--method", "vs", "--out", out)
-        info = json.load(open(out + ".manifest.json"))["fit"]
+        info = json.loads(Path(out + ".manifest.json").read_text())["fit"]
         assert isinstance(info["iterations"], int) and info["iterations"] > 1
         assert code == (0 if info["converged"] else 3)
         assert info["final_loss"] < 1e-6
@@ -225,7 +233,7 @@ class TestFit:
         for method in cli.METHODS:
             out = str(tmp_path / f"{method}.json")
             assert run("fit", "--data", dataset, "--method", method, "--out", out) == 0
-            assert json.load(open(out))["kind"] == method
+            assert json.loads(Path(out).read_text())["kind"] == method
 
 
 COUNT = "need a positive integer"
@@ -318,13 +326,13 @@ MODEL_DOCS = {
 class TestFormat:
     def test_unknown_extension_needs_a_format(self, dataset, tmp_path, capsys):
         data_path = tmp_path / "data.txt"
-        data_path.write_bytes(open(dataset, "rb").read())
+        data_path.write_bytes(Path(dataset).read_bytes())
         out = tmp_path / "model.json"
         assert run("fit", "--data", data_path, "--method", "ts", "--out", out) == 2
         assert "cannot infer format" in capsys.readouterr().err
         assert not out.exists()
         assert run("fit", "--data", data_path, "--method", "ts", "--format", "csv", "--out", out) == 0
-        assert json.load(open(out))["kind"] == "ts"
+        assert json.loads(Path(out).read_text())["kind"] == "ts"
 
 
 class TestEval:
@@ -336,7 +344,7 @@ class TestEval:
         model.save(model_path)
         out = str(tmp_path / "report.json")
         assert run("eval", "--data", dataset, "--model", model_path, "--out", out) == 0
-        report = json.load(open(out))
+        report = json.loads(Path(out).read_text())
         z, y = data_io.read_dataset(dataset)
         p = core.softmax_rows(z)
         expected = metrics.compute_report(p, y, p)
@@ -358,14 +366,14 @@ class TestEval:
         ).save(model_path)
         out = str(tmp_path / "report.json")
         assert run("eval", "--data", data_path, "--model", model_path, "--bins", 10, "--out", out) == 0
-        assert json.load(open(out))["ece"] == pytest.approx(0.35, abs=1e-9)
+        assert json.loads(Path(out).read_text())["ece"] == pytest.approx(0.35, abs=1e-9)
 
     def test_reliability_csv_row_count(self, dataset, tmp_path):
         model_path = str(tmp_path / "ts.json")
         run("fit", "--data", dataset, "--method", "ts", "--out", model_path)
         out = str(tmp_path / "report.json")
         assert run("eval", "--data", dataset, "--model", model_path, "--bins", 12, "--out", out) == 0
-        lines = open(str(tmp_path / "report.reliability.csv")).read().strip().split("\n")
+        lines = (tmp_path / "report.reliability.csv").read_text().strip().split("\n")
         assert len(lines) == 13  # header + one row per bin
         counts = [int(line.split(",")[3]) for line in lines[1:]]
         assert sum(counts) == 3000  # every sample lands in exactly one bin
@@ -421,7 +429,7 @@ class TestEval:
         monkeypatch.undo()
         whole = str(tmp_path / "whole.json")
         assert run("eval", "--data", dataset, "--model", model_path, "--out", whole) == 0
-        assert open(out, "rb").read() == open(whole, "rb").read()
+        assert Path(out).read_bytes() == Path(whole).read_bytes()
 
     @pytest.mark.parametrize("doc", [
         {"kind": "mcct", "mode": "direct", "m": 8, "k": 8, "w": [1e308] * 8, "b": [0.0] * 8},
@@ -484,6 +492,27 @@ class TestEval:
         assert "error: " in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
 
+    @pytest.mark.parametrize("doc, message", [
+        ({**MODEL_DOCS["ts"], "T": "2"}, "model field 'T' must be int or float, got '2'"),
+        ({**MODEL_DOCS["ets-nll"], "T": [2.0]}, "model field 'T' must be int or float, got \\[2.0\\]"),
+        ({**MODEL_DOCS["ets-mse"], "T": True}, "model field 'T' must be int or float, got True"),
+        ({**MODEL_DOCS["ts"], "m": 2.5}, "model field 'm' must be int, got 2.5"),
+        ({**MODEL_DOCS["vs"], "m": True}, "model field 'm' must be int, got True"),
+        ({**MODEL_DOCS["mcct"], "m": 8.0}, "model field 'm' must be int, got 8.0"),
+        ({**MODEL_DOCS["mcct"], "k": "3"}, "model field 'k' must be int, got '3'"),
+        ({**MODEL_DOCS["mcct-i"], "k": 8.0}, "model field 'k' must be int, got 8.0"),
+        ({**MODEL_DOCS["hb"], "kind": ["hb"]}, "model field 'kind' must be str, got \\['hb'\\]"),
+        ([MODEL_DOCS["ts"]], "model document must be a JSON object"),
+    ])
+    def test_model_fields_of_the_wrong_type_are_refused(self, dataset, tmp_path, doc, message, capsys):
+        with pytest.raises(ValueError, match=message):
+            baselines.CalibratedModel.from_json(doc)
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(doc))
+        assert run("eval", "--data", dataset, "--model", model_path, "--out", tmp_path / "report.json") == 2
+        assert "error: " + message.replace("\\", "") in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+
 
 @pytest.fixture
 def solves(monkeypatch):
@@ -498,6 +527,24 @@ def solves(monkeypatch):
     monkeypatch.setattr(cli.optim, "fit_mcct", counted)
     return calls
 
+class TestRunCells:
+    def test_one_worker_keeps_cell_order_and_runs_mcct_i_last(self):
+        cells = [("mcct-i", 0), ("ts", 0), ("broken", 0), ("mcct", 1), ("mcct-i", 1)]
+        ran = []
+
+        def worker(method, seed):
+            ran.append((method, seed))
+            if method == "broken":
+                raise ValueError("cannot fit")
+            return f"{method}/{seed}"
+
+        results = cli._run_cells(cells, worker, 1)
+        assert ran == [("ts", 0), ("broken", 0), ("mcct", 1), ("mcct-i", 0), ("mcct-i", 1)]
+        assert results == [
+            ("ok", "mcct-i/0"), ("ok", "ts/0"), ("error", "ValueError: cannot fit"), ("ok", "mcct/1"), ("ok", "mcct-i/1"),
+        ]
+
+
 class TestCompare:
     def test_table_structure_and_rank(self, dataset, tmp_path):
         out = str(tmp_path / "cmp.json")
@@ -506,14 +553,14 @@ class TestCompare:
             "--split", 0.5, "--runs", 2, "--seed", 0, "--out", out,
         )
         assert code == 0
-        doc = json.load(open(out))
+        doc = json.loads(Path(out).read_text())
         assert doc["methods"] == ["uncalibrated", "mcct", "ts", "vs"]
         assert doc["seeds"] == [0, 1]
         assert len(doc["per_seed"]) == 8
         assert set(doc["rank"]["ece"]) == {"uncalibrated", "mcct", "ts", "vs"}
         best = min(doc["mean"], key=lambda m: doc["mean"][m]["ece"])
         assert doc["rank"]["ece"][best] == 1
-        csv_lines = open(str(tmp_path / "cmp.csv")).read().strip().split("\n")
+        csv_lines = (tmp_path / "cmp.csv").read_text().strip().split("\n")
         assert csv_lines[0].startswith("method,seed,ece")
         assert len(csv_lines) == 1 + 8 + 4 + 4  # header, per-seed, mean, rank
         assert_stage_times(out, {"split", "cells", "write"})
@@ -524,7 +571,7 @@ class TestCompare:
             "compare", "--data", dataset, "--methods", "mcct,mcct-i,ts,ets-nll,ets-mse",
             "--split", 0.5, "--runs", 1, "--seed", 3, "--out", out,
         )
-        doc = json.load(open(out))
+        doc = json.loads(Path(out).read_text())
         reference = doc["mean"]["uncalibrated"]["accuracy"]
         for method in ("mcct", "mcct-i", "ts", "ets-nll", "ets-mse"):
             assert doc["mean"][method]["accuracy"] == reference
@@ -537,7 +584,7 @@ class TestCompare:
             "--split", 0.5, "--runs", 2, "--threads", 2, "--out", out,
         ) == 0
         assert len(solves) == 2
-        doc = json.load(open(out))
+        doc = json.loads(Path(out).read_text())
         assert [c["method"] for c in doc["per_seed"]] == [
             m for m in ("uncalibrated", "mcct-i", "ts", "mcct") for _ in range(2)
         ]
@@ -561,11 +608,11 @@ class TestCompare:
             "--split", 0.25, "--runs", 1, "--out", out,
         )
         assert code == 1
-        doc = json.load(open(out))
+        doc = json.loads(Path(out).read_text())
         statuses = {row["method"]: row["status"] for row in doc["per_seed"]}
         assert statuses["mcct"] == "error"
         assert statuses["ts"] == "ok"
-        manifest = json.load(open(out + ".manifest.json"))
+        manifest = json.loads(Path(out + ".manifest.json").read_text())
         assert len(manifest["failures"]) == 1
 
     def test_base_statistics_once_per_split(self, dataset, tmp_path, monkeypatch):
@@ -626,9 +673,9 @@ class TestSharedFits:
             outs.append(out)
         tables = [out[: -len(".json")] + ".csv" for out in outs]
         for one, two in (outs, tables):
-            assert open(one, "rb").read() == open(two, "rb").read()
+            assert Path(one).read_bytes() == Path(two).read_bytes()
         # Each shared fit equals a separate fit of its kind.
-        doc = json.load(open(outs[0]))
+        doc = json.loads(Path(outs[0]).read_text())
         (zc, yc), (zt, yt) = data_io.split_dataset(*data_io.read_dataset(dataset), 0.5, 1)
         for method in ("ts", "ets-nll", "ets-mse"):
             model = baselines.fit_baseline(method, zc, yc)
@@ -717,8 +764,8 @@ class TestSweepSize:
             "--out", sweep_out,
         )
         assert code == 0
-        cmp_doc = json.load(open(cmp_out))
-        rows = json.load(open(sweep_out + ".json"))["rows"]
+        cmp_doc = json.loads(Path(cmp_out).read_text())
+        rows = json.loads(Path(sweep_out + ".json").read_text())["rows"]
         full = {r["method"]: r for r in rows if r["fraction"] == 1.0}
         for method in ("mcct", "ts"):
             per_seed = [
@@ -733,7 +780,7 @@ class TestSweepSize:
             "sweep-size", "--data", dataset, "--fractions", "0.1,0.5",
             "--methods", "ts", "--seeds", "0,1", "--out", out,
         ) == 0
-        rows = json.load(open(out + ".json"))["rows"]
+        rows = json.loads(Path(out + ".json").read_text())["rows"]
         assert len(rows) == 4
         assert {r["n_calib"] for r in rows} == {150, 750}
         assert_stage_times(out, {"split", "cells", "write"})
@@ -745,7 +792,7 @@ class TestSweepSize:
             "--methods", "mcct,mcct-i", "--seeds", "0,1", "--threads", 2, "--out", out,
         ) == 0
         assert len(solves) == 4
-        assert len(json.load(open(out + ".json"))["rows"]) == 8
+        assert len(json.loads(Path(out + ".json").read_text())["rows"]) == 8
 
     def test_too_small_subsample_is_per_cell_failure(self, dataset, tmp_path):
         out = str(tmp_path / "sweep.csv")
@@ -754,7 +801,7 @@ class TestSweepSize:
             "--methods", "mcct", "--seeds", "0", "--out", out,
         )
         assert code == 1
-        rows = json.load(open(out + ".json"))["rows"]
+        rows = json.loads(Path(out + ".json").read_text())["rows"]
         by_fraction = {r["fraction"]: r["status"] for r in rows}
         assert by_fraction[0.0005] != "ok"
         assert by_fraction[0.5] == "ok"
@@ -776,7 +823,7 @@ class TestSweepTopk:
             "--split", 0.5, "--seed", 0, "--out", out,
         )
         assert code == 0
-        rows = json.load(open(out + ".json"))["rows"]
+        rows = json.loads(Path(out + ".json").read_text())["rows"]
         assert [r["k"] for r in rows] == [2, 4, 8]
         fit_per_k = assert_stage_times(out, {"split", "cells", "write"})["fit_per_k"]
         assert set(fit_per_k) == {"2", "4", "8"} and all(v > 0 for v in fit_per_k.values())
@@ -788,19 +835,19 @@ class TestSweepTopk:
             "compare", "--data", dataset, "--methods", "mcct",
             "--split", 0.5, "--runs", 1, "--seed", 0, "--out", cmp_out,
         )
-        cmp_row = [r for r in json.load(open(cmp_out))["per_seed"] if r["method"] == "mcct"][0]
+        cmp_row = [r for r in json.loads(Path(cmp_out).read_text())["per_seed"] if r["method"] == "mcct"][0]
         assert rows[2]["ece"] == cmp_row["ece"]
 
     def test_k_above_m_is_per_cell_failure(self, dataset, tmp_path):
         out = str(tmp_path / "topk.csv")
         assert run("sweep-topk", "--data", dataset, "--kvalues", "4,9", "--out", out) == 1
-        lines = open(out).read().strip().split("\n")
+        lines = Path(out).read_text().strip().split("\n")
         error = "ValueError: need 2 <= k <= m, got k=9, m=8"
         assert lines[2] == "9," + "," * 10 + error  # 7 metrics, dropped_samples, iterations, converged
-        rows = json.load(open(out + ".json"))["rows"]
+        rows = json.loads(Path(out + ".json").read_text())["rows"]
         assert rows[0]["status"] == "ok" and rows[1]["k"] == 9 and rows[1]["status"] == error
         assert rows[1]["ece"] is None and rows[1]["converged"] is None
-        manifest = json.load(open(out + ".manifest.json"))
+        manifest = json.loads(Path(out + ".manifest.json").read_text())
         assert manifest["failures"] == [{"k": 9, "error": error}]
         assert manifest["kvalues"] == [4, 9]
         assert set(manifest["wall_time_s"]["fit_per_k"]) == {"4"}
@@ -808,10 +855,10 @@ class TestSweepTopk:
     def test_timing_column_excluded_from_json_metrics(self, dataset, tmp_path):
         out = str(tmp_path / "topk.csv")
         run("sweep-topk", "--data", dataset, "--kvalues", "8", "--out", out)
-        header = open(out).readline().strip().split(",")
+        header = Path(out).read_text().splitlines()[0].strip().split(",")
         assert "fit_seconds" not in header and "dropped_samples" in header
-        assert "fit_seconds" not in json.load(open(out + ".json"))["rows"][0]
-        assert "8" in json.load(open(out + ".manifest.json"))["wall_time_s"]["fit_per_k"]
+        assert "fit_seconds" not in json.loads(Path(out + ".json").read_text())["rows"][0]
+        assert "8" in json.loads(Path(out + ".manifest.json").read_text())["wall_time_s"]["fit_per_k"]
 
 
 class TestDeterminism:
@@ -833,7 +880,7 @@ class TestDeterminism:
                     [sys.executable, "-m", "monocal.cli", "fit", "--data", data, "--method", "mcct", "--out", out],
                     env=env, check=True, timeout=120,
                 )
-                models.append(open(out, "rb").read())
+                models.append(Path(out).read_bytes())
             assert models[0] == models[1]
 
     def test_baseline_fits_are_identical_with_one_and_two_blas_threads(self, tmp_path):
@@ -852,7 +899,7 @@ class TestDeterminism:
                     [sys.executable, "-m", "monocal.cli", "fit", "--data", wide, "--method", method, "--out", out],
                     env=env, check=True, timeout=120,
                 )
-                models.append(open(out, "rb").read())
+                models.append(Path(out).read_bytes())
             assert models[0] == models[1]
 
     def test_fit_reruns_are_byte_identical(self, dataset, tmp_path):
@@ -860,7 +907,7 @@ class TestDeterminism:
         b = str(tmp_path / "b.json")
         run("fit", "--data", dataset, "--method", "mcct", "--out", a)
         run("fit", "--data", dataset, "--method", "mcct", "--out", b)
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_sweep_topk_reruns_are_byte_identical(self, dataset, tmp_path):
         outs = []
@@ -869,7 +916,7 @@ class TestDeterminism:
             assert run("sweep-topk", "--data", dataset, "--kvalues", "2,8", "--out", out) == 0
             outs.append(out)
         for suffix in ("", ".json"):
-            assert open(outs[0] + suffix, "rb").read() == open(outs[1] + suffix, "rb").read()
+            assert Path(outs[0] + suffix).read_bytes() == Path(outs[1] + suffix).read_bytes()
 
     def test_compare_reruns_are_byte_identical(self, dataset, tmp_path):
         outs = []
@@ -880,10 +927,10 @@ class TestDeterminism:
                 "--split", 0.5, "--runs", 2, "--seed", 1, "--out", out,
             )
             outs.append(out)
-        assert open(outs[0], "rb").read() == open(outs[1], "rb").read()
+        assert Path(outs[0]).read_bytes() == Path(outs[1]).read_bytes()
         csv_a = outs[0][:-5] + ".csv"
         csv_b = outs[1][:-5] + ".csv"
-        assert open(csv_a, "rb").read() == open(csv_b, "rb").read()
+        assert Path(csv_a).read_bytes() == Path(csv_b).read_bytes()
 
     def test_gen_synth_reruns_are_byte_identical(self, tmp_path):
         paths = []
@@ -891,7 +938,7 @@ class TestDeterminism:
             path = str(tmp_path / f"{name}.csv")
             run("gen-synth", "--n", 100, "--m", 5, "--seed", 9, "--out", path)
             paths.append(path)
-        assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
+        assert Path(paths[0]).read_bytes() == Path(paths[1]).read_bytes()
 
     def test_threaded_sweep_size_matches_serial(self, dataset, tmp_path):
         # Two threads start the mcct-i cells after every other cell.
@@ -904,7 +951,7 @@ class TestDeterminism:
             ) == 0
             outs.append(out)
         for suffix in ("", ".json"):
-            assert open(outs[0] + suffix, "rb").read() == open(outs[1] + suffix, "rb").read()
+            assert Path(outs[0] + suffix).read_bytes() == Path(outs[1] + suffix).read_bytes()
 
     def test_threaded_compare_matches_serial(self, dataset, tmp_path):
         serial = str(tmp_path / "serial.json")
@@ -917,4 +964,4 @@ class TestDeterminism:
             "compare", "--data", dataset, "--methods", "ts,hb",
             "--runs", 2, "--seed", 0, "--threads", 4, "--out", threaded,
         )
-        assert open(serial).read() == open(threaded).read()
+        assert Path(serial).read_text() == Path(threaded).read_text()

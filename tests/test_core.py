@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monocal import core
+from monocal import baselines, core, data_io, optim
 
 
 @st.composite
@@ -269,3 +269,43 @@ class TestArgmax:
                     best, best_v = j, v
             expected.append(best)
         assert np.array_equal(core.argmax_rows(z), expected)
+
+
+# Every function that takes a labelled logit set, called on (z, y) with any
+# other argument it needs.
+LABELLED_CALLERS = {
+    "fit_mcct": lambda z, y, path: optim.fit_mcct(z, y),
+    "fit_ts": lambda z, y, path: baselines.fit_ts(z, y),
+    "fit_vs": lambda z, y, path: baselines.fit_vs(z, y),
+    "ensemble_terms": lambda z, y, path: baselines.ensemble_terms(z, y, 1.5),
+    "fit_ets": lambda z, y, path: baselines.fit_ets(z, y),
+    "split_dataset": lambda z, y, path: data_io.split_dataset(z, y, 0.5, 0),
+    "write_dataset": lambda z, y, path: data_io.write_dataset(path, z, y),
+}
+
+
+class TestValidateDataset:
+    def test_returns_the_checked_pair(self):
+        z, y = core.validate_dataset([[0, 1], [2, 3]], [1.0, 0.0])
+        assert z.dtype == np.float64 and y.dtype == np.int64
+        assert np.array_equal(z, [[0.0, 1.0], [2.0, 3.0]]) and np.array_equal(y, [1, 0])
+
+    @pytest.mark.parametrize("caller", LABELLED_CALLERS)
+    @pytest.mark.parametrize("broken, message", [
+        ("nan_logit", "logit matrix contains NaN or infinite entries"),
+        ("short_labels", "expected 20 labels, got 19"),
+        ("label_too_large", "labels must lie in \\[0, 4\\)"),
+    ])
+    def test_every_caller_refuses_a_broken_set(self, caller, broken, message, tmp_path):
+        rng = np.random.default_rng(0)
+        z, y = rng.normal(0, 1, (20, 4)), rng.integers(0, 4, 20)
+        if broken == "nan_logit":
+            z[3, 2] = np.nan
+        elif broken == "short_labels":
+            y = y[:-1]
+        else:
+            y[5] = 4
+        path = tmp_path / "data.csv"
+        with pytest.raises(ValueError, match=message):
+            LABELLED_CALLERS[caller](z, y, str(path))
+        assert not path.exists()

@@ -1,5 +1,6 @@
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,9 +142,9 @@ class TestRawBinaryFormat:
         z = np.zeros((2, 3))
         data_io.write_dataset(path, z, np.array([0, 1]))
         # Rewrite the label block with an out-of-range value.
-        raw = bytearray(open(path, "rb").read())
+        raw = bytearray(Path(path).read_bytes())
         raw[-8:] = np.array([0, 3], dtype="<u4").tobytes()
-        open(path, "wb").write(bytes(raw))
+        Path(path).write_bytes(bytes(raw))
         with pytest.raises(data_io.LabelRangeError):
             data_io.read_dataset(path)
 
