@@ -27,7 +27,7 @@ import json
 import numpy as np
 
 from . import core, data_io, metrics, optim
-from .transform import DIRECT, INVERSE, MonotoneParams, apply_map_topk, softmax_nll, sorted_nll_objective
+from .transform import DIRECT, INVERSE, MonotoneParams, apply_map_topk, json_floats, softmax_nll, sorted_nll_objective
 
 MCCT = "mcct"
 MCCT_I = "mcct-i"
@@ -152,10 +152,12 @@ class CalibratedModel:
         kind = doc.pop("kind")
         if kind in MONOTONE_MODES:
             return cls(kind, {"params": MonotoneParams.from_json(doc), "m": doc["m"]})
-        payload = {}
-        for key, value in doc.items():
-            payload[key] = np.asarray(value, dtype=np.float64) if isinstance(value, list) else value
-        return cls(kind, payload)
+        # A baseline kind's fields that are not scalars are lists of numbers, and
+        # so is any other list the document carries (the payload keeps it).
+        lists = set(_JSON_FIELDS.get(kind, ())).difference(_SCALAR_TYPES)
+        return cls(kind, {
+            key: json_floats(doc, key) if key in lists or type(value) is list else value for key, value in doc.items()
+        })
 
     def save(self, path):
         data_io.write_json(path, self.to_json())

@@ -245,13 +245,19 @@ def fit_mcct(z, y, mode=DIRECT, k=None, max_iterations=MAX_ITERATIONS, trace=Non
     solver's per-iterate records.  Every sum in the fit runs in a fixed
     order, so the result does not depend on the BLAS thread count either.
 
-    With ``k`` below the class count, each row's sorted logits are truncated
-    to the top k columns and samples whose true class falls outside them are
-    dropped from the fitting set (their count is reported on the result).
-    The result also counts the calibration rows with tied logits, the rows
-    the fitted map reorders and the distinct labels, and the fit warns about
-    ties, reordered rows and a single label.  Rows are sorted by value only;
-    each label's rank is counted, not read from a permutation.
+    The fitting set is prepared in one walk over row blocks of about 1 MB
+    (``core.BLOCK_DOUBLES`` entries): each block is sorted into the fit's one
+    sorted copy of the logits, and its tied rows and label ranks are counted
+    while it is in cache.  Rows are sorted by value only; each label's rank
+    is counted, not read from a permutation.  With ``k`` below the class
+    count, each row's sorted logits are truncated to the top k columns and
+    samples whose true class falls outside them are dropped from the fitting
+    set (their count is reported on the result).  The result also counts
+    the calibration rows with tied logits, the rows the fitted map reorders
+    (counted block by block on the kept sorted copy after the solve) and
+    the distinct labels, and the fit warns about ties, reordered rows and a
+    single label.  So the fit holds the logits, one sorted copy and about
+    1 MB per block besides its top-k fitting set.
 
     The returned parameters are feasible by construction: rounding is
     monotone, so a cumulative sum of non-negative increments is exactly
@@ -269,15 +275,21 @@ def fit_mcct(z, y, mode=DIRECT, k=None, max_iterations=MAX_ITERATIONS, trace=Non
         raise ValueError(f"need 2 <= k <= m, got k={k}, m={m}")
     # The identity map, in either mode; building it refuses an unknown mode.
     start = init_params(mode, k, m=m)
-    s = np.sort(z, axis=1)
-    tied = len({row for row, _ in core.validate_distinct(s)})
+    # Each block is sorted in place and counted while it is in cache.
+    s, positions, tied = np.empty_like(z), np.empty(n, dtype=np.int64), 0
+    for rows in core._row_blocks(n, m):
+        block = s[rows]
+        block[...] = z[rows]
+        block.sort(axis=1)
+        tied += len({row for row, _ in core.validate_distinct(block)})
+        positions[rows] = label_positions(z[rows], y[rows])
     if tied:
         warnings.warn(f"{tied} rows contain tied logits; rank order within ties follows column index")
     distinct_labels = int(np.unique(y).size)
     if distinct_labels == 1:
         warnings.warn("all calibration labels are identical; the fit is degenerate")
 
-    s_fit, pos_fit, dropped = truncate_training_set(s, label_positions(z, y), k)
+    s_fit, pos_fit, dropped = truncate_training_set(s, positions, k)
     if s_fit.shape[0] == 0:
         raise ValueError("every sample's true class fell outside the top k ranks")
     # The objective works on the class-major block and does not copy this view of it.
@@ -302,7 +314,7 @@ def fit_mcct(z, y, mode=DIRECT, k=None, max_iterations=MAX_ITERATIONS, trace=Non
     x0 = np.concatenate([np.diff(start.w, prepend=0.0), np.diff(start.b)])
     x, initial_loss, final_loss, iterations, converged = _projected_newton(evaluate, x0, lower, max_iterations, trace)
     params = MonotoneParams(*params_of(x), mode=DIRECT, m=m).in_mode(mode)
-    broken = order_violations(s, params)
+    broken = sum(order_violations(s[rows], params) for rows in core._row_blocks(n, m))
     if broken:
         warnings.warn(
             f"fitted map reorders scores on {broken} of {n} calibration rows "

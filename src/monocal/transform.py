@@ -111,14 +111,28 @@ class MonotoneParams:
     @classmethod
     def from_json(cls, doc):
         params = cls(
-            w=np.asarray(doc["w"], dtype=np.float64),
-            b=np.asarray(doc["b"], dtype=np.float64),
+            w=json_floats(doc, "w"),
+            b=json_floats(doc, "b"),
             mode=doc["mode"],
             m=int(doc["m"]),
         )
         if params.k != int(doc["k"]):
             raise ValueError(f"declared k={doc['k']} does not match len(w)={params.k}")
         return params
+
+
+def json_floats(doc, name):
+    """The float64 vector of a model document's list field ``name``.
+
+    The field must be a flat JSON list of numbers, checked before any
+    conversion; types are compared exactly, so a boolean (an ``int``
+    subclass) or a numeric string is refused.
+    """
+    value = doc[name]
+    bad = [v for v in value if type(v) not in (int, float)] if type(value) is list else [value]
+    if bad:
+        raise ValueError(f"model field {name!r} must be a list of int or float, got {bad[0]!r}")
+    return np.array(value, dtype=np.float64)
 
 
 def _rank_aligned_wb(params):

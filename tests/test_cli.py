@@ -513,6 +513,22 @@ class TestEval:
         assert "error: " + message.replace("\\", "") in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
 
+    @pytest.mark.parametrize("doc, message", [
+        ({**MODEL_DOCS["ets-nll"], "weights": ["0.5", "0.25", "0.25"]}, "model field 'weights' must be a list of int or float, got '0.5'"),
+        ({**MODEL_DOCS["vs"], "scale": [True] * 8}, "model field 'scale' must be a list of int or float, got True"),
+        ({**MODEL_DOCS["mcct"], "k": 2, "w": ["1", "2"], "b": [0, 0]}, "model field 'w' must be a list of int or float, got '1'"),
+        ({**MODEL_DOCS["mcct-i"], "b": [[0.0] * 8]}, "model field 'b' must be a list of int or float, got \\[0.0"),
+        ({**MODEL_DOCS["hb"], "edges": 0.5}, "model field 'edges' must be a list of int or float, got 0.5"),
+    ])
+    def test_model_list_items_of_the_wrong_type_are_refused(self, dataset, tmp_path, doc, message, capsys):
+        with pytest.raises(ValueError, match=message):
+            baselines.CalibratedModel.from_json(doc)
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(doc))
+        assert run("eval", "--data", dataset, "--model", model_path, "--out", tmp_path / "report.json") == 2
+        assert "error: " + message.replace("\\", "") in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+
 
 @pytest.fixture
 def solves(monkeypatch):

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -319,6 +320,90 @@ class TestFit:
         assert result.initial_loss == objective(s, pos, np.ones(params.k), np.zeros(params.k), "direct", 0)
         if mode == transform.DIRECT:  # inverse mode's 1 / (1 / w) may round
             assert result.final_loss == objective(s, pos, params.w, params.b, "direct", 0)
+
+
+def _reordering_problem():
+    """Negative logits on which a 3-step mcct-i fit reorders about half the rows."""
+    rng = np.random.default_rng(0)
+    z = rng.normal(0, 2, (300, 6)) - 3.0
+    return z, np.where(rng.uniform(size=300) < 0.5, z.argmax(axis=1), rng.integers(0, 6, 300))
+
+
+def _quiet_fit(z, y, **kwargs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return optim.fit_mcct(z, y, **kwargs)
+
+
+class TestBlockedWalk:
+    """The fit prepares its sorted block, tie count, label ranks and reorder count one row block at a time."""
+
+    BLOCK_CASES = [(pattern, {"k": k}) for pattern in ROW_PATTERNS for k in (3, 8)] + [
+        ("reordering", {"mode": transform.INVERSE, "max_iterations": 3}),
+    ]
+
+    @pytest.mark.parametrize("pattern, fit_args", BLOCK_CASES)
+    @pytest.mark.parametrize("rows_per_block", [1, 7])
+    def test_block_size_does_not_change_the_fit(self, monkeypatch, pattern, fit_args, rows_per_block):
+        # At 7 rows per block, 205 and 300 rows both end in a short block.
+        if pattern == "reordering":
+            z, y = _reordering_problem()
+        else:
+            rng = np.random.default_rng(71)
+            z = patterned_logits(rng, 205, 8, fit_args["k"], pattern) * 1.5
+            y = np.where(rng.uniform(size=205) < 0.6, z.argmax(axis=1), rng.integers(0, 8, 205))
+        whole = _quiet_fit(z, y, **fit_args)
+        monkeypatch.setattr(core, "BLOCK_DOUBLES", rows_per_block * z.shape[1])
+        blocked = _quiet_fit(z, y, **fit_args)
+        assert blocked.params.w.tobytes() == whole.params.w.tobytes()
+        assert blocked.params.b.tobytes() == whole.params.b.tobytes()
+        assert blocked.final_loss == whole.final_loss
+        assert blocked.iterations == whole.iterations
+        counts = ("tied_rows", "dropped_samples", "reordered_rows", "distinct_labels")
+        assert [getattr(blocked, c) for c in counts] == [getattr(whole, c) for c in counts]
+        assert blocked.reordered_rows == transform.order_violations(z, blocked.params)
+        if pattern == "reordering":
+            assert 0 < blocked.reordered_rows < z.shape[0]
+
+    def test_peak_memory_is_one_sorted_copy(self):
+        # The logits, one sorted copy and about 1 MB per block: the traced
+        # peak of the fit (which does not count the logits) stays well under
+        # the two extra matrices a whole-matrix preparation would hold.
+        rng = np.random.default_rng(5)
+        z = rng.normal(0.0, 2.0, (2000, 500))
+        y = rng.integers(0, 500, 2000)
+        tracemalloc.start()
+        try:
+            _quiet_fit(z, y, k=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * z.nbytes
+
+    def test_block_passes_see_one_block_at_a_time(self, monkeypatch):
+        n, m = 600, 500  # three blocks of at most BLOCK_DOUBLES entries
+        rng = np.random.default_rng(6)
+        z = rng.normal(0.0, 2.0, (n, m))
+        y = rng.integers(0, m, n)
+        shapes = {}
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(block, *args):
+                shapes.setdefault(name, []).append(np.shape(block))
+                return original(block, *args)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(core, "validate_distinct")
+        counted(optim, "label_positions")
+        counted(optim, "order_violations")
+        _quiet_fit(z, y, k=10)
+        blocks = [(len(range(n)[rows]), m) for rows in core._row_blocks(n, m)]
+        assert len(blocks) > 1
+        assert all(rows * m <= core.BLOCK_DOUBLES for rows, _ in blocks)
+        assert shapes == dict.fromkeys(("validate_distinct", "label_positions", "order_violations"), blocks)
 
 
 class TestIncrementHessian:
