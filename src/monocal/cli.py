@@ -10,6 +10,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import os
 import sys
 import threading
 import time
@@ -28,18 +29,26 @@ SCALAR_COLUMNS = metrics.SCALAR_FIELDS
 RANK_DESCENDING = {"accuracy"}
 
 
-def _fit_method(method, z, y, topk=None, max_iterations=optim.MAX_ITERATIONS, trace=None):
+def _usable_cpus():
+    """CPUs this process may run on: its affinity mask where the platform has one, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fit_method(method, z, y, topk=None, max_iterations=optim.MAX_ITERATIONS, trace=None, threads=1):
     """Fit one method by name; returns (model, solver-diagnostics dict).
 
     For mcct/mcct-i the diagnostics are the ``optim.FitResult`` fields other
     than the parameters; for a baseline, its calibration NLL and the
     iterations and convergence of the Newton solves that fitted it (null and
-    true for hb, which runs none).  ``topk``, ``max_iterations`` and ``trace``
-    (which receives the per-iterate solver records) only affect mcct/mcct-i.
+    true for hb, which runs none).  ``topk``, ``max_iterations``, ``trace``
+    (which receives the per-iterate solver records) and ``threads`` (of the
+    fit's row-block walks) only affect mcct/mcct-i.
     """
     if method in baselines.MONOTONE_MODES:
         mode = baselines.MONOTONE_MODES[method]
-        result = optim.fit_mcct(z, y, mode=mode, k=topk, max_iterations=max_iterations, trace=trace)
+        result = optim.fit_mcct(z, y, mode=mode, k=topk, max_iterations=max_iterations, trace=trace, threads=threads)
         info = {f.name: getattr(result, f.name) for f in dataclasses.fields(result) if f.name != "params"}
         return baselines.from_monotone_params(result.params), info
     model = baselines.fit_baseline(method, z, y)
@@ -222,14 +231,15 @@ def cmd_fit(args):
     for flag in ("trace", "topk"):
         if getattr(args, flag) and args.method not in baselines.MONOTONE_MODES:
             warnings.warn(f"--{flag} only affects mcct/mcct-i; ignored for {args.method}")
+    threads = _usable_cpus() if args.method in baselines.MONOTONE_MODES else 1
     with open(args.trace, "w") if args.trace else contextlib.nullcontext() as trace_fh:
         trace = (lambda record: trace_fh.write(json.dumps(record) + "\n")) if trace_fh else None
-        model, info = _fit_method(args.method, z, y, topk=args.topk, max_iterations=args.max_iterations, trace=trace)
+        model, info = _fit_method(args.method, z, y, args.topk, args.max_iterations, trace, threads)
     clock.lap("fit")
     model.save(args.out)
     clock.lap("write")
     fields = {"method": args.method, "topk": args.topk, "max_iterations": args.max_iterations, "trace": args.trace}
-    _write_manifest(args, [args.out], clock.stages, **fields, fit=info)
+    _write_manifest(args, [args.out], clock.stages, **fields, threads=threads, fit=info)
     if not info["converged"]:
         print(f"fit did not converge; best iterate written to {args.out}", file=sys.stderr)
         return 3
@@ -241,9 +251,11 @@ def cmd_eval(args):
     z, y = data_io.read_dataset(args.data, args.format)
     model = baselines.CalibratedModel.load(args.model)
     clock.lap("read")
-    top = metrics._top_labels(model.apply, z, y)
+    threads = _usable_cpus()
+    top = metrics._top_labels(model.apply, z, y, threads)
     clock.lap("apply")
-    report = metrics.compute_report(top, y, metrics._top_labels(core.softmax_rows, z), num_bins=args.bins)
+    base = metrics._top_labels(core.softmax_rows, z, threads=threads)
+    report = metrics.compute_report(top, y, base, num_bins=args.bins)
     clock.lap("metrics")
     data_io.write_json(args.out, report.to_json())
     reliability_path = _json_base(args.out) + ".reliability.csv"
@@ -251,7 +263,7 @@ def cmd_eval(args):
         fh.write(report.bins.to_csv())
     # "apply" includes each block's top-label statistics, and "metrics" the
     # softmax of the raw logits, which only the report reads.
-    _write_manifest(args, [args.out, reliability_path], clock.stages, bins=args.bins)
+    _write_manifest(args, [args.out, reliability_path], clock.stages, bins=args.bins, threads=threads)
     return 0
 
 
@@ -356,23 +368,25 @@ def cmd_sweep_topk(args):
     clock = _Stopwatch()
 
     (zc, yc), (zt, yt) = data_io.split_dataset(z, y, args.split, args.seed)
-    base = metrics._top_labels(core.softmax_rows, zt, yt)
+    # The cells run one at a time, so each one's row-block walks take every CPU.
+    threads = _usable_cpus()
+    base = metrics._top_labels(core.softmax_rows, zt, yt, threads)
     clock.lap("split")
 
     fit_per_k = {}
 
     def run_cell(k):
         fit_clock = _Stopwatch()
-        model, info = _fit_method(baselines.MCCT, zc, yc, topk=k, max_iterations=args.max_iterations)
+        model, info = _fit_method(baselines.MCCT, zc, yc, topk=k, max_iterations=args.max_iterations, threads=threads)
         fit_per_k[str(k)] = fit_clock.lap("fit")
-        top = metrics._top_labels(model.apply, zt, yt)
+        top = metrics._top_labels(model.apply, zt, yt, threads)
         return _report(top, yt, base, args.bins) + [info["dropped_samples"], info["iterations"], info["converged"]]
 
     header = ["k"] + list(SCALAR_COLUMNS) + ["dropped_samples", "iterations", "converged", "status"]
     # One worker runs the cells one at a time: the per-k fit time goes into the manifest.
     rows, failures = _grid([(k,) for k in args.kvalues], run_cell, header, 1, clock)
     doc = {"rows": [dict(zip(header, row)) for row in rows]}
-    fields = {"kvalues": args.kvalues, "split": args.split}
+    fields = {"kvalues": args.kvalues, "split": args.split, "threads": threads}
     times = {"fit_per_k": fit_per_k}
     return _write_grid(args, args.out, args.out + ".json", header, rows, doc, failures, clock, fields, times)
 

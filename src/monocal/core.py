@@ -10,7 +10,8 @@ The softmax and the probability check walk a matrix in row blocks of about
 1 MB (``BLOCK_DOUBLES`` entries), doing every pass over a block while it is
 in cache.  Each row is reduced exactly as in the whole-matrix formulas, so
 the results are bitwise theirs (for a column-major matrix, when a row fits
-in one block).
+in one block).  :func:`_map_blocks` runs such a walk's blocks on a thread
+pool, for the callers whose blocks are independent.
 """
 
 import numpy as np
@@ -32,8 +33,26 @@ _NONFINITE_LOGITS = "logit matrix contains NaN or infinite entries"
 
 def _row_blocks(n, m):
     """Row slices covering an (n, m) matrix, each of at most ``BLOCK_DOUBLES`` entries or one row."""
-    rows = max(1, BLOCK_DOUBLES // m)
+    rows = max(1, BLOCK_DOUBLES // max(m, 1))
     return (slice(start, start + rows) for start in range(0, n, rows))
+
+
+def _map_blocks(fn, n, m, threads=1):
+    """``[fn(rows) for rows in _row_blocks(n, m)]``, run on up to ``threads`` pool threads.
+
+    The results come back in block order, and an exception is that of the
+    first failing block, as in the serial loop; the blocks not yet started
+    are then skipped.  ``fn`` must write only its own rows.  With one thread
+    or one block no pool is started.
+    """
+    blocks = list(_row_blocks(n, m))
+    if threads <= 1 or len(blocks) <= 1:
+        return [fn(rows) for rows in blocks]
+    # Imported on first use, so that importing monocal loads no pool modules.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=min(threads, len(blocks))) as pool:
+        return list(pool.map(fn, blocks))
 
 
 def _logit_matrix(z):

@@ -141,11 +141,25 @@ def _read_table(path, fmt, labelled):
         actual = os.path.getsize(path)
         if actual != expected:
             raise SidecarError(f"{path} holds {actual} bytes but sidecar implies {expected}")
+        # The float32 payload comes in one row block at a time through one
+        # reused buffer, converted into the float64 matrix as it arrives.
+        a, labels = np.empty((n, m)), np.empty(n if labelled else 0, dtype="<u4")
+        blocks = list(core._row_blocks(n, m))
+        chunk = np.empty(a[blocks[0]].size if blocks else 0, dtype="<f4")
         with open(path, "rb") as fh:
-            buf = fh.read()
-        a = np.frombuffer(buf, dtype="<f4", count=n * m).reshape(n, m).astype(np.float64)
-        return a, np.frombuffer(buf, dtype="<u4", count=n, offset=n * m * 4).astype(np.int64) if labelled else None
+            for rows in blocks:
+                block = a[rows]
+                _read_into(fh, chunk[: block.size], path)
+                block[...] = chunk[: block.size].reshape(block.shape)
+            _read_into(fh, labels, path)
+        return a, labels.astype(np.int64) if labelled else None
     raise ValueError(f"unknown format {fmt!r}")
+
+
+def _read_into(fh, out, path):
+    """Fill the contiguous array ``out`` from ``fh``; :class:`SidecarError` if the file ends first."""
+    if fh.readinto(out.view(np.uint8)) != out.nbytes:
+        raise SidecarError(f"{path} ended before the size its sidecar implies")
 
 
 def write_dataset(path, z, y, fmt=None):

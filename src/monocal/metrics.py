@@ -118,23 +118,25 @@ def _top_label(p, y=None):
     return _labelled(p.shape, y, *_row_stats(p, y))
 
 
-def _top_labels(probs_of, z, y=None):
+def _top_labels(probs_of, z, y=None, threads=1):
     """:func:`_top_label` of ``probs_of(z)``, computed one row block of the logits ``z`` at a time.
 
     ``probs_of`` maps a logit block to its probability rows: a model's
     ``apply`` or ``core.softmax_rows``.  Each block's probabilities are
     validated, reduced by :func:`_row_stats` and dropped, so at most one
-    block of them exists at a time, and the result equals the whole
-    matrix's bitwise.
+    block of them exists per thread at a time, and the result equals the
+    whole matrix's bitwise.  The blocks run on up to ``threads`` threads
+    (``core._map_blocks``); the result does not depend on how many.
     """
     z = core._logit_matrix(z)
     n, m = z.shape
     if y is not None:
         y = core.validate_labels(y, m, n=n)
-    blocks = [
-        _row_stats(core.validate_probs(probs_of(z[rows])), None if y is None else y[rows])
-        for rows in core._row_blocks(n, m)
-    ]
+
+    def block_stats(rows):
+        return _row_stats(core.validate_probs(probs_of(z[rows])), None if y is None else y[rows])
+
+    blocks = core._map_blocks(block_stats, n, m, threads)
     pred, conf, picked = (None if parts[0] is None else np.concatenate(parts) for parts in zip(*blocks))
     return _labelled((n, m), y, pred, conf, picked)
 

@@ -221,7 +221,7 @@ def _projected_newton(evaluate, x, lower, max_iterations, trace=None):
         loss, grad, hess = evaluate(x, 2)
 
 
-def fit_mcct(z, y, mode=DIRECT, k=None, max_iterations=MAX_ITERATIONS, trace=None):
+def fit_mcct(z, y, mode=DIRECT, k=None, max_iterations=MAX_ITERATIONS, trace=None, threads=1):
     """Fit a monotone calibration map by constrained NLL minimization.
 
     Both modes solve the same problem: the direct map ``s * w + b`` over the
@@ -257,7 +257,12 @@ def fit_mcct(z, y, mode=DIRECT, k=None, max_iterations=MAX_ITERATIONS, trace=Non
     (counted block by block on the kept sorted copy after the solve) and
     the distinct labels, and the fit warns about ties, reordered rows and a
     single label.  So the fit holds the logits, one sorted copy and about
-    1 MB per block besides its top-k fitting set.
+    1 MB per thread besides its top-k fitting set.
+
+    The blocks of both walks run on up to ``threads`` threads
+    (``core._map_blocks``).  Each block writes only its own rows and the
+    counts are summed in block order, so nothing in the result depends on
+    ``threads``.
 
     The returned parameters are feasible by construction: rounding is
     monotone, so a cumulative sum of non-negative increments is exactly
@@ -276,13 +281,16 @@ def fit_mcct(z, y, mode=DIRECT, k=None, max_iterations=MAX_ITERATIONS, trace=Non
     # The identity map, in either mode; building it refuses an unknown mode.
     start = init_params(mode, k, m=m)
     # Each block is sorted in place and counted while it is in cache.
-    s, positions, tied = np.empty_like(z), np.empty(n, dtype=np.int64), 0
-    for rows in core._row_blocks(n, m):
+    s, positions = np.empty_like(z), np.empty(n, dtype=np.int64)
+
+    def prepare(rows):
         block = s[rows]
         block[...] = z[rows]
         block.sort(axis=1)
-        tied += len({row for row, _ in core.validate_distinct(block)})
         positions[rows] = label_positions(z[rows], y[rows])
+        return len({row for row, _ in core.validate_distinct(block)})
+
+    tied = sum(core._map_blocks(prepare, n, m, threads))
     if tied:
         warnings.warn(f"{tied} rows contain tied logits; rank order within ties follows column index")
     distinct_labels = int(np.unique(y).size)
@@ -314,7 +322,7 @@ def fit_mcct(z, y, mode=DIRECT, k=None, max_iterations=MAX_ITERATIONS, trace=Non
     x0 = np.concatenate([np.diff(start.w, prepend=0.0), np.diff(start.b)])
     x, initial_loss, final_loss, iterations, converged = _projected_newton(evaluate, x0, lower, max_iterations, trace)
     params = MonotoneParams(*params_of(x), mode=DIRECT, m=m).in_mode(mode)
-    broken = sum(order_violations(s[rows], params) for rows in core._row_blocks(n, m))
+    broken = sum(core._map_blocks(lambda rows: order_violations(s[rows], params), n, m, threads))
     if broken:
         warnings.warn(
             f"fitted map reorders scores on {broken} of {n} calibration rows "

@@ -216,12 +216,14 @@ def label_positions(z, y):
     The rank of the true class ``y`` in row ``z`` is the number of entries
     below ``z[y]`` plus the number equal to it in a lower column: the
     position a stable row sort would give it, counted without sorting.
+    Equal entries in lower columns are looked for only in the rows that
+    have an entry equal to ``z[y]`` besides it.
     """
-    rows = np.arange(z.shape[0])
-    zy = z[rows, y][:, None]
+    zy = z[np.arange(z.shape[0]), y][:, None]
     below = np.count_nonzero(z < zy, axis=1)
-    tied_before = np.count_nonzero((z == zy) & (np.arange(z.shape[1]) < y[:, None]), axis=1)
-    return below + tied_before
+    tied = np.flatnonzero(np.count_nonzero(z <= zy, axis=1) > below + 1)
+    below[tied] += np.count_nonzero((z[tied] == zy[tied]) & (np.arange(z.shape[1]) < y[tied, None]), axis=1)
+    return below
 
 
 def truncate_training_set(z_sorted, y_pos, k):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import os
@@ -397,23 +398,15 @@ class TestEval:
         # report's row statistics.  1000-row blocks make 3 of the 3000 rows.
         model_path = str(tmp_path / "mcct.json")
         assert run("fit", "--data", dataset, "--method", "mcct", "--topk", 3, "--out", model_path) == 0
-        calls = {"logits": 0, "probs": 0}
+        # The blocks may run on several threads: each call appends, which is atomic.
+        calls = {"logits": [], "probs": []}
         validate_logits, validate_probs = core.validate_logits, core.validate_probs
-
-        def count_logits(z):
-            calls["logits"] += 1
-            return validate_logits(z)
-
-        def count_probs(p):
-            calls["probs"] += 1
-            return validate_probs(p)
-
-        monkeypatch.setattr(core, "validate_logits", count_logits)
-        monkeypatch.setattr(core, "validate_probs", count_probs)
+        monkeypatch.setattr(core, "validate_logits", lambda z: calls["logits"].append(1) or validate_logits(z))
+        monkeypatch.setattr(core, "validate_probs", lambda p: calls["probs"].append(1) or validate_probs(p))
         monkeypatch.setattr(core, "BLOCK_DOUBLES", 1000 * 8)
         assert run("eval", "--data", dataset, "--model", model_path, "--out", tmp_path / "report.json") == 0
-        assert calls["probs"] == 2 * 3
-        assert calls["logits"] == 1 + 3
+        assert len(calls["probs"]) == 2 * 3
+        assert len(calls["logits"]) == 1 + 3
 
     @pytest.mark.parametrize("method", ["mcct", "ets-nll"])
     def test_apply_sees_one_block_at_a_time(self, dataset, tmp_path, monkeypatch, method):
@@ -425,7 +418,8 @@ class TestEval:
         monkeypatch.setattr(core, "BLOCK_DOUBLES", 700 * 8)
         out = str(tmp_path / "report.json")
         assert run("eval", "--data", dataset, "--model", model_path, "--out", out) == 0
-        assert rows == [700] * 4 + [200]
+        # Blocks on different threads may start in either order.
+        assert sorted(rows) == [200] + [700] * 4
         monkeypatch.undo()
         whole = str(tmp_path / "whole.json")
         assert run("eval", "--data", dataset, "--model", model_path, "--out", whole) == 0
@@ -733,9 +727,14 @@ class TestStrictJson:
 
 
 class TestImports:
-    def test_cli_does_not_import_scipy(self):
+    @pytest.mark.parametrize("module, unwanted", [
+        ("monocal.cli", "scipy"),
+        # The block pool's modules load on first use, not with the package.
+        ("monocal", "concurrent"),
+    ])
+    def test_import_does_not_load(self, module, unwanted):
         src = str(Path(cli.__file__).resolve().parents[1])
-        code = "import sys, monocal.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] == {unwanted!r}))"
         out = subprocess.run(
             [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
             capture_output=True, text=True, check=True, timeout=60,
@@ -955,6 +954,53 @@ class TestDeterminism:
             run("gen-synth", "--n", 100, "--m", 5, "--seed", 9, "--out", path)
             paths.append(path)
         assert Path(paths[0]).read_bytes() == Path(paths[1]).read_bytes()
+
+    def test_usable_cpus_do_not_change_results(self, dataset, tmp_path, monkeypatch):
+        # 70-row blocks: the 3000-row fit and eval, and the sweep's 1500-row
+        # halves, walk many blocks, on one thread or on a pool of three.
+        monkeypatch.setattr(core, "BLOCK_DOUBLES", 70 * 8)
+        results = {}
+        for cpus in (1, 3):
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+            out = tmp_path / str(cpus)
+            out.mkdir()
+            for method in ("mcct", "mcct-i", "ts"):
+                model, report = str(out / f"{method}.json"), str(out / f"{method}.report.json")
+                assert run("fit", "--data", dataset, "--method", method, "--topk", 3, "--out", model) == 0
+                assert run("eval", "--data", dataset, "--model", model, "--out", report) == 0
+                fit_threads = cpus if method in baselines.MONOTONE_MODES else 1
+                assert json.loads(Path(model + ".manifest.json").read_text())["threads"] == fit_threads
+                assert json.loads(Path(report + ".manifest.json").read_text())["threads"] == cpus
+            sweep = str(out / "sweep.csv")
+            assert run("sweep-topk", "--data", dataset, "--kvalues", "2,5,8", "--out", sweep) == 0
+            assert json.loads(Path(sweep + ".manifest.json").read_text())["threads"] == cpus
+            results[cpus] = {
+                path.name: path.read_bytes() for path in out.iterdir() if not path.name.endswith(".manifest.json")
+            }
+        assert len(results[1]) == 3 * 3 + 2
+        assert results[1] == results[3]
+
+    def test_single_block_commands_start_no_pool(self, tmp_path, monkeypatch):
+        # A 300 x 8 set is one block for every walk of fit, eval and sweep-topk.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        data, model = str(tmp_path / "data.csv"), str(tmp_path / "model.json")
+        assert run("gen-synth", "--n", 300, "--m", 8, "--out", data) == 0
+        assert run("fit", "--data", data, "--method", "mcct", "--topk", 3, "--out", model) == 0
+        assert run("eval", "--data", data, "--model", model, "--out", tmp_path / "report.json") == 0
+        assert run("sweep-topk", "--data", data, "--kvalues", "2,8", "--out", tmp_path / "sweep.csv") == 0
+
+    def test_usable_cpus_follow_the_affinity_mask(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert cli._usable_cpus() == len(os.sched_getaffinity(0))
+            monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cli._usable_cpus() == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert cli._usable_cpus() == 5
 
     def test_threaded_sweep_size_matches_serial(self, dataset, tmp_path):
         # Two threads start the mcct-i cells after every other cell.

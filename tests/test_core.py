@@ -1,3 +1,6 @@
+import concurrent.futures
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -149,6 +152,62 @@ class TestBlockedKernels:
     def test_validate_probs_returns_its_input(self):
         p = self.probs()
         assert core.validate_probs(p) is p
+
+
+def refuse_pools(monkeypatch):
+    """Make starting a block pool fail."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+
+
+class TestMapBlocks:
+    @pytest.mark.parametrize("threads", [1, 2, 3, 8])
+    def test_results_come_back_in_block_order(self, monkeypatch, threads):
+        monkeypatch.setattr(core, "BLOCK_DOUBLES", 7 * 10)
+        blocks = core._map_blocks(lambda rows: range(53)[rows], 53, 10, threads)
+        assert blocks == [range(53)[rows] for rows in core._row_blocks(53, 10)]
+        assert len(blocks) == 8
+
+    @pytest.mark.parametrize("n, m, threads", [(5, 10, 3), (PARTIAL_N, 10, 1), (PARTIAL_N, 10, 0)])
+    def test_one_block_or_one_thread_starts_no_pool(self, monkeypatch, n, m, threads):
+        refuse_pools(monkeypatch)
+        assert core._map_blocks(lambda rows: rows, n, m, threads) == list(core._row_blocks(n, m))
+
+    def test_blocks_writing_their_own_rows_lose_no_update(self, monkeypatch):
+        # More threads than cores, switching often: every block's rows and
+        # result must come through.
+        monkeypatch.setattr(core, "BLOCK_DOUBLES", 2 * 50)
+        z = np.random.default_rng(8).normal(0, 1, (2001, 50))
+        out = np.empty_like(z)
+
+        def sort_block(rows):
+            out[rows] = np.sort(z[rows], axis=1)
+            return float(out[rows, -1].sum())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            maxima = core._map_blocks(sort_block, *z.shape, threads=8)
+        finally:
+            sys.setswitchinterval(interval)
+        expected = np.sort(z, axis=1)
+        assert np.array_equal(out, expected)
+        assert maxima == [float(expected[rows, -1].sum()) for rows in core._row_blocks(*z.shape)]
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_the_first_failing_block_raises(self, monkeypatch, threads):
+        monkeypatch.setattr(core, "BLOCK_DOUBLES", 10)
+
+        def fail_from_block_2(rows):
+            if rows.start >= 2:
+                raise ValueError(f"block {rows.start}")
+            return rows.start
+
+        with pytest.raises(ValueError, match="^block 2$"):
+            core._map_blocks(fail_from_block_2, 6, 10, threads)
 
 
 class TestNll:

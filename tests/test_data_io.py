@@ -116,6 +116,33 @@ class TestRawBinaryFormat:
         assert np.array_equal(z2, z)
         assert np.array_equal(y2, y)
 
+    @pytest.mark.parametrize("block_doubles", [1, 3 * 5, 7 * 5, 10**6])
+    def test_blocked_read_is_the_whole_payload(self, tmp_path, monkeypatch, block_doubles):
+        # One entry (less than a row), 3 and 7 rows (short last blocks of 17) and one block.
+        rng = np.random.default_rng(3)
+        z = rng.normal(0, 3, (17, 5)).astype(np.float32)
+        y = rng.integers(0, 5, 17)
+        path = str(tmp_path / "data.bin")
+        data_io.write_dataset(path, z, y)
+        raw = Path(path).read_bytes()
+        monkeypatch.setattr(core, "BLOCK_DOUBLES", block_doubles)
+        z2, y2 = data_io.read_dataset(path)
+        assert z2.tobytes() == np.frombuffer(raw, "<f4", 17 * 5).reshape(17, 5).astype(np.float64).tobytes()
+        assert y2.tobytes() == np.frombuffer(raw, "<u4", 17, 17 * 5 * 4).astype(np.int64).tobytes()
+        data_io.write_matrix(path, z)
+        assert data_io.read_matrix(path).tobytes() == z.astype(np.float64).tobytes()
+
+    @pytest.mark.parametrize("cut", [4, 3 * 4, 3 * 4 + 38])
+    def test_short_read(self, tmp_path, monkeypatch, cut):
+        # A file that shrinks after its size is checked: cut in the logits or the labels.
+        path = str(tmp_path / "data.bin")
+        data_io.write_dataset(path, np.zeros((3, 4)), np.zeros(3, dtype=int))
+        size = Path(path).stat().st_size
+        Path(path).write_bytes(Path(path).read_bytes()[:-cut])
+        monkeypatch.setattr(data_io.os.path, "getsize", lambda p: size)
+        with pytest.raises(data_io.SidecarError, match="ended before"):
+            data_io.read_dataset(path)
+
     def test_sidecar_contents(self, tmp_path):
         path = str(tmp_path / "data.bin")
         data_io.write_dataset(path, np.zeros((3, 4)), np.zeros(3, dtype=int))

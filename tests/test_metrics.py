@@ -420,3 +420,26 @@ class TestStreamedReport:
         for kind, model in fits.items():
             streamed = metrics.compute_report(metrics._top_labels(model.apply, zt, yt), yt, base)
             assert report_bytes(streamed) == expected[kind], kind
+
+    def test_thread_count_does_not_change_the_statistics(self, models, monkeypatch):
+        fits, zt, yt = models
+        monkeypatch.setattr(core, "BLOCK_DOUBLES", 3 * 7)
+        for kind, probs_of in [("softmax", core.softmax_rows), *((k, m.apply) for k, m in fits.items())]:
+            for y in (yt, None):
+                serial, threaded = (metrics._top_labels(probs_of, zt, y, threads) for threads in (1, 3))
+                for field in ("pred", "conf", "correct", "picked"):
+                    a, b = getattr(serial, field), getattr(threaded, field)
+                    assert (a is None and b is None) or a.tobytes() == b.tobytes(), (kind, field)
+
+    def test_non_finite_row_in_a_middle_block_raises_the_serial_error(self, models, monkeypatch):
+        fits, zt, yt = models
+        monkeypatch.setattr(core, "BLOCK_DOUBLES", 3 * 7)
+        z = zt.copy()
+        z[200, 4] = np.nan
+        for probs_of in (core.softmax_rows, fits["mcct"].apply, fits["ts"].apply):
+            messages = []
+            for threads in (1, 3):
+                with pytest.raises(ValueError) as exc:
+                    metrics._top_labels(probs_of, z, yt, threads)
+                messages.append(str(exc.value))
+            assert messages[0] == messages[1] == "logit matrix contains NaN or infinite entries"

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -342,16 +343,19 @@ class TestBlockedWalk:
         ("reordering", {"mode": transform.INVERSE, "max_iterations": 3}),
     ]
 
+    @staticmethod
+    def problem(pattern, fit_args):
+        if pattern == "reordering":
+            return _reordering_problem()
+        rng = np.random.default_rng(71)
+        z = patterned_logits(rng, 205, 8, fit_args["k"], pattern) * 1.5
+        return z, np.where(rng.uniform(size=205) < 0.6, z.argmax(axis=1), rng.integers(0, 8, 205))
+
     @pytest.mark.parametrize("pattern, fit_args", BLOCK_CASES)
     @pytest.mark.parametrize("rows_per_block", [1, 7])
     def test_block_size_does_not_change_the_fit(self, monkeypatch, pattern, fit_args, rows_per_block):
         # At 7 rows per block, 205 and 300 rows both end in a short block.
-        if pattern == "reordering":
-            z, y = _reordering_problem()
-        else:
-            rng = np.random.default_rng(71)
-            z = patterned_logits(rng, 205, 8, fit_args["k"], pattern) * 1.5
-            y = np.where(rng.uniform(size=205) < 0.6, z.argmax(axis=1), rng.integers(0, 8, 205))
+        z, y = self.problem(pattern, fit_args)
         whole = _quiet_fit(z, y, **fit_args)
         monkeypatch.setattr(core, "BLOCK_DOUBLES", rows_per_block * z.shape[1])
         blocked = _quiet_fit(z, y, **fit_args)
@@ -364,6 +368,18 @@ class TestBlockedWalk:
         assert blocked.reordered_rows == transform.order_violations(z, blocked.params)
         if pattern == "reordering":
             assert 0 < blocked.reordered_rows < z.shape[0]
+
+    @pytest.mark.parametrize("pattern, fit_args", BLOCK_CASES)
+    def test_thread_count_does_not_change_the_fit(self, monkeypatch, pattern, fit_args):
+        z, y = self.problem(pattern, fit_args)
+        monkeypatch.setattr(core, "BLOCK_DOUBLES", 7 * z.shape[1])
+        serial, threaded = (_quiet_fit(z, y, threads=threads, **fit_args) for threads in (1, 3))
+        assert threaded.params.w.tobytes() == serial.params.w.tobytes()
+        assert threaded.params.b.tobytes() == serial.params.b.tobytes()
+        fields = [f.name for f in dataclasses.fields(optim.FitResult) if f.name != "params"]
+        assert [getattr(threaded, f) for f in fields] == [getattr(serial, f) for f in fields]
+        if pattern == "reordering":
+            assert 0 < threaded.reordered_rows < z.shape[0]
 
     def test_peak_memory_is_one_sorted_copy(self):
         # The logits, one sorted copy and about 1 MB per block: the traced

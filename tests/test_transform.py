@@ -390,6 +390,18 @@ class TestLabelPositions:
             assert perm[i, pos[i]] == y[i]
             assert s[i, pos[i]] == z[i, y[i]]
 
+    def test_tie_heavy_integer_logits(self):
+        # Five values over 9 columns: most labels tie with another entry, in
+        # a lower column, a higher one or both; signed zeros tie too.
+        rng = np.random.default_rng(43)
+        z = rng.integers(-2, 3, (400, 9)).astype(np.float64)
+        z[z == 0] = rng.choice([-0.0, 0.0], size=int((z == 0).sum()))
+        y = rng.integers(0, 9, 400)
+        pos = transform.label_positions(z, y)
+        assert (np.count_nonzero(z == z[np.arange(400), y][:, None], axis=1) > 1).mean() > 0.75
+        assert pos.dtype == np.int64
+        assert pos.tobytes() == stable_label_positions(z, y).tobytes()
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(3, 30), st.sampled_from(ROW_PATTERNS))
     def test_matches_stable_sort_oracle(self, seed, m, pattern):
