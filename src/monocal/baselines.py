@@ -369,11 +369,9 @@ def _apply_binning(p, edges, bin_conf):
     """
     edges = np.asarray(edges, dtype=np.float64)
     bin_conf = np.asarray(bin_conf, dtype=np.float64)
-    num_bins = bin_conf.shape[0]
     n, m = p.shape
     pred, conf, _ = metrics._row_stats(p)
-    idx = np.minimum(np.searchsorted(edges[1:], conf, side="left"), num_bins - 1)
-    new_conf = bin_conf[idx]
+    new_conf = bin_conf[metrics._bin_index(conf, edges[1:])]
     rest = 1.0 - conf
     rows = np.arange(n)
     out = np.empty_like(p)

@@ -15,7 +15,6 @@ import sys
 import threading
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -80,21 +79,6 @@ def _write_manifest(args, outputs, wall_time_s, **fields):
     data_io.write_json(f"{args.out}.manifest.json", doc)
 
 
-def _format_cell(value):
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_format_cell(v) for v in row) + "\n")
-
-
 def _json_base(out):
     return out[: -len(".json")] if out.endswith(".json") else out
 
@@ -109,7 +93,7 @@ def _rank(values, descending=False):
 
 
 def _run_cells(cells, worker, threads):
-    """Evaluate ``worker(*cell)`` for independent cells on a pool of ``threads`` workers.
+    """Evaluate ``worker(*cell)`` for independent cells on up to ``threads`` workers (``core._map``).
 
     Results are collected by cell index, so output order and content do not
     depend on scheduling.  Failures are captured per cell as strings.  The
@@ -125,8 +109,7 @@ def _run_cells(cells, worker, threads):
         except Exception as exc:  # recorded per-cell, run continues
             results[i] = ("error", f"{type(exc).__name__}: {exc}")
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(guarded, order))
+    core._map(guarded, order, threads)
     return results
 
 
@@ -157,7 +140,7 @@ def _write_grid(args, csv_path, json_path, header, rows, doc, failures, clock, f
     ``wall_time_s`` entries.  The primary output, ``args.out``, is one of the
     two paths and is listed first.
     """
-    _write_csv(csv_path, header, rows)
+    data_io.write_csv(csv_path, [header, *rows])
     data_io.write_json(json_path, doc)
     clock.lap("write")
     outputs = [args.out, json_path if csv_path == args.out else csv_path]
@@ -228,17 +211,20 @@ def cmd_fit(args):
     clock = _Stopwatch()
     z, y = data_io.read_dataset(args.data, args.format)
     clock.lap("read")
+    monotone = args.method in baselines.MONOTONE_MODES
     for flag in ("trace", "topk"):
-        if getattr(args, flag) and args.method not in baselines.MONOTONE_MODES:
+        if getattr(args, flag) and not monotone:
             warnings.warn(f"--{flag} only affects mcct/mcct-i; ignored for {args.method}")
-    threads = _usable_cpus() if args.method in baselines.MONOTONE_MODES else 1
-    with open(args.trace, "w") if args.trace else contextlib.nullcontext() as trace_fh:
+    # An ignored trace file is neither opened, which would empty it, nor named in the manifest.
+    trace_path = args.trace if monotone else None
+    threads = _usable_cpus() if monotone else 1
+    with open(trace_path, "w") if trace_path else contextlib.nullcontext() as trace_fh:
         trace = (lambda record: trace_fh.write(json.dumps(record) + "\n")) if trace_fh else None
         model, info = _fit_method(args.method, z, y, args.topk, args.max_iterations, trace, threads)
     clock.lap("fit")
     model.save(args.out)
     clock.lap("write")
-    fields = {"method": args.method, "topk": args.topk, "max_iterations": args.max_iterations, "trace": args.trace}
+    fields = {"method": args.method, "topk": args.topk, "max_iterations": args.max_iterations, "trace": trace_path}
     _write_manifest(args, [args.out], clock.stages, **fields, threads=threads, fit=info)
     if not info["converged"]:
         print(f"fit did not converge; best iterate written to {args.out}", file=sys.stderr)
@@ -268,9 +254,10 @@ def cmd_eval(args):
 
 
 def cmd_compare(args):
-    z, y = data_io.read_dataset(args.data, args.format)
-    seeds = [args.seed + i for i in range(args.runs)]
     clock = _Stopwatch()
+    z, y = data_io.read_dataset(args.data, args.format)
+    clock.lap("read")
+    seeds = [args.seed + i for i in range(args.runs)]
 
     splits = {seed: data_io.split_dataset(z, y, args.split, seed) for seed in seeds}
     bases = {seed: metrics._top_labels(core.softmax_rows, *splits[seed][1]) for seed in seeds}
@@ -327,10 +314,11 @@ def cmd_compare(args):
 
 
 def cmd_sweep_size(args):
+    clock = _Stopwatch()
     z, y = data_io.read_dataset(args.data, args.format)
+    clock.lap("read")
     methods, fractions = args.methods, args.fractions
     seeds = args.seeds or [args.seed]
-    clock = _Stopwatch()
 
     (zc, yc), (zt, yt) = data_io.split_dataset(z, y, args.split, args.seed)
     base = metrics._top_labels(core.softmax_rows, zt, yt)
@@ -364,8 +352,9 @@ def cmd_sweep_size(args):
 
 
 def cmd_sweep_topk(args):
-    z, y = data_io.read_dataset(args.data, args.format)
     clock = _Stopwatch()
+    z, y = data_io.read_dataset(args.data, args.format)
+    clock.lap("read")
 
     (zc, yc), (zt, yt) = data_io.split_dataset(z, y, args.split, args.seed)
     # The cells run one at a time, so each one's row-block walks take every CPU.
@@ -407,8 +396,16 @@ def _checked(parse, ok, message):
 
 
 def _comma_list(check, noun):
-    """An argparse type: the non-blank items of a comma-separated list, each through ``check``; at least one."""
-    return _checked(lambda text: [check(s.strip()) for s in text.split(",") if s.strip()], bool, f"need at least one {noun}, got {{!r}}")
+    """An argparse type: the non-blank items of a comma-separated list, each through ``check``; at least one, none repeated."""
+
+    def parse(text):
+        items = [check(s.strip()) for s in text.split(",") if s.strip()]
+        repeats = [v for i, v in enumerate(items) if v in items[:i]]
+        if repeats:
+            raise argparse.ArgumentTypeError(f"repeated {noun} {repeats[0]!r} in {text!r}")
+        return items
+
+    return _checked(parse, bool, f"need at least one {noun}, got {{!r}}")
 
 
 _positive_int = _checked(int, lambda v: v >= 1, "need a positive integer, got {!r}")

@@ -10,8 +10,8 @@ The softmax and the probability check walk a matrix in row blocks of about
 1 MB (``BLOCK_DOUBLES`` entries), doing every pass over a block while it is
 in cache.  Each row is reduced exactly as in the whole-matrix formulas, so
 the results are bitwise theirs (for a column-major matrix, when a row fits
-in one block).  :func:`_map_blocks` runs such a walk's blocks on a thread
-pool, for the callers whose blocks are independent.
+in one block).  :func:`_map_blocks` runs such a walk's blocks on :func:`_map`'s
+thread pool, for the callers whose blocks are independent.
 """
 
 import numpy as np
@@ -37,22 +37,25 @@ def _row_blocks(n, m):
     return (slice(start, start + rows) for start in range(0, n, rows))
 
 
-def _map_blocks(fn, n, m, threads=1):
-    """``[fn(rows) for rows in _row_blocks(n, m)]``, run on up to ``threads`` pool threads.
+def _map(fn, items, threads=1):
+    """``[fn(item) for item in items]``, run on up to ``threads`` pool threads.
 
-    The results come back in block order, and an exception is that of the
-    first failing block, as in the serial loop; the blocks not yet started
-    are then skipped.  ``fn`` must write only its own rows.  With one thread
-    or one block no pool is started.
+    The results come back in item order, and an exception is that of the
+    first failing item, as in the serial loop; the items not yet started are
+    then skipped.  With one thread or one item no pool is started.
     """
-    blocks = list(_row_blocks(n, m))
-    if threads <= 1 or len(blocks) <= 1:
-        return [fn(rows) for rows in blocks]
+    if threads <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
     # Imported on first use, so that importing monocal loads no pool modules.
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=min(threads, len(blocks))) as pool:
-        return list(pool.map(fn, blocks))
+    with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
+        return list(pool.map(fn, items))
+
+
+def _map_blocks(fn, n, m, threads=1):
+    """:func:`_map` of ``fn`` over :func:`_row_blocks` of an (n, m) matrix; ``fn`` must write only its own rows."""
+    return _map(fn, list(_row_blocks(n, m)), threads)
 
 
 def _logit_matrix(z):

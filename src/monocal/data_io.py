@@ -70,6 +70,18 @@ def write_json(path, doc):
         fh.write("\n")
 
 
+def csv_line(values):
+    """One CSV line of ``values`` with its newline: None is an empty cell, a float (numpy's too) its ``repr``, else ``str``."""
+    cells = ("" if v is None else repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in values)
+    return ",".join(cells) + "\n"
+
+
+def write_csv(path, lines):
+    """Write ``lines``, each a sequence of cell values, to ``path`` as CSV lines (:func:`csv_line`)."""
+    with open(path, "w") as fh:
+        fh.writelines(map(csv_line, lines))
+
+
 def _write_sidecar(path, n, m):
     with open(path + SIDECAR_SUFFIX, "w") as fh:
         json.dump({"v": 1, "n": int(n), "m": int(m), "dtype": "f32"}, fh)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import core
+from . import core, data_io
 
 # Equal-width (and equal-count) confidence bins of a report, and histogram binning's bins, by default.
 NUM_BINS = 15
@@ -66,21 +66,17 @@ class BinStats:
         }
 
     def to_csv(self):
-        lines = ["bin,lower,upper,count,confidence,accuracy"]
-        for i in range(len(self.count)):
-            lines.append(
-                f"{i},{float(self.lower[i])!r},{float(self.upper[i])!r},{int(self.count[i])},"
-                f"{float(self.confidence[i])!r},{float(self.accuracy[i])!r}"
-            )
-        return "\n".join(lines) + "\n"
+        names = [f.name for f in fields(self)]
+        rows = zip(range(len(self.count)), *(getattr(self, name) for name in names))
+        return "".join(map(data_io.csv_line, [["bin", *names], *rows]))
 
 
 @dataclass(frozen=True)
 class _TopLabel:
     """Each row's prediction and confidence from a validated probability matrix of ``shape``.
 
-    ``y``, ``correct`` (prediction equals label, as floats) and ``picked``
-    (the true-class probability) are set when labels were given.  The metric
+    ``correct`` (prediction equals label, as floats) and ``picked`` (the
+    true-class probability) are set when labels were given.  The metric
     functions accept one in place of ``p``, which is how :func:`compute_report`
     reads each matrix once and how the commands report without holding one.
     """
@@ -88,7 +84,6 @@ class _TopLabel:
     shape: tuple
     pred: np.ndarray
     conf: np.ndarray
-    y: np.ndarray = None
     correct: np.ndarray = None
     picked: np.ndarray = None
 
@@ -106,7 +101,7 @@ def _row_stats(p, y=None):
 def _labelled(shape, y, pred, conf, picked):
     if y is None:
         return _TopLabel(shape, pred, conf)
-    return _TopLabel(shape, pred, conf, y, (pred == y).astype(float), picked)
+    return _TopLabel(shape, pred, conf, (pred == y).astype(float), picked)
 
 
 def _top_label(p, y=None):
@@ -141,10 +136,9 @@ def _top_labels(probs_of, z, y=None, threads=1):
     return _labelled((n, m), y, pred, conf, picked)
 
 
-def _bin_index(conf, num_bins):
-    # Half-open bins ((k-1)/K, k/K]; a confidence of exactly 0 joins bin 1.
-    upper = np.arange(1, num_bins + 1) / num_bins
-    return np.minimum(np.searchsorted(upper, conf, side="left"), num_bins - 1)
+def _bin_index(conf, upper):
+    """Bin of each confidence among half-open bins (lower, upper], for ece and hb; 0 joins the first bin."""
+    return np.minimum(np.searchsorted(upper, conf, side="left"), len(upper) - 1)
 
 
 def ece(p, y, num_bins=NUM_BINS):
@@ -158,7 +152,8 @@ def ece(p, y, num_bins=NUM_BINS):
     top = _top_label(p, y)
     conf, correct = top.conf, top.correct
     n = conf.shape[0]
-    idx = _bin_index(conf, num_bins)
+    upper = np.arange(1, num_bins + 1) / num_bins
+    idx = _bin_index(conf, upper)
     count = np.bincount(idx, minlength=num_bins)
     conf_sum = np.bincount(idx, weights=conf, minlength=num_bins)
     hit_sum = np.bincount(idx, weights=correct, minlength=num_bins)
@@ -172,7 +167,7 @@ def ece(p, y, num_bins=NUM_BINS):
     )
     bins = BinStats(
         lower=np.arange(num_bins) / num_bins,
-        upper=np.arange(1, num_bins + 1) / num_bins,
+        upper=upper,
         count=count,
         confidence=mean_conf,
         accuracy=accuracy,
@@ -195,16 +190,9 @@ def eq_mass_ece(p, y, num_bins=NUM_BINS):
         raise ValueError("need num_bins >= 1")
     if n < num_bins:
         raise ValueError(f"need at least num_bins={num_bins} samples, got {n}")
-    order = np.argsort(conf, kind="stable")
-    q, r = divmod(n, num_bins)
-    sizes = np.full(num_bins, q)
-    sizes[:r] += 1
     total = 0.0
-    start = 0
-    for size in sizes:
-        chunk = order[start : start + size]
+    for chunk in np.array_split(np.argsort(conf, kind="stable"), num_bins):
         total += abs(correct[chunk].mean() - conf[chunk].mean())
-        start += size
     return float(total)
 
 

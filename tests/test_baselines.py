@@ -186,6 +186,19 @@ class TestHistogramBinning:
         assert out[0, 0] == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
 
+    def test_apply_on_uneven_edges_matches_the_searchsorted_rule(self):
+        doc = {"kind": "hb", "m": 4, "edges": [0.0, 0.3, 0.9, 1.0], "bin_confidence": [0.2, 0.6, 0.95]}
+        payload = CalibratedModel.from_json(doc).payload
+        edges, bin_conf = np.asarray(payload["edges"]), np.asarray(payload["bin_confidence"])
+        # Confidences on every edge, 0 and 1 included, and inside two bins.
+        conf = np.array([0.0, 0.3, 0.9, 1.0, 0.31, 0.95])
+        oracle = np.minimum(np.searchsorted(edges[1:], conf, side="left"), bin_conf.size - 1)
+        assert np.array_equal(metrics._bin_index(conf, edges[1:]), oracle)
+        # Rows whose top entry, in column 0, is each confidence but 0, which no probability row has.
+        p = np.array([[0.3, 0.3, 0.2, 0.2], [0.9, 0.1, 0, 0], [1, 0, 0, 0], [0.31, 0.3, 0.2, 0.19], [0.95, 0.05, 0, 0]])
+        out = baselines._apply_binning(p, edges, bin_conf)
+        np.testing.assert_allclose(out[:, 0], bin_conf[oracle[1:]], rtol=1e-12)
+
     def test_may_change_argmax(self):
         # A bin mapping 0.4 -> low confidence can push the top class below
         # the runner-up; that behavior is allowed for binning.

@@ -160,6 +160,14 @@ class TestFit:
         assert all(1 <= line["free"] <= 15 for line in lines)
         assert lines[-1]["pg_norm"] < 1e-6 < lines[0]["pg_norm"]
 
+    def test_ignored_trace_leaves_its_file_alone(self, dataset, tmp_path):
+        out, trace_path = str(tmp_path / "ts.json"), tmp_path / "keep.jsonl"
+        trace_path.write_bytes(b"keep me\n")
+        with pytest.warns(UserWarning, match="--trace only affects mcct/mcct-i; ignored for ts"):
+            assert run("fit", "--data", dataset, "--method", "ts", "--trace", trace_path, "--out", out) == 0
+        assert trace_path.read_bytes() == b"keep me\n"
+        assert json.loads(Path(out + ".manifest.json").read_text())["trace"] is None
+
     def test_ts_on_calibrated_data(self, tmp_path):
         path = str(tmp_path / "cal.csv")
         run("gen-synth", "--n", 8000, "--m", 10, "--overconfidence", 1.0, "--seed", 0, "--out", path)
@@ -270,6 +278,10 @@ REJECTED_ARGUMENTS = [
     (("compare", "--methods", "mcct", "--seed", "-1"), SEED),
     (("sweep-topk", "--kvalues", "2", "--seed", "-1"), SEED),
     (("sweep-size", "--fractions", "0.5", "--methods", "mcct", "--seeds", "0,-1"), SEED),
+    (("compare", "--methods", "ts,mcct,ts"), "repeated method 'ts'"),
+    (("sweep-size", "--fractions", "0.5,1,0.50", "--methods", "mcct"), "repeated fraction 0.5"),
+    (("sweep-size", "--fractions", "1", "--methods", "mcct", "--seeds", "1,1"), "repeated seed 1"),
+    (("sweep-topk", "--kvalues", "3,3"), "repeated k value 3"),
 ]
 
 
@@ -537,9 +549,16 @@ def solves(monkeypatch):
     monkeypatch.setattr(cli.optim, "fit_mcct", counted)
     return calls
 
+
+# Cells of a grid in submission order, and what _run_cells returns for them.
+RUN_CELLS = [("mcct-i", 0), ("ts", 0), ("broken", 0), ("mcct", 1), ("mcct-i", 1)]
+RUN_CELLS_RESULTS = [
+    ("ok", "mcct-i/0"), ("ok", "ts/0"), ("error", "ValueError: cannot fit"), ("ok", "mcct/1"), ("ok", "mcct-i/1"),
+]
+
+
 class TestRunCells:
     def test_one_worker_keeps_cell_order_and_runs_mcct_i_last(self):
-        cells = [("mcct-i", 0), ("ts", 0), ("broken", 0), ("mcct", 1), ("mcct-i", 1)]
         ran = []
 
         def worker(method, seed):
@@ -548,11 +567,17 @@ class TestRunCells:
                 raise ValueError("cannot fit")
             return f"{method}/{seed}"
 
-        results = cli._run_cells(cells, worker, 1)
+        results = cli._run_cells(RUN_CELLS, worker, 1)
         assert ran == [("ts", 0), ("broken", 0), ("mcct", 1), ("mcct-i", 0), ("mcct-i", 1)]
-        assert results == [
-            ("ok", "mcct-i/0"), ("ok", "ts/0"), ("error", "ValueError: cannot fit"), ("ok", "mcct/1"), ("ok", "mcct-i/1"),
-        ]
+        assert results == RUN_CELLS_RESULTS
+
+    def test_two_workers_keep_cell_order_and_capture_failures(self):
+        def worker(method, seed):
+            if method == "broken":
+                raise ValueError("cannot fit")
+            return f"{method}/{seed}"
+
+        assert cli._run_cells(RUN_CELLS, worker, 2) == RUN_CELLS_RESULTS
 
 
 class TestCompare:
@@ -573,7 +598,7 @@ class TestCompare:
         csv_lines = (tmp_path / "cmp.csv").read_text().strip().split("\n")
         assert csv_lines[0].startswith("method,seed,ece")
         assert len(csv_lines) == 1 + 8 + 4 + 4  # header, per-seed, mean, rank
-        assert_stage_times(out, {"split", "cells", "write"})
+        assert_stage_times(out, {"read", "split", "cells", "write"})
 
     def test_monotone_methods_keep_accuracy(self, dataset, tmp_path):
         out = str(tmp_path / "cmp.json")
@@ -729,8 +754,9 @@ class TestStrictJson:
 class TestImports:
     @pytest.mark.parametrize("module, unwanted", [
         ("monocal.cli", "scipy"),
-        # The block pool's modules load on first use, not with the package.
+        # The pool's modules load on first use, not with the package.
         ("monocal", "concurrent"),
+        ("monocal.cli", "concurrent"),
     ])
     def test_import_does_not_load(self, module, unwanted):
         src = str(Path(cli.__file__).resolve().parents[1])
@@ -798,7 +824,7 @@ class TestSweepSize:
         rows = json.loads(Path(out + ".json").read_text())["rows"]
         assert len(rows) == 4
         assert {r["n_calib"] for r in rows} == {150, 750}
-        assert_stage_times(out, {"split", "cells", "write"})
+        assert_stage_times(out, {"read", "split", "cells", "write"})
 
     def test_mcct_and_mcct_i_share_one_solve_per_subsample(self, dataset, tmp_path, solves):
         out = str(tmp_path / "sweep.csv")
@@ -840,7 +866,7 @@ class TestSweepTopk:
         assert code == 0
         rows = json.loads(Path(out + ".json").read_text())["rows"]
         assert [r["k"] for r in rows] == [2, 4, 8]
-        fit_per_k = assert_stage_times(out, {"split", "cells", "write"})["fit_per_k"]
+        fit_per_k = assert_stage_times(out, {"read", "split", "cells", "write"})["fit_per_k"]
         assert set(fit_per_k) == {"2", "4", "8"} and all(v > 0 for v in fit_per_k.values())
         assert rows[0]["dropped_samples"] > 0
         assert rows[2]["dropped_samples"] == 0
@@ -992,6 +1018,7 @@ class TestDeterminism:
         assert run("fit", "--data", data, "--method", "mcct", "--topk", 3, "--out", model) == 0
         assert run("eval", "--data", data, "--model", model, "--out", tmp_path / "report.json") == 0
         assert run("sweep-topk", "--data", data, "--kvalues", "2,8", "--out", tmp_path / "sweep.csv") == 0
+        assert run("compare", "--data", data, "--methods", "ts,mcct", "--threads", 1, "--out", tmp_path / "cmp.json") == 0
 
     def test_usable_cpus_follow_the_affinity_mask(self, monkeypatch):
         if hasattr(os, "sched_getaffinity"):
