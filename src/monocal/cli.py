@@ -9,6 +9,7 @@ are byte-identical.
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -418,7 +419,9 @@ _seed_list = _comma_list(_seed, "seed")
 _kvalue_list = _comma_list(_rank_count, "k value")
 
 
+@functools.cache
 def _build_parser():
+    """The command-line parser, built once per process; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="monocal",
         description="Order-preserving post-hoc calibration of classifier logits.",
@@ -458,45 +461,42 @@ def _build_parser():
         if f.name != "seed":
             p.add_argument("--" + f.name.replace("_", "-"), type=f.type, default=f.default)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen_synth)
 
     p = sub.add_parser("fit", parents=[dataset, common, solver], help="fit a calibrator on a dataset")
     p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--topk", type=_rank_count, default=None, help="retained ranks for mcct/mcct-i (at least 2)")
     p.add_argument("--trace", default=None, help="JSON-lines file with one mcct/mcct-i solver record per iterate")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("eval", parents=[dataset, common, binned], help="evaluate a fitted model on a dataset")
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("compare", parents=[*grid, threaded], help="fit and evaluate several methods over seeded splits")
     p.add_argument("--methods", type=_method_list, required=True, help="comma-separated method list")
     p.add_argument("--runs", type=_positive_int, default=1, help="number of consecutive split seeds")
     p.add_argument("--out", required=True, help="JSON output path (.csv written beside it)")
-    p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("sweep-size", parents=[*grid, threaded], help="calibration-set-size sweep")
     p.add_argument("--fractions", type=_fraction_list, required=True, help="comma-separated fractions in (0, 1]")
     p.add_argument("--methods", type=_method_list, required=True)
     p.add_argument("--seeds", type=_seed_list, default=None, help="comma-separated subsample seeds (default: --seed)")
     p.add_argument("--out", required=True, help="CSV output path")
-    p.set_defaults(func=cmd_sweep_size)
 
     p = sub.add_parser("sweep-topk", parents=grid, help="retained-rank sweep with fit timing")
     p.add_argument("--kvalues", type=_kvalue_list, required=True, help="comma-separated k values, each at least 2")
     p.add_argument("--out", required=True, help="CSV output path")
-    p.set_defaults(func=cmd_sweep_topk)
 
     return parser
 
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    # Looked up when called, so that a command replaced on the module (by a
+    # tracing wrapper, say) after the parser was built is the one that runs.
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

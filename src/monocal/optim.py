@@ -8,7 +8,7 @@ produce bitwise-identical results.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -221,6 +221,35 @@ def _projected_newton(evaluate, x, lower, max_iterations, trace=None):
         loss, grad, hess = evaluate(x, 2)
 
 
+def _reordered_rows(z, top, params, threads=1):
+    """``order_violations(z, params)``, counted from ``top``, the last ``m - lo`` columns of ``z``'s sorted rows.
+
+    With ``lo = max(m - k - 1, 0)``, ``top`` holds each row's top k ranks and
+    the highest rank below them (every column when ``k >= m - 1``).  Every
+    rank below the top k goes through the same non-decreasing map ``x *
+    w[0] + b[0]``, so a reversed pair ``(i, j)`` of sorted ranks with ``i <
+    lo`` and ``j`` in the top k has ``t[lo] >= t[i] >= t[j]``: then ``(lo,
+    j)`` is reversed as well, unless ``s[lo] == s[j]``, which makes the tie
+    group at ``lo`` straddle the cut (``s[lo] == s[lo + 1]``).  So a row is
+    counted on ``top`` with the map cut to ``m - lo`` classes, and a
+    straddling row on its whole logits.  A pair of ranks both at or below
+    ``lo`` is reversed only when rounding merges two values a few ulps
+    apart; this count does not see such a pair.  The blocks run on up to
+    ``threads`` threads and their counts are summed in block order.
+    """
+    lo = params.m - top.shape[1]
+    reduced = replace(params, m=top.shape[1])
+
+    def count(rows):
+        block = top[rows]
+        straddling = block[:, 0] == block[:, 1] if lo else np.zeros(len(block), dtype=bool)
+        parts = ((block[~straddling], reduced), (z[rows][straddling], params))
+        # A 0-row part is skipped: row-constant logits make every row straddle.
+        return sum(order_violations(part, p) for part, p in parts if len(part))
+
+    return sum(core._map_blocks(count, *top.shape, threads))
+
+
 def fit_mcct(z, y, mode=DIRECT, k=None, max_iterations=MAX_ITERATIONS, trace=None, threads=1):
     """Fit a monotone calibration map by constrained NLL minimization.
 
@@ -246,18 +275,19 @@ def fit_mcct(z, y, mode=DIRECT, k=None, max_iterations=MAX_ITERATIONS, trace=Non
     order, so the result does not depend on the BLAS thread count either.
 
     The fitting set is prepared in one walk over row blocks of about 1 MB
-    (``core.BLOCK_DOUBLES`` entries): each block is sorted into the fit's one
-    sorted copy of the logits, and its tied rows and label ranks are counted
-    while it is in cache.  Rows are sorted by value only; each label's rank
-    is counted, not read from a permutation.  With ``k`` below the class
-    count, each row's sorted logits are truncated to the top k columns and
-    samples whose true class falls outside them are dropped from the fitting
-    set (their count is reported on the result).  The result also counts
-    the calibration rows with tied logits, the rows the fitted map reorders
-    (counted block by block on the kept sorted copy after the solve) and
-    the distinct labels, and the fit warns about ties, reordered rows and a
-    single label.  So the fit holds the logits, one sorted copy and about
-    1 MB per thread besides its top-k fitting set.
+    (``core.BLOCK_DOUBLES`` entries): each block is sorted into a temporary,
+    its tied rows and label ranks are counted while it is in cache, and its
+    top ``min(k + 1, m)`` sorted columns are kept.  Rows are sorted by value
+    only; each label's rank is counted, not read from a permutation.  With
+    ``k`` below the class count, the fit uses the top k columns and drops
+    the samples whose true class falls outside them from the fitting set
+    (their count is reported on the result).  The result also counts the
+    calibration rows with tied logits anywhere in the row, the rows the
+    fitted map reorders (counted block by block from the kept columns after
+    the solve, see :func:`_reordered_rows`) and the distinct labels, and the
+    fit warns about ties, reordered rows and a single label.  So the fit
+    holds the logits, ``(n, min(k + 1, m))`` sorted columns and about 1 MB
+    per thread besides its top-k fitting set.
 
     The blocks of both walks run on up to ``threads`` threads
     (``core._map_blocks``).  Each block writes only its own rows and the
@@ -280,13 +310,14 @@ def fit_mcct(z, y, mode=DIRECT, k=None, max_iterations=MAX_ITERATIONS, trace=Non
         raise ValueError(f"need 2 <= k <= m, got k={k}, m={m}")
     # The identity map, in either mode; building it refuses an unknown mode.
     start = init_params(mode, k, m=m)
-    # Each block is sorted in place and counted while it is in cache.
-    s, positions = np.empty_like(z), np.empty(n, dtype=np.int64)
+    # Each block is sorted into a temporary and counted while it is in cache;
+    # only its top k + 1 sorted columns are kept (all m when k >= m - 1).
+    lo = max(m - k - 1, 0)
+    top, positions = np.empty((n, m - lo)), np.empty(n, dtype=np.int64)
 
     def prepare(rows):
-        block = s[rows]
-        block[...] = z[rows]
-        block.sort(axis=1)
+        block = np.sort(z[rows], axis=1)
+        top[rows] = block[:, lo:]
         positions[rows] = label_positions(z[rows], y[rows])
         return len({row for row, _ in core.validate_distinct(block)})
 
@@ -297,7 +328,8 @@ def fit_mcct(z, y, mode=DIRECT, k=None, max_iterations=MAX_ITERATIONS, trace=Non
     if distinct_labels == 1:
         warnings.warn("all calibration labels are identical; the fit is degenerate")
 
-    s_fit, pos_fit, dropped = truncate_training_set(s, positions, k)
+    # A label ranked below lo gets a negative position and is dropped.
+    s_fit, pos_fit, dropped = truncate_training_set(top, positions - lo, k)
     if s_fit.shape[0] == 0:
         raise ValueError("every sample's true class fell outside the top k ranks")
     # The objective works on the class-major block and does not copy this view of it.
@@ -322,7 +354,7 @@ def fit_mcct(z, y, mode=DIRECT, k=None, max_iterations=MAX_ITERATIONS, trace=Non
     x0 = np.concatenate([np.diff(start.w, prepend=0.0), np.diff(start.b)])
     x, initial_loss, final_loss, iterations, converged = _projected_newton(evaluate, x0, lower, max_iterations, trace)
     params = MonotoneParams(*params_of(x), mode=DIRECT, m=m).in_mode(mode)
-    broken = sum(core._map_blocks(lambda rows: order_violations(s[rows], params), n, m, threads))
+    broken = _reordered_rows(z, top, params, threads)
     if broken:
         warnings.warn(
             f"fitted map reorders scores on {broken} of {n} calibration rows "

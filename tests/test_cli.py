@@ -324,6 +324,30 @@ class TestCountArguments:
         assert "nosuch" not in err
 
 
+class TestParser:
+    def test_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_argv_in_a_row_parse_independently(self):
+        parse = cli._build_parser().parse_args
+        first = parse(["fit", "--data", "a.csv", "--method", "mcct", "--topk", "3", "--out", "a"])
+        second = parse(["fit", "--data", "b.csv", "--method", "ts", "--out", "b"])
+        third = parse(["eval", "--data", "c.csv", "--model", "m.json", "--out", "c"])
+        assert (first.data, first.method, first.topk, first.out) == ("a.csv", "mcct", 3, "a")
+        assert (second.data, second.method, second.topk, second.out) == ("b.csv", "ts", None, "b")
+        assert (third.command, third.model) == ("eval", "m.json")
+        assert not hasattr(third, "method") and not hasattr(third, "topk")
+
+    def test_runs_the_command_on_the_module_when_called(self, monkeypatch):
+        # A command replaced after the parser was built (as a tracing
+        # wrapper is) is the one that runs.
+        cli._build_parser()
+        seen = []
+        monkeypatch.setattr(cli, "cmd_eval", lambda args: seen.append(args.model) or 7)
+        assert run("eval", "--data", "d.csv", "--model", "m.json", "--out", "o") == 7
+        assert seen == ["m.json"]
+
+
 # A complete model document of each kind, for m = 8.
 MODEL_DOCS = {
     "ts": {"kind": "ts", "m": 8, "T": 2.0},

@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monocal import core, data_io, metrics, optim, transform
 
@@ -381,10 +383,10 @@ class TestBlockedWalk:
         if pattern == "reordering":
             assert 0 < threaded.reordered_rows < z.shape[0]
 
-    def test_peak_memory_is_one_sorted_copy(self):
-        # The logits, one sorted copy and about 1 MB per block: the traced
-        # peak of the fit (which does not count the logits) stays well under
-        # the two extra matrices a whole-matrix preparation would hold.
+    def test_peak_memory_is_the_top_columns(self):
+        # The logits, each row's top k + 1 sorted columns and about 1 MB per
+        # block: the traced peak of the fit (which does not count the logits)
+        # stays well under one sorted copy of the matrix.
         rng = np.random.default_rng(5)
         z = rng.normal(0.0, 2.0, (2000, 500))
         y = rng.integers(0, 500, 2000)
@@ -394,7 +396,7 @@ class TestBlockedWalk:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * z.nbytes
+        assert peak <= 0.5 * z.nbytes
 
     def test_block_passes_see_one_block_at_a_time(self, monkeypatch):
         n, m = 600, 500  # three blocks of at most BLOCK_DOUBLES entries
@@ -415,11 +417,59 @@ class TestBlockedWalk:
         counted(core, "validate_distinct")
         counted(optim, "label_positions")
         counted(optim, "order_violations")
-        _quiet_fit(z, y, k=10)
+        k = 10
+        _quiet_fit(z, y, k=k)
         blocks = [(len(range(n)[rows]), m) for rows in core._row_blocks(n, m)]
         assert len(blocks) > 1
         assert all(rows * m <= core.BLOCK_DOUBLES for rows, _ in blocks)
-        assert shapes == dict.fromkeys(("validate_distinct", "label_positions", "order_violations"), blocks)
+        # The reorder count walks the kept top k + 1 sorted columns (no row straddles).
+        top_blocks = [(len(range(n)[rows]), k + 1) for rows in core._row_blocks(n, k + 1)]
+        assert shapes.pop("order_violations") == top_blocks
+        assert shapes == dict.fromkeys(("validate_distinct", "label_positions"), blocks)
+
+
+class TestReorderCount:
+    """The fit counts reordered rows from each row's top k + 1 sorted columns, exactly as on the whole row."""
+
+    @staticmethod
+    def count(z, params):
+        lo = max(params.m - params.k - 1, 0)
+        return optim._reordered_rows(z, np.sort(z, axis=1)[:, lo:], params)
+
+    @pytest.mark.parametrize("mode", transform.MODES)
+    def test_straddling_row_is_counted_on_its_whole_logits(self, mode):
+        # m = 4, k = 2: in the first two rows the kept columns (-1, -1, -1)
+        # are all tied, so the only reversed pair, ranks 0 and 3 (-2 and -1
+        # map to -0.2 and -5 in the first row), starts below the tie group
+        # that straddles rank m - k.
+        z = np.array([[-1.0, -2.0, -1.0, -1.0], [-1.0, -1.5, -1.0, -1.0], [3.0, 1.0, 2.0, 0.0]])
+        params = transform.MonotoneParams(w=[0.1, 5.0], b=[0.0, 0.0], mode=transform.DIRECT, m=4).in_mode(mode)
+        assert self.count(z, params) == transform.order_violations(z, params) == 2
+        assert self.count(z[2:], params) == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 12),
+        st.integers(0, 10),
+        st.sampled_from(transform.MODES),
+    )
+    def test_matches_the_whole_row_count(self, seed, m, cut, mode):
+        # Half-rounded logits put tie groups anywhere, straddling rank m - k
+        # among them; negative values give the map pairs to reverse.
+        rng = np.random.default_rng(seed)
+        k = max(m - cut, 2)
+        z = np.round(rng.normal(-1.0, 2.0, (int(rng.integers(1, 40)), m)) * 2) / 2
+        w = np.sort(rng.uniform(0.05, 5.0, k))
+        params = transform.MonotoneParams(w=w, b=np.sort(rng.normal(0.0, 1.0, k)), mode=transform.DIRECT, m=m)
+        params = params.in_mode(mode)
+        assert self.count(z, params) == transform.order_violations(z, params)
+
+    @pytest.mark.parametrize("mode", transform.MODES)
+    def test_row_constant_logits(self, mode):
+        # Every row straddles the cut; none is reordered, all are tied.
+        result = _quiet_fit(np.zeros((50, 5)), np.arange(50) % 5, mode=mode, k=2)
+        assert (result.reordered_rows, result.tied_rows, result.dropped_samples) == (0, 50, 30)
 
 
 class TestIncrementHessian:
