@@ -16,6 +16,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from monocal import cli  # noqa: E402
 
 
+def report_convergence(out):
+    """Print how many of the fits a sweep's manifest records did not converge."""
+    fits = json.loads(Path(out + ".manifest.json").read_text())["fits"]
+    print(f"{sum(not f['converged'] for f in fits)} of {len(fits)} fits did not converge")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--workdir", default="sweep_out")
@@ -40,6 +46,7 @@ def main():
         if code:
             return code
     print("size sweep written to", size_out)
+    report_convergence(size_out)
 
     topk_data = str(workdir / "topk_data.csv")
     topk_out = str(workdir / "topk_sweep.csv")
@@ -66,6 +73,7 @@ def main():
             + str(row["dropped_samples"])
         )
     print("\ntop-k sweep written to", topk_out)
+    report_convergence(topk_out)
     return 0
 
 

@@ -246,19 +246,20 @@ def fit_vs(z, y):
     return _solved(CalibratedModel(VS, {"scale": scale.copy(), "bias": bias, "m": m}), solve)
 
 
-def ensemble_terms(z, y, temperature):
-    """What both ensemble losses read of a calibration set: ``(temperature, true, gram)``.
+def ensemble_terms(z, y, ts):
+    """What both ensemble losses read of a calibration set: ``(ts, true, gram)``.
 
-    The components are ``softmax(z / temperature)``, ``softmax(z)`` and the
-    uniform distribution.  ``true`` is the (n, 3) matrix of each sample's
+    ``ts`` is the set's fitted temperature-scaling model, returned as is.
+    The components are ``softmax(z / T)``, ``softmax(z)`` and the uniform
+    distribution.  ``true`` is the (n, 3) matrix of each sample's
     inner products of the components with its one-hot target, that is its
     true-class probabilities, and ``gram`` the (3, 3) means over samples of
     the components' inner products with each other.
     """
     z, y = core.validate_dataset(z, y)
     n, m = z.shape
-    q = np.stack([core.softmax_rows(z / temperature), core.softmax_rows(z), np.full((n, m), 1.0 / m)])
-    return temperature, np.einsum("aij,ij->ia", q, core.one_hot(y, m)), np.einsum("aij,bij->ab", q, q) / n
+    q = np.stack([core.softmax_rows(z / ts.payload["T"]), core.softmax_rows(z), np.full((n, m), 1.0 / m)])
+    return ts, np.einsum("aij,ij->ia", q, core.one_hot(y, m)), np.einsum("aij,bij->ab", q, q) / n
 
 
 def _ensemble_nll_weights(true):
@@ -324,16 +325,13 @@ def fit_ets(z, y, loss="nll", terms=None):
     one-hot labels (a quadratic, solved exactly face by face).  ``terms``,
     if given, are :func:`ensemble_terms` of the same calibration set, which
     the fit then reads instead of fitting a temperature and both softmaxes.
+    Either way the fit's solves include the temperature's.
     """
     if loss not in ("nll", "mse"):
         raise ValueError("loss must be 'nll' or 'mse'")
     z, y = core.validate_dataset(z, y)
-    solves = []
-    if terms is None:
-        ts = fit_ts(z, y)
-        solves.append(ts._solver)
-        terms = ensemble_terms(z, y, ts.payload["T"])
-    temperature, true, gram = terms
+    ts, true, gram = terms or ensemble_terms(z, y, fit_ts(z, y))
+    solves = [ts._solver]
     if loss == "nll":
         v, solve = _ensemble_nll_weights(true)
         solves.append(solve)
@@ -343,7 +341,7 @@ def fit_ets(z, y, loss="nll", terms=None):
     weights = np.clip(v, 0.0, None)
     weights = weights / weights.sum()
     kind = ETS_NLL if loss == "nll" else ETS_MSE
-    return _solved(CalibratedModel(kind, {"T": temperature, "weights": weights, "m": z.shape[1]}), *solves)
+    return _solved(CalibratedModel(kind, {"T": ts.payload["T"], "weights": weights, "m": z.shape[1]}), *solves)
 
 
 def fit_hb(p, y, num_bins=metrics.NUM_BINS):

@@ -2,7 +2,9 @@
 
 Every command writes a ``<out>.manifest.json`` beside its primary output
 listing the command, its inputs, every emitted result file, and wall times.
-Result files themselves contain no timing, so reruns with identical flags
+``fit``, ``compare`` and both sweeps fit through one step (``_fitter``), and
+the manifests of the grid commands list each successful fit's diagnostics
+under ``fits``.  Result files themselves contain no timing, so reruns with identical flags
 are byte-identical.
 """
 
@@ -36,24 +38,47 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
-def _fit_method(method, z, y, topk=None, max_iterations=optim.MAX_ITERATIONS, trace=None, threads=1):
-    """Fit one method by name; returns (model, solver-diagnostics dict).
+def _fitter(max_iterations, trace=None, threads=1):
+    """``fit(key, method, z, y, topk=None)``: a fitted model and its diagnostics, sharing one solve per key.
 
-    For mcct/mcct-i the diagnostics are the ``optim.FitResult`` fields other
-    than the parameters; for a baseline, its calibration NLL and the
-    iterations and convergence of the Newton solves that fitted it (null and
-    true for hb, which runs none).  ``topk``, ``max_iterations``, ``trace``
-    (which receives the per-iterate solver records) and ``threads`` (of the
-    fit's row-block walks) only affect mcct/mcct-i.
+    A key names one calibration set and ``topk``.  mcct-i is the mcct solve
+    with its scales written as divisors, and both report the
+    ``optim.FitResult`` fields other than the parameters.  ts and both ets
+    kinds share one temperature, and the two ets kinds share the ensemble's
+    terms (``baselines.ensemble_terms``).  A baseline reports its
+    calibration NLL and the iterations and convergence of the Newton solves
+    that fitted it (null and true for hb, which runs none).  A per-key lock
+    makes a later method wait for a shared solve, not repeat it.
+    ``topk``, ``max_iterations``, ``trace`` (which receives the per-iterate
+    solver records) and ``threads`` (of the fit's row-block walks) only
+    affect mcct/mcct-i.
     """
-    if method in baselines.MONOTONE_MODES:
-        mode = baselines.MONOTONE_MODES[method]
-        result = optim.fit_mcct(z, y, mode=mode, k=topk, max_iterations=max_iterations, trace=trace, threads=threads)
-        info = {f.name: getattr(result, f.name) for f in dataclasses.fields(result) if f.name != "params"}
-        return baselines.from_monotone_params(result.params), info
-    model = baselines.fit_baseline(method, z, y)
-    iterations, converged = model._solver or (None, True)
-    return model, {"final_loss": core.nll(model.apply(z), y), "iterations": iterations, "converged": converged}
+    shared, locks = {}, {}
+
+    def once(key, solve):
+        with locks.setdefault(key, threading.Lock()):  # one atomic dict call
+            if key not in shared:
+                shared[key] = solve()
+        return shared[key]
+
+    def fit(key, method, z, y, topk=None):
+        if method in baselines.MONOTONE_MODES:
+            result = once((key, baselines.MCCT), lambda: optim.fit_mcct(
+                z, y, k=topk, max_iterations=max_iterations, trace=trace, threads=threads
+            ))
+            info = {f.name: getattr(result, f.name) for f in dataclasses.fields(result) if f.name != "params"}
+            return baselines.from_monotone_params(result.params.in_mode(baselines.MONOTONE_MODES[method])), info
+        if method in (baselines.TS, *baselines.ENSEMBLE_LOSSES):
+            model = ts = once((key, baselines.TS), lambda: baselines.fit_ts(z, y))
+            if method != baselines.TS:
+                terms = once((key, "ets"), lambda: baselines.ensemble_terms(z, y, ts))
+                model = baselines.fit_ets(z, y, baselines.ENSEMBLE_LOSSES[method], terms)
+        else:
+            model = baselines.fit_baseline(method, z, y)
+        iterations, converged = model._solver or (None, True)
+        return model, {"final_loss": core.nll(model.apply(z), y), "iterations": iterations, "converged": converged}
+
+    return fit
 
 
 class _Stopwatch:
@@ -99,7 +124,7 @@ def _run_cells(cells, worker, threads):
     Results are collected by cell index, so output order and content do not
     depend on scheduling.  Failures are captured per cell as strings.  The
     mcct-i cells start last, so they find the solve they share with mcct
-    (see ``_shared_fits``) done rather than wait on it.
+    (see ``_fitter``) done rather than wait on it.
     """
     results = [None] * len(cells)
     order = sorted(range(len(cells)), key=lambda i: baselines.MCCT_I in cells[i])
@@ -115,80 +140,51 @@ def _run_cells(cells, worker, threads):
 
 
 def _grid(cells, run_cell, header, threads, clock):
-    """Run ``cells`` through ``_run_cells``; return the result rows and the failure records.
+    """Run ``cells`` through ``_run_cells``; return the result rows and the manifest's records.
 
     A cell's values are the first columns of ``header``.  ``run_cell(*cell)``
-    returns the values that follow them, and each row ends in its status.
-    A failed cell's row is its key, then ``None``s, then the error; its
-    failure record is the key by column name plus the ``error``.
+    returns the values that follow them, and each row ends in its status,
+    together with the diagnostics of the cell's fit (``None`` for a cell
+    that fits nothing).  A failed cell's row is its key, then ``None``s,
+    then the error.  The records hold, in cell order, each failed cell's
+    key by column name plus the ``error`` under ``failures``, and each
+    successful fit's key plus its diagnostics under ``fits``.
     """
     results = _run_cells(cells, run_cell, threads)
     clock.lap("cells")
-    rows, failures = [], []
+    rows, records = [], {"failures": [], "fits": []}
     for cell, (status, payload) in zip(cells, results):
+        key = dict(zip(header, cell))
         if status == "ok":
-            rows.append([*cell, *payload, "ok"])
+            values, info = payload
+            rows.append([*cell, *values, "ok"])
+            if info is not None:
+                records["fits"].append({**key, **info})
         else:
             rows.append([*cell] + [None] * (len(header) - len(cell) - 1) + [payload])
-            failures.append({**dict(zip(header, cell)), "error": payload})
-    return rows, failures
+            records["failures"].append({**key, "error": payload})
+    return rows, records
 
 
-def _write_grid(args, csv_path, json_path, header, rows, doc, failures, clock, fields, times=None):
+def _write_grid(args, csv_path, json_path, header, rows, doc, records, clock, fields, times=None):
     """Write a grid's CSV, its JSON ``doc`` and the manifest; 1 if any cell failed, else 0.
 
-    ``fields`` are the command's own manifest entries and ``times`` extra
-    ``wall_time_s`` entries.  The primary output, ``args.out``, is one of the
-    two paths and is listed first.
+    ``records`` are ``_grid``'s, ``fields`` the command's own manifest
+    entries and ``times`` extra ``wall_time_s`` entries.  The primary
+    output, ``args.out``, is one of the two paths and is listed first.
     """
     data_io.write_csv(csv_path, [header, *rows])
     data_io.write_json(json_path, doc)
     clock.lap("write")
     outputs = [args.out, json_path if csv_path == args.out else csv_path]
     wall_time_s = {**clock.with_total(), **(times or {})}
-    _write_manifest(
-        args, outputs, wall_time_s, **fields, max_iterations=args.max_iterations, seed=args.seed, failures=failures
-    )
-    return 1 if failures else 0
+    _write_manifest(args, outputs, wall_time_s, **fields, max_iterations=args.max_iterations, seed=args.seed, **records)
+    return 1 if records["failures"] else 0
 
 
 def _report(top, y, base, bins):
     """The report's scalars for a test set's top-label statistics ``top`` against its uncalibrated ``base``."""
     return list(metrics.compute_report(top, y, base, num_bins=bins).scalars().values())
-
-
-def _shared_fits(max_iterations):
-    """``fit(key, method, z, y)``: a fitted model, sharing one solve per key among the methods that can.
-
-    mcct-i is the mcct fit with its scales written as divisors.  ts and both
-    ets kinds share one temperature, and the two ets kinds share the
-    ensemble's terms (``baselines.ensemble_terms``).  A per-key lock makes a
-    later method wait for a shared solve, not repeat it.
-    """
-    shared, locks = {}, {}
-
-    def once(key, solve):
-        with locks.setdefault(key, threading.Lock()):  # one atomic dict call
-            if key not in shared:
-                shared[key] = solve()
-        return shared[key]
-
-    def fit(key, method, z, y):
-        if method in baselines.MONOTONE_MODES:
-            params = once((key, baselines.MCCT), lambda: optim.fit_mcct(z, y, max_iterations=max_iterations).params)
-            return baselines.from_monotone_params(params.in_mode(baselines.MONOTONE_MODES[method]))
-        if method not in (baselines.TS, *baselines.ENSEMBLE_LOSSES):
-            # The calibration NLL that _fit_method computes and this drops is
-            # the last call of core.nll on a benchmark workload, which
-            # perfbench's span test needs until its TARGETS change.
-            return _fit_method(method, z, y)[0]
-        ts = once((key, baselines.TS), lambda: baselines.fit_ts(z, y))
-        if method == baselines.TS:
-            return ts
-        terms = once((key, "ets"), lambda: baselines.ensemble_terms(z, y, ts.payload["T"]))
-        return baselines.fit_ets(z, y, baselines.ENSEMBLE_LOSSES[method], terms)
-
-    return fit
 
 
 def cmd_gen_synth(args):
@@ -221,7 +217,7 @@ def cmd_fit(args):
     threads = _usable_cpus() if monotone else 1
     with open(trace_path, "w") if trace_path else contextlib.nullcontext() as trace_fh:
         trace = (lambda record: trace_fh.write(json.dumps(record) + "\n")) if trace_fh else None
-        model, info = _fit_method(args.method, z, y, args.topk, args.max_iterations, trace, threads)
+        model, info = _fitter(args.max_iterations, trace, threads)(None, args.method, z, y, args.topk)
     clock.lap("fit")
     model.save(args.out)
     clock.lap("write")
@@ -262,18 +258,20 @@ def cmd_compare(args):
 
     splits = {seed: data_io.split_dataset(z, y, args.split, seed) for seed in seeds}
     bases = {seed: metrics._top_labels(core.softmax_rows, *splits[seed][1]) for seed in seeds}
-    fit = _shared_fits(args.max_iterations)
+    fit = _fitter(args.max_iterations)
     clock.lap("split")
 
     def run_cell(method, seed):
         (zc, yc), (zt, yt) = splits[seed]
-        top = bases[seed] if method == UNCALIBRATED else metrics._top_labels(fit(seed, method, zc, yc).apply, zt, yt)
-        return _report(top, yt, bases[seed], args.bins)
+        if method == UNCALIBRATED:
+            return _report(bases[seed], yt, bases[seed], args.bins), None
+        model, info = fit(seed, method, zc, yc)
+        return _report(metrics._top_labels(model.apply, zt, yt), yt, bases[seed], args.bins), info
 
     all_methods = [UNCALIBRATED] + args.methods
     header = ["method", "seed"] + list(SCALAR_COLUMNS) + ["status"]
     cells = [(method, seed) for method in all_methods for seed in seeds]
-    rows, failures = _grid(cells, run_cell, header, args.threads, clock)
+    rows, records = _grid(cells, run_cell, header, args.threads, clock)
     per_seed = [
         {"method": method, "seed": seed, "status": "ok", **dict(zip(SCALAR_COLUMNS, values))}
         if status == "ok"
@@ -311,7 +309,7 @@ def cmd_compare(args):
         "rank": rank_by_column,
     }
     fields = {"methods": args.methods, "split": args.split, "runs": args.runs}
-    return _write_grid(args, _json_base(args.out) + ".csv", args.out, header, rows, doc, failures, clock, fields)
+    return _write_grid(args, _json_base(args.out) + ".csv", args.out, header, rows, doc, records, clock, fields)
 
 
 def cmd_sweep_size(args):
@@ -324,7 +322,7 @@ def cmd_sweep_size(args):
     (zc, yc), (zt, yt) = data_io.split_dataset(z, y, args.split, args.seed)
     base = metrics._top_labels(core.softmax_rows, zt, yt)
     n_cal = zc.shape[0]
-    fit = _shared_fits(args.max_iterations)
+    fit = _fitter(args.max_iterations)
     clock.lap("split")
 
     def run_cell(fraction, seed, method):
@@ -336,12 +334,13 @@ def cmd_sweep_size(args):
         else:
             idx = np.random.default_rng(seed).permutation(n_cal)[:size]
             zs, ys = zc[idx], yc[idx]
-        top = metrics._top_labels(fit((fraction, seed), method, zs, ys).apply, zt, yt)
-        return [size] + _report(top, yt, base, args.bins)
+        # The full set is every seed's subsample, so its fits are shared across seeds.
+        model, info = fit((size, seed if size < n_cal else None), method, zs, ys)
+        return [size] + _report(metrics._top_labels(model.apply, zt, yt), yt, base, args.bins), info
 
     header = ["fraction", "seed", "method", "n_calib"] + list(SCALAR_COLUMNS) + ["status"]
     cells = [(f, s, m) for f in fractions for s in seeds for m in methods]
-    rows, failures = _grid(cells, run_cell, header, args.threads, clock)
+    rows, records = _grid(cells, run_cell, header, args.threads, clock)
     doc = {
         "rows": [dict(zip(header, row)) for row in rows],
         "fractions": fractions,
@@ -349,7 +348,7 @@ def cmd_sweep_size(args):
         "methods": methods,
     }
     fields = {"methods": methods, "fractions": fractions, "seeds": seeds, "split": args.split}
-    return _write_grid(args, args.out, args.out + ".json", header, rows, doc, failures, clock, fields)
+    return _write_grid(args, args.out, args.out + ".json", header, rows, doc, records, clock, fields)
 
 
 def cmd_sweep_topk(args):
@@ -363,22 +362,23 @@ def cmd_sweep_topk(args):
     base = metrics._top_labels(core.softmax_rows, zt, yt, threads)
     clock.lap("split")
 
-    fit_per_k = {}
+    fit, fit_per_k = _fitter(args.max_iterations, threads=threads), {}
+    counts = ["dropped_samples", "iterations", "converged"]
 
     def run_cell(k):
         fit_clock = _Stopwatch()
-        model, info = _fit_method(baselines.MCCT, zc, yc, topk=k, max_iterations=args.max_iterations, threads=threads)
+        model, info = fit(k, baselines.MCCT, zc, yc, topk=k)
         fit_per_k[str(k)] = fit_clock.lap("fit")
         top = metrics._top_labels(model.apply, zt, yt, threads)
-        return _report(top, yt, base, args.bins) + [info["dropped_samples"], info["iterations"], info["converged"]]
+        return _report(top, yt, base, args.bins) + [info[c] for c in counts], info
 
-    header = ["k"] + list(SCALAR_COLUMNS) + ["dropped_samples", "iterations", "converged", "status"]
+    header = ["k"] + list(SCALAR_COLUMNS) + counts + ["status"]
     # One worker runs the cells one at a time: the per-k fit time goes into the manifest.
-    rows, failures = _grid([(k,) for k in args.kvalues], run_cell, header, 1, clock)
+    rows, records = _grid([(k,) for k in args.kvalues], run_cell, header, 1, clock)
     doc = {"rows": [dict(zip(header, row)) for row in rows]}
     fields = {"kvalues": args.kvalues, "split": args.split, "threads": threads}
     times = {"fit_per_k": fit_per_k}
-    return _write_grid(args, args.out, args.out + ".json", header, rows, doc, failures, clock, fields, times)
+    return _write_grid(args, args.out, args.out + ".json", header, rows, doc, records, clock, fields, times)
 
 
 def _checked(parse, ok, message):

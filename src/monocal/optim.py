@@ -258,9 +258,10 @@ def fit_mcct(z, y, mode=DIRECT, k=None, max_iterations=MAX_ITERATIONS, trace=Non
     W_FLOOR)`` and ``b = (0, cumsum(db[1:]))``, under the bounds ``dw[0] >=
     W_FLOOR`` and ``dw[1:], db[1:] >= 0``, starting from the identity map
     (``dw = (1, 0, ...)``, ``db = 0``).  ``b[0]`` is pinned at 0: a common
-    shift of ``b`` leaves every softmax unchanged.  Inverse mode returns
-    that fit with its scales written as divisors (``w`` replaced by
-    ``1 / w``), and the same biases, loss and iteration count.
+    shift of ``b`` leaves every softmax unchanged.  ``mode=INVERSE``
+    returns exactly the direct ``FitResult`` with its scales written as
+    divisors (``w`` replaced by ``1 / w``): every other field, the reorder
+    count and constraint violation included, is the direct fit's.
 
     The solver is projected Newton (see :func:`_projected_newton`) on the
     exact Hessian, for at most ``max_iterations`` steps.  Each of its
@@ -353,7 +354,7 @@ def fit_mcct(z, y, mode=DIRECT, k=None, max_iterations=MAX_ITERATIONS, trace=Non
     lower[0] = W_FLOOR
     x0 = np.concatenate([np.diff(start.w, prepend=0.0), np.diff(start.b)])
     x, initial_loss, final_loss, iterations, converged = _projected_newton(evaluate, x0, lower, max_iterations, trace)
-    params = MonotoneParams(*params_of(x), mode=DIRECT, m=m).in_mode(mode)
+    params = MonotoneParams(*params_of(x), mode=DIRECT, m=m)
     broken = _reordered_rows(z, top, params, threads)
     if broken:
         warnings.warn(
@@ -362,7 +363,7 @@ def fit_mcct(z, y, mode=DIRECT, k=None, max_iterations=MAX_ITERATIONS, trace=Non
             "with a non-negative maximum are still preserved)"
         )
     return FitResult(
-        params=params,
+        params=params.in_mode(mode),
         initial_loss=initial_loss,
         final_loss=final_loss,
         iterations=iterations,

@@ -331,10 +331,12 @@ class TestNewtonFitsMatchOracles:
     @pytest.mark.parametrize("loss", ["nll", "mse"])
     def test_shared_terms_give_the_same_fit(self, loss):
         z, y = seeded_problem("over")
-        terms = baselines.ensemble_terms(z, y, baselines.fit_ts(z, y).payload["T"])
+        terms = baselines.ensemble_terms(z, y, baselines.fit_ts(z, y))
         shared = baselines.fit_ets(z, y, loss, terms)
         alone = baselines.fit_ets(z, y, loss)
         assert shared.to_json() == alone.to_json()
+        # Both count the temperature solve.
+        assert shared._solver == alone._solver
 
 
 class TestDegenerateCalibrationSets:

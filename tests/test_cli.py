@@ -650,7 +650,7 @@ class TestCompare:
         # Each shared cell equals a separate fit and eval of its kind.
         (zc, yc), (zt, yt) = data_io.split_dataset(*data_io.read_dataset(dataset), 0.5, 1)
         for method in ("mcct", "mcct-i"):
-            model, _ = cli._fit_method(method, zc, yc)
+            model = baselines.from_monotone_params(optim.fit_mcct(zc, yc, baselines.MONOTONE_MODES[method]).params)
             report = metrics.compute_report(model.apply(zt), yt, core.softmax_rows(zt))
             cell = next(c for c in doc["per_seed"] if c["method"] == method and c["seed"] == 1)
             assert cell["nll"] == report.scalars()["nll"]
@@ -672,7 +672,9 @@ class TestCompare:
         assert statuses["mcct"] == "error"
         assert statuses["ts"] == "ok"
         manifest = json.loads(Path(out + ".manifest.json").read_text())
-        assert len(manifest["failures"]) == 1
+        assert [f["method"] for f in manifest["failures"]] == ["mcct"]
+        # The failed cell has no fit record.
+        assert [f["method"] for f in manifest["fits"]] == ["ts"]
 
     def test_base_statistics_once_per_split(self, dataset, tmp_path, monkeypatch):
         bases, calibrated = [], []
@@ -695,17 +697,17 @@ class TestCompare:
         assert exc.value.code == 2
 
 
-class TestSharedFits:
+class TestFitter:
     def test_one_solve_per_key_under_contention(self, solves):
         rng = np.random.default_rng(0)
         z, y = rng.normal(0, 2, (200, 4)), rng.integers(0, 4, 200)
-        fit = cli._shared_fits(optim.MAX_ITERATIONS)
+        fit = cli._fitter(optim.MAX_ITERATIONS)
         calls = [(key, method) for key in range(3) for method in ("mcct", "mcct-i") * 4]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
-                models = list(pool.map(lambda call: fit(*call, z, y), calls, timeout=60))
+                models = [model for model, _ in pool.map(lambda call: fit(*call, z, y), calls, timeout=60)]
         finally:
             sys.setswitchinterval(interval)
         assert len(solves) == 3
@@ -741,6 +743,49 @@ class TestSharedFits:
             report = metrics.compute_report(model.apply(zt), yt, core.softmax_rows(zt))
             cell = next(c for c in doc["per_seed"] if c["method"] == method and c["seed"] == 1)
             assert cell["nll"] == report.scalars()["nll"]
+
+    def test_fit_reports_what_compare_records(self, dataset, tmp_path):
+        out = str(tmp_path / "cmp.json")
+        methods = ",".join(cli.METHODS)
+        assert run("compare", "--data", dataset, "--methods", methods, "--seed", 1, "--out", out) == 0
+        records = json.loads(Path(out + ".manifest.json").read_text())["fits"]
+        assert [(r.pop("method"), r.pop("seed")) for r in records] == [(m, 1) for m in cli.METHODS]
+        (zc, yc), _ = data_io.split_dataset(*data_io.read_dataset(dataset), 0.5, 1)
+        cal = str(tmp_path / "cal.csv")
+        data_io.write_dataset(cal, zc, yc)
+        for method, record in zip(cli.METHODS, records):
+            model = str(tmp_path / f"{method}.json")
+            assert run("fit", "--data", cal, "--method", method, "--out", model) == 0
+            assert json.loads(Path(model + ".manifest.json").read_text())["fit"] == record, method
+            # Both count every solve of a separate library fit, the ets kinds' temperature included.
+            if method in baselines.MONOTONE_MODES:
+                alone = optim.fit_mcct(zc, yc, baselines.MONOTONE_MODES[method])
+                solver = (alone.iterations, alone.converged)
+            else:
+                solver = baselines.fit_baseline(method, zc, yc)._solver or (None, True)
+            assert (record["iterations"], record["converged"]) == solver, method
+
+    @pytest.mark.parametrize("argv, out, cells", [
+        (
+            ("compare", "--methods", "mcct-i,ts,hb,ets-nll,mcct", "--runs", 2),
+            "cmp.json",
+            [(m, s) for m in ("mcct-i", "ts", "hb", "ets-nll", "mcct") for s in (0, 1)],
+        ),
+        (
+            ("sweep-size", "--fractions", "0.5,1.0", "--seeds", "0,1", "--methods", "mcct-i,ets-mse,vs,mcct"),
+            "size.csv",
+            [(f, s, m) for f in (0.5, 1.0) for s in (0, 1) for m in ("mcct-i", "ets-mse", "vs", "mcct")],
+        ),
+    ])
+    def test_grid_records_every_fit_in_cell_order(self, dataset, tmp_path, argv, out, cells):
+        fits = []
+        for threads in (1, 2):
+            path = str(tmp_path / f"{threads}-{out}")
+            assert run(*argv, "--data", dataset, "--threads", threads, "--out", path) == 0
+            fits.append(json.loads(Path(path + ".manifest.json").read_text())["fits"])
+        assert fits[0] == fits[1]
+        assert [tuple(r.values())[: len(cells[0])] for r in fits[0]] == cells
+        assert all(isinstance(r["converged"], bool) and "final_loss" in r for r in fits[0])
 
 
 def _refuse_constant(name):
@@ -813,6 +858,9 @@ class TestScripts:
         for name in ("size_sweep.csv", "topk_sweep.csv"):
             assert f"written to {tmp_path / name}" in done.stdout
             assert (tmp_path / name).is_file()
+        # One seed: 7 fractions x 4 methods, then 5 k values.
+        assert "0 of 28 fits did not converge" in done.stdout
+        assert "0 of 5 fits did not converge" in done.stdout
 
 
 class TestSweepSize:
@@ -854,10 +902,14 @@ class TestSweepSize:
         out = str(tmp_path / "sweep.csv")
         assert run(
             "sweep-size", "--data", dataset, "--fractions", "0.5,1.0",
-            "--methods", "mcct,mcct-i", "--seeds", "0,1", "--threads", 2, "--out", out,
+            "--methods", "mcct,mcct-i", "--seeds", "1,2,3", "--threads", 2, "--out", out,
         ) == 0
+        # One solve per half subsample, and one full-set solve for every seed.
         assert len(solves) == 4
-        assert len(json.loads(Path(out + ".json").read_text())["rows"]) == 8
+        rows = json.loads(Path(out + ".json").read_text())["rows"]
+        assert len(rows) == 12
+        full = [{k: v for k, v in r.items() if k != "seed"} for r in rows if r["fraction"] == 1.0]
+        assert full == full[:2] * 3
 
     def test_too_small_subsample_is_per_cell_failure(self, dataset, tmp_path):
         out = str(tmp_path / "sweep.csv")

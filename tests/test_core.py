@@ -336,7 +336,9 @@ LABELLED_CALLERS = {
     "fit_mcct": lambda z, y, path: optim.fit_mcct(z, y),
     "fit_ts": lambda z, y, path: baselines.fit_ts(z, y),
     "fit_vs": lambda z, y, path: baselines.fit_vs(z, y),
-    "ensemble_terms": lambda z, y, path: baselines.ensemble_terms(z, y, 1.5),
+    "ensemble_terms": lambda z, y, path: baselines.ensemble_terms(
+        z, y, baselines.CalibratedModel("ts", {"T": 1.5, "m": 4})
+    ),
     "fit_ets": lambda z, y, path: baselines.fit_ets(z, y),
     "split_dataset": lambda z, y, path: data_io.split_dataset(z, y, 0.5, 0),
     "write_dataset": lambda z, y, path: data_io.write_dataset(path, z, y),

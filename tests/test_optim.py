@@ -472,6 +472,33 @@ class TestReorderCount:
         assert (result.reordered_rows, result.tied_rows, result.dropped_samples) == (0, 50, 30)
 
 
+class TestModes:
+    @staticmethod
+    def problem(case):
+        if case == "reordering":
+            return (*_reordering_problem(), {"max_iterations": 3})
+        # Half-rounded negative logits: about 90 rows' tie groups straddle rank m - k.
+        rng = np.random.default_rng(0)
+        z = np.round(rng.normal(-3.0, 2.0, (300, 8)) * 2) / 2
+        return z, np.where(rng.uniform(size=300) < 0.7, z.argmax(axis=1), rng.integers(0, 8, 300)), {"k": 3}
+
+    @pytest.mark.parametrize("case", ["reordering", "straddling"])
+    def test_inverse_fit_is_the_direct_fit_in_divisors(self, case):
+        z, y, fit_args = self.problem(case)
+        if case == "straddling":
+            top = np.sort(z, axis=1)[:, z.shape[1] - fit_args["k"] - 1 :]
+            assert (top[:, 0] == top[:, 1]).any()
+        direct = _quiet_fit(z, y, mode=transform.DIRECT, **fit_args)
+        inverse = _quiet_fit(z, y, mode=transform.INVERSE, **fit_args)
+        assert direct.reordered_rows > 0
+        expected = direct.params.in_mode(transform.INVERSE)
+        assert inverse.params.mode == expected.mode and inverse.params.m == expected.m
+        assert inverse.params.w.tobytes() == expected.w.tobytes()
+        assert inverse.params.b.tobytes() == expected.b.tobytes()
+        fields = [f.name for f in dataclasses.fields(optim.FitResult) if f.name != "params"]
+        assert [getattr(inverse, f) for f in fields] == [getattr(direct, f) for f in fields]
+
+
 class TestIncrementHessian:
     def test_matches_finite_differences(self):
         # The Hessian over the increments (dw, db[1:]) is L^T H L, taken by
