@@ -329,7 +329,7 @@ def fit_ets(z, y, loss="nll", terms=None):
     """
     if loss not in ("nll", "mse"):
         raise ValueError("loss must be 'nll' or 'mse'")
-    z, y = core.validate_dataset(z, y)
+    # fit_ts and ensemble_terms check z and y.
     ts, true, gram = terms or ensemble_terms(z, y, fit_ts(z, y))
     solves = [ts._solver]
     if loss == "nll":
@@ -341,7 +341,7 @@ def fit_ets(z, y, loss="nll", terms=None):
     weights = np.clip(v, 0.0, None)
     weights = weights / weights.sum()
     kind = ETS_NLL if loss == "nll" else ETS_MSE
-    return _solved(CalibratedModel(kind, {"T": ts.payload["T"], "weights": weights, "m": z.shape[1]}), *solves)
+    return _solved(CalibratedModel(kind, {"T": ts.payload["T"], "weights": weights, "m": ts.payload["m"]}), *solves)
 
 
 def fit_hb(p, y, num_bins=metrics.NUM_BINS):

@@ -215,6 +215,10 @@ def cmd_fit(args):
     # An ignored trace file is neither opened, which would empty it, nor named in the manifest.
     trace_path = args.trace if monotone else None
     threads = _usable_cpus() if monotone else 1
+    if not monotone:
+        # The baselines read the whole matrix: take it once, not at every step
+        # of the fit that checks it.
+        z = np.asarray(z)
     with open(trace_path, "w") if trace_path else contextlib.nullcontext() as trace_fh:
         trace = (lambda record: trace_fh.write(json.dumps(record) + "\n")) if trace_fh else None
         model, info = _fitter(args.max_iterations, trace, threads)(None, args.method, z, y, args.topk)
@@ -235,17 +239,17 @@ def cmd_eval(args):
     model = baselines.CalibratedModel.load(args.model)
     clock.lap("read")
     threads = _usable_cpus()
-    top = metrics._top_labels(model.apply, z, y, threads)
+    top, base = metrics._top_labels((model.apply, core.softmax_rows), z, y, threads)
     clock.lap("apply")
-    base = metrics._top_labels(core.softmax_rows, z, threads=threads)
     report = metrics.compute_report(top, y, base, num_bins=args.bins)
     clock.lap("metrics")
     data_io.write_json(args.out, report.to_json())
     reliability_path = _json_base(args.out) + ".reliability.csv"
     with open(reliability_path, "w") as fh:
         fh.write(report.bins.to_csv())
-    # "apply" includes each block's top-label statistics, and "metrics" the
-    # softmax of the raw logits, which only the report reads.
+    # For a binary file "read" is its sidecar and labels (and the model), and
+    # "apply" one walk that reads each logit block and takes the model's and
+    # the raw softmax's top-label statistics from it.
     _write_manifest(args, [args.out, reliability_path], clock.stages, bins=args.bins, threads=threads)
     return 0
 

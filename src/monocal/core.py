@@ -61,20 +61,29 @@ def _map_blocks(fn, n, m, threads=1):
 def _logit_matrix(z):
     """Coerce to a float64 (n, m) logit matrix, checking its shape only."""
     z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 2:
-        raise ValueError(f"logit matrix must be 2-D (n, m), got shape {z.shape}")
-    n, m = z.shape
+    _check_logit_shape(z.shape)
+    return z
+
+
+def _check_logit_shape(shape):
+    """Refuse a logit matrix ``shape`` that is not ``(n, m)`` with ``n >= 1`` and ``m >= 2``."""
+    if len(shape) != 2:
+        raise ValueError(f"logit matrix must be 2-D (n, m), got shape {shape}")
+    n, m = shape
     if n < 1 or m < 2:
-        raise ValueError(f"need n >= 1 samples and m >= 2 classes, got shape {z.shape}")
+        raise ValueError(f"need n >= 1 samples and m >= 2 classes, got shape {shape}")
+
+
+def _finite_logits(z):
+    """A float64 logit matrix or block ``z`` as it is, if every entry is finite; else :func:`validate_logits`'s error."""
+    if not np.all(np.isfinite(z)):
+        raise ValueError(_NONFINITE_LOGITS)
     return z
 
 
 def validate_logits(z):
     """Coerce to a float64 (n, m) logit matrix, checking shape and finiteness."""
-    z = _logit_matrix(z)
-    if not np.all(np.isfinite(z)):
-        raise ValueError(_NONFINITE_LOGITS)
-    return z
+    return _finite_logits(_logit_matrix(z))
 
 
 def validate_labels(y, m, n=None):

@@ -12,6 +12,14 @@ One codec (:func:`_write_table`, :func:`_read_table`) writes and reads
 both file kinds: a dataset as above, and a bare matrix (e.g. reference
 probabilities) laid out the same without labels, CSV header ``p0,...``.
 
+A binary file's payload is not read whole on open.  :func:`read_dataset`
+reads its sidecar and labels and returns a :class:`BinaryLogits` block
+reader for the logits: ``z[rows]`` reads one row block, and
+``np.asarray(z)`` the whole float64 matrix.  The fit's preparation walk and
+the report's top-label walk read it one block at a time, so neither holds
+the (n, m) matrix; every other consumer takes the matrix once, through
+``core.validate_logits``.
+
 Binary round trips are bitwise exact at float32 fidelity (float64 inputs
 are quantized on write); CSV round trips are exact because values are
 written with shortest-repr formatting.
@@ -132,6 +140,8 @@ def _read_table(path, fmt, labelled):
     of its own width (at least 3 columns with labels) or is not as wide as
     the rows, :class:`DataFileError` for no data rows and :class:`SidecarError`
     for a binary size other than the sidecar implies.  Labels are unchecked.
+    A CSV file's ``a`` is its float64 matrix; a binary file's is a
+    :class:`BinaryLogits` reader, of which nothing is read yet.
     """
     fmt = infer_format(path) if fmt is None else fmt
     if fmt == CSV:
@@ -153,18 +163,14 @@ def _read_table(path, fmt, labelled):
         actual = os.path.getsize(path)
         if actual != expected:
             raise SidecarError(f"{path} holds {actual} bytes but sidecar implies {expected}")
-        # The float32 payload comes in one row block at a time through one
-        # reused buffer, converted into the float64 matrix as it arrives.
-        a, labels = np.empty((n, m)), np.empty(n if labelled else 0, dtype="<u4")
-        blocks = list(core._row_blocks(n, m))
-        chunk = np.empty(a[blocks[0]].size if blocks else 0, dtype="<f4")
+        a = BinaryLogits(path, (n, m))
+        if not labelled:
+            return a, None
+        labels = np.empty(n, dtype="<u4")
         with open(path, "rb") as fh:
-            for rows in blocks:
-                block = a[rows]
-                _read_into(fh, chunk[: block.size], path)
-                block[...] = chunk[: block.size].reshape(block.shape)
+            fh.seek(n * m * 4)
             _read_into(fh, labels, path)
-        return a, labels.astype(np.int64) if labelled else None
+        return a, labels.astype(np.int64)
     raise ValueError(f"unknown format {fmt!r}")
 
 
@@ -174,19 +180,77 @@ def _read_into(fh, out, path):
         raise SidecarError(f"{path} ended before the size its sidecar implies")
 
 
+class BinaryLogits:
+    """The (n, m) float32 payload of a binary file, read one row block at a time.
+
+    ``z[rows]``, for a slice of consecutive rows, reads those rows and
+    returns them as a float64 block; ``np.asarray(z)`` reads every block of
+    ``core._row_blocks`` into the whole float64 matrix.  Each read opens the
+    file for itself, so no descriptor outlives it and threads read
+    independently.  A read checks only that the file holds the rows
+    (:class:`SidecarError` if it ends first), not their values.
+    """
+
+    def __init__(self, path, shape):
+        self.path, self.shape = path, shape
+
+    def _read(self, start, out):
+        """Fill the float32 array ``out`` with the payload's rows from ``start`` on; return it."""
+        with open(self.path, "rb") as fh:
+            fh.seek(start * self.shape[1] * 4)
+            _read_into(fh, out, self.path)
+        return out
+
+    def __getitem__(self, rows):
+        start, stop, step = rows.indices(self.shape[0])
+        if step != 1:
+            raise ValueError("a binary payload is read by slices of consecutive rows")
+        return self._read(start, np.empty((max(stop - start, 0), self.shape[1]), dtype="<f4")).astype(np.float64)
+
+    def __array__(self, dtype=None, copy=None):
+        # One float32 buffer, reused, takes each block and converts into the matrix.
+        a = np.empty(self.shape)
+        blocks = list(core._row_blocks(*self.shape))
+        chunk = np.empty(a[blocks[0]].shape if blocks else 0, dtype="<f4")
+        for rows in blocks:
+            block = a[rows]
+            block[...] = self._read(rows.start, chunk[: len(block)])
+        return a if dtype is None else a.astype(dtype, copy=False)
+
+
+def _logit_rows(z):
+    """``z`` to be walked by row blocks, its shape checked: a :class:`BinaryLogits` as it is, else ``core._logit_matrix(z)``.
+
+    Either way ``z.shape`` is ``(n, m)`` and ``z[rows]`` a float64 block,
+    whose finiteness the walk checks as it reads it (``core._finite_logits``).
+    """
+    if isinstance(z, BinaryLogits):
+        core._check_logit_shape(z.shape)
+        return z
+    return core._logit_matrix(z)
+
+
 def write_dataset(path, z, y, fmt=None):
     """Write a logit matrix and its labels to ``path`` in the given format."""
     _write_table(path, *core.validate_dataset(z, y), fmt)
 
 
 def read_dataset(path, fmt=None):
-    """Read a ``(logits, labels)`` pair written by :func:`write_dataset`."""
+    """Read a ``(logits, labels)`` pair written by :func:`write_dataset`.
+
+    The labels are read and checked (:class:`LabelRangeError`), then the
+    logits' shape.  A CSV file's logits come as a float64 matrix, checked
+    for finiteness.  A binary file's come as a :class:`BinaryLogits`
+    reader, and nothing of its payload is read yet: a walk over its row
+    blocks checks each one's finiteness as it reads it, and
+    ``core.validate_logits(z)`` reads and checks the whole matrix.
+    """
     z, y = _read_table(path, fmt, labelled=True)
     try:
         y = core.validate_labels(y, z.shape[1])
     except ValueError as exc:
         raise LabelRangeError(str(exc)) from exc
-    return core.validate_logits(z), y
+    return (_logit_rows(z) if isinstance(z, BinaryLogits) else core.validate_logits(z)), y
 
 
 def write_matrix(path, a, fmt=None):
@@ -199,7 +263,7 @@ def write_matrix(path, a, fmt=None):
 
 def read_matrix(path, fmt=None):
     """Read a matrix written by :func:`write_matrix`: its tested inverse, which no command calls."""
-    return _read_table(path, fmt, labelled=False)[0]
+    return np.asarray(_read_table(path, fmt, labelled=False)[0])
 
 
 def split_dataset(z, y, calib_fraction, seed):

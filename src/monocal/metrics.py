@@ -18,8 +18,9 @@ Every metric reads a probability matrix through four numbers per row: its
 prediction, its confidence and, given labels, its correctness and its
 true-class probability.  :func:`_top_labels` takes them from logits one row
 block of about 1 MB (``core.BLOCK_DOUBLES`` entries) at a time, calling a
-model's apply (or the softmax) on each block and validating its
-probabilities there, so no (n, m) probability matrix is ever held;
+model's apply (or the softmax, or both on one read of the block) on each
+block and validating its probabilities there, so no (n, m) probability
+matrix is ever held, nor, from a binary file's block reader, the logits;
 :func:`_top_label` takes them from a whole matrix with the same per-row
 code.  :func:`compute_report` accepts either in place of a matrix and
 passes the one set to every metric function, so its values equal theirs
@@ -116,24 +117,34 @@ def _top_label(p, y=None):
 def _top_labels(probs_of, z, y=None, threads=1):
     """:func:`_top_label` of ``probs_of(z)``, computed one row block of the logits ``z`` at a time.
 
-    ``probs_of`` maps a logit block to its probability rows: a model's
-    ``apply`` or ``core.softmax_rows``.  Each block's probabilities are
-    validated, reduced by :func:`_row_stats` and dropped, so at most one
-    block of them exists per thread at a time, and the result equals the
-    whole matrix's bitwise.  The blocks run on up to ``threads`` threads
-    (``core._map_blocks``); the result does not depend on how many.
+    ``z`` is a logit matrix or a binary file's block reader
+    (``data_io.BinaryLogits``); each block is read once and checked for
+    finiteness there.  ``probs_of`` maps a logit block to its probability
+    rows: a model's ``apply`` or ``core.softmax_rows``.  It may also be a
+    tuple of such functions: then the result is a tuple, one entry per
+    function, all taken from the one read of each block.  Each block's
+    probabilities are validated, reduced by :func:`_row_stats` and dropped,
+    so at most one block of them exists per thread at a time, and the
+    result equals the whole matrix's bitwise.  The blocks run on up to
+    ``threads`` threads (``core._map_blocks``); the result does not depend
+    on how many.
     """
-    z = core._logit_matrix(z)
+    z = data_io._logit_rows(z)
     n, m = z.shape
     if y is not None:
         y = core.validate_labels(y, m, n=n)
+    functions = probs_of if isinstance(probs_of, tuple) else (probs_of,)
 
     def block_stats(rows):
-        return _row_stats(core.validate_probs(probs_of(z[rows])), None if y is None else y[rows])
+        block, labels = core._finite_logits(z[rows]), None if y is None else y[rows]
+        return [_row_stats(core.validate_probs(f(block)), labels) for f in functions]
 
     blocks = core._map_blocks(block_stats, n, m, threads)
-    pred, conf, picked = (None if parts[0] is None else np.concatenate(parts) for parts in zip(*blocks))
-    return _labelled((n, m), y, pred, conf, picked)
+    tops = tuple(
+        _labelled((n, m), y, *(None if parts[0] is None else np.concatenate(parts) for parts in zip(*stats)))
+        for stats in zip(*blocks)
+    )
+    return tops if isinstance(probs_of, tuple) else tops[0]
 
 
 def _bin_index(conf, upper):

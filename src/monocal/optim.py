@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import core
+from . import core, data_io
 from .transform import (
     DIRECT,
     INVERSE,
@@ -232,10 +232,12 @@ def _reordered_rows(z, top, params, threads=1):
     j)`` is reversed as well, unless ``s[lo] == s[j]``, which makes the tie
     group at ``lo`` straddle the cut (``s[lo] == s[lo + 1]``).  So a row is
     counted on ``top`` with the map cut to ``m - lo`` classes, and a
-    straddling row on its whole logits.  A pair of ranks both at or below
+    straddling row on its whole logits, read again (``z[rows]``) only for
+    the blocks that hold such a row.  A pair of ranks both at or below
     ``lo`` is reversed only when rounding merges two values a few ulps
-    apart; this count does not see such a pair.  The blocks run on up to
-    ``threads`` threads and their counts are summed in block order.
+    apart; this count does not see such a pair.  The blocks are the row
+    blocks of the logits, as in the fit's preparation walk; they run on up
+    to ``threads`` threads and their counts are summed in block order.
     """
     lo = params.m - top.shape[1]
     reduced = replace(params, m=top.shape[1])
@@ -243,11 +245,13 @@ def _reordered_rows(z, top, params, threads=1):
     def count(rows):
         block = top[rows]
         straddling = block[:, 0] == block[:, 1] if lo else np.zeros(len(block), dtype=bool)
-        parts = ((block[~straddling], reduced), (z[rows][straddling], params))
+        parts = [(block[~straddling], reduced)]
+        if straddling.any():
+            parts.append((z[rows][straddling], params))
         # A 0-row part is skipped: row-constant logits make every row straddle.
         return sum(order_violations(part, p) for part, p in parts if len(part))
 
-    return sum(core._map_blocks(count, *top.shape, threads))
+    return sum(core._map_blocks(count, top.shape[0], params.m, threads))
 
 
 def fit_mcct(z, y, mode=DIRECT, k=None, max_iterations=MAX_ITERATIONS, trace=None, threads=1):
@@ -275,10 +279,13 @@ def fit_mcct(z, y, mode=DIRECT, k=None, max_iterations=MAX_ITERATIONS, trace=Non
     solver's per-iterate records.  Every sum in the fit runs in a fixed
     order, so the result does not depend on the BLAS thread count either.
 
-    The fitting set is prepared in one walk over row blocks of about 1 MB
-    (``core.BLOCK_DOUBLES`` entries): each block is sorted into a temporary,
-    its tied rows and label ranks are counted while it is in cache, and its
-    top ``min(k + 1, m)`` sorted columns are kept.  Rows are sorted by value
+    ``z`` is a logit matrix or a binary file's block reader
+    (``data_io.BinaryLogits``).  The labels, the sample count and ``k`` are
+    checked first.  The fitting set is then prepared in one walk over row
+    blocks of about 1 MB (``core.BLOCK_DOUBLES`` entries): each block is
+    read once and checked for finiteness, sorted into a temporary, its tied
+    rows and label ranks are counted while it is in cache, and its top
+    ``min(k + 1, m)`` sorted columns are kept.  Rows are sorted by value
     only; each label's rank is counted, not read from a permutation.  With
     ``k`` below the class count, the fit uses the top k columns and drops
     the samples whose true class falls outside them from the fitting set
@@ -287,8 +294,9 @@ def fit_mcct(z, y, mode=DIRECT, k=None, max_iterations=MAX_ITERATIONS, trace=Non
     fitted map reorders (counted block by block from the kept columns after
     the solve, see :func:`_reordered_rows`) and the distinct labels, and the
     fit warns about ties, reordered rows and a single label.  So the fit
-    holds the logits, ``(n, min(k + 1, m))`` sorted columns and about 1 MB
-    per thread besides its top-k fitting set.
+    holds ``(n, min(k + 1, m))`` sorted columns, the label ranks and a few
+    blocks per thread besides its top-k fitting set; from a reader it holds
+    no (n, m) logit matrix (at k < m - 1, nothing of that size at all).
 
     The blocks of both walks run on up to ``threads`` threads
     (``core._map_blocks``).  Each block writes only its own rows and the
@@ -302,8 +310,9 @@ def fit_mcct(z, y, mode=DIRECT, k=None, max_iterations=MAX_ITERATIONS, trace=Non
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
-    z, y = core.validate_dataset(z, y)
+    z = data_io._logit_rows(z)
     n, m = z.shape
+    y = core.validate_labels(y, m, n=n)
     if n < 2:
         raise ValueError("need at least 2 samples to fit")
     k = m if k is None else int(k)
@@ -317,10 +326,11 @@ def fit_mcct(z, y, mode=DIRECT, k=None, max_iterations=MAX_ITERATIONS, trace=Non
     top, positions = np.empty((n, m - lo)), np.empty(n, dtype=np.int64)
 
     def prepare(rows):
-        block = np.sort(z[rows], axis=1)
-        top[rows] = block[:, lo:]
-        positions[rows] = label_positions(z[rows], y[rows])
-        return len({row for row, _ in core.validate_distinct(block)})
+        block = core._finite_logits(z[rows])
+        ordered = np.sort(block, axis=1)
+        top[rows] = ordered[:, lo:]
+        positions[rows] = label_positions(block, y[rows])
+        return len({row for row, _ in core.validate_distinct(ordered)})
 
     tied = sum(core._map_blocks(prepare, n, m, threads))
     if tied:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -11,6 +12,8 @@ import numpy as np
 import pytest
 
 from monocal import baselines, cli, core, data_io, metrics, optim, transform
+
+from conftest import patterned_logits
 
 
 def run(*args):
@@ -698,6 +701,27 @@ class TestCompare:
 
 
 class TestFitter:
+    @pytest.mark.parametrize("fmt", ["bin", "csv"])
+    def test_ets_checks_its_logits_once_per_step(self, tmp_path, monkeypatch, fmt):
+        # fit: the temperature, the ensemble terms and the calibration NLL's
+        # apply each check the calibration logits once (fit_ets does not check
+        # them again); a CSV read checks them first, and a binary file is read
+        # whole once.  compare's ets cell checks its split in the same three
+        # steps, then its one test block in the test apply.
+        data = str(tmp_path / f"data.{fmt}")
+        assert run("gen-synth", "--n", 300, "--m", 4, "--out", data) == 0
+        calls, wholes = [], []
+        validate_logits, whole = core.validate_logits, data_io.BinaryLogits.__array__
+        monkeypatch.setattr(core, "validate_logits", lambda z: calls.append(np.shape(z)) or validate_logits(z))
+        monkeypatch.setattr(data_io.BinaryLogits, "__array__", lambda self, *a, **k: wholes.append(1) or whole(self, *a, **k))
+        read = [(300, 4)] if fmt == "csv" else []
+        assert run("fit", "--data", data, "--method", "ets-nll", "--out", tmp_path / "ets.json") == 0
+        assert (calls, len(wholes)) == (read + [(300, 4)] * 3, fmt == "bin")
+        calls.clear(), wholes.clear()
+        assert run("compare", "--data", data, "--methods", "ets-nll", "--out", tmp_path / "cmp.json") == 0
+        # The split checks the whole set.
+        assert (calls, len(wholes)) == (read + [(300, 4)] + [(150, 4)] * 4, fmt == "bin")
+
     def test_one_solve_per_key_under_contention(self, solves):
         rng = np.random.default_rng(0)
         z, y = rng.normal(0, 2, (200, 4)), rng.integers(0, 4, 200)
@@ -1130,3 +1154,150 @@ class TestDeterminism:
             "--runs", 2, "--seed", 0, "--threads", 4, "--out", threaded,
         )
         assert Path(serial).read_text() == Path(threaded).read_text()
+
+
+def _whole_matrix_reads(monkeypatch):
+    """Make the commands read a binary file's logits whole (``np.asarray``), not block by block."""
+    read = data_io.read_dataset
+
+    def whole(path, fmt=None):
+        z, y = read(path, fmt)
+        return np.asarray(z), y
+
+    monkeypatch.setattr(data_io, "read_dataset", whole)
+
+
+def _fit_eval_files(data, out, runs):
+    """Fit and evaluate each ``(method, topk)`` of ``runs`` on ``data`` in ``out``.
+
+    Returns every result file's bytes by name, with each fit's manifest
+    diagnostics (its wall times differ between runs).
+    """
+    out.mkdir()
+    diagnostics = {}
+    for method, topk in runs:
+        model, report = str(out / f"{method}-{topk}.json"), str(out / f"{method}-{topk}.report.json")
+        assert run("fit", "--data", data, "--method", method, *(("--topk", topk) if topk else ()), "--out", model) == 0
+        assert run("eval", "--data", data, "--model", model, "--out", report) == 0
+        diagnostics[method, topk] = json.loads(Path(model + ".manifest.json").read_text())["fit"]
+    files = {path.name: path.read_bytes() for path in out.iterdir() if not path.name.endswith(".manifest.json")}
+    return files, diagnostics
+
+
+@pytest.fixture(scope="module")
+def binary_dataset(tmp_path_factory):
+    """A 700 x 8 overconfident binary dataset."""
+    path = str(tmp_path_factory.mktemp("binary") / "data.bin")
+    assert run("gen-synth", "--n", 700, "--m", 8, "--overconfidence", 2.5, "--seed", 3, "--out", path) == 0
+    return path
+
+
+class TestBinaryStreaming:
+    """fit and eval read a binary file's logits one row block at a time, with the whole-matrix results."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_every_method_matches_the_whole_matrix(self, binary_dataset, tmp_path, monkeypatch, cpus):
+        # 60-row blocks: 12 blocks per walk, on one thread or two.
+        monkeypatch.setattr(core, "BLOCK_DOUBLES", 60 * 8)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        runs = [(method, None) for method in cli.METHODS] + [("mcct", 3), ("mcct-i", 3)]
+        wholes, whole = [], data_io.BinaryLogits.__array__
+        monkeypatch.setattr(data_io.BinaryLogits, "__array__", lambda self, *a, **k: wholes.append(1) or whole(self, *a, **k))
+        streamed = _fit_eval_files(binary_dataset, tmp_path / "streamed", runs)
+        # Only the baselines' fits take the whole matrix, each once.
+        assert len(wholes) == len(cli.METHODS) - len(baselines.MONOTONE_MODES)
+        _whole_matrix_reads(monkeypatch)
+        assert _fit_eval_files(binary_dataset, tmp_path / "whole", runs) == streamed
+        assert len(streamed[0]) == 3 * len(runs)
+
+    def test_tie_group_straddling_the_cut(self, tmp_path, monkeypatch):
+        # In the first 60-row block every other row ties sorted ranks m - k - 1,
+        # m - k and m - k + 1: the fit's reorder count reads that block again
+        # for those rows' whole logits, and the apply sorts them whole.  Labels
+        # fall in each row's top 3 ranks.
+        rng = np.random.default_rng(11)
+        z = rng.normal(0.0, 2.0, (400, 8))
+        z[:60] = patterned_logits(rng, 60, 8, 3, "straddle")
+        z = z.astype(np.float32).astype(np.float64)
+        y = np.argsort(z, axis=1, kind="stable")[np.arange(400), 7 - rng.integers(0, 3, 400)]
+        data = str(tmp_path / "ties.bin")
+        data_io.write_dataset(data, z, y)
+        monkeypatch.setattr(core, "BLOCK_DOUBLES", 60 * 8)
+        reads, full_sorts = [], []
+        getitem, full_sort = data_io.BinaryLogits.__getitem__, transform._apply_full_sort
+        monkeypatch.setattr(data_io.BinaryLogits, "__getitem__", lambda self, rows: reads.append(rows) or getitem(self, rows))
+        monkeypatch.setattr(transform, "_apply_full_sort", lambda z, p: full_sorts.append(len(z)) or full_sort(z, p))
+        runs = [("mcct", 3), ("mcct-i", 3)]
+        streamed = _fit_eval_files(data, tmp_path / "streamed", runs)
+        blocks = list(core._row_blocks(400, 8))
+        # Per fit: the preparation walk reads every block, and the reorder count
+        # reads the first one again.  Per eval: one read of every block.
+        assert sorted(reads, key=lambda s: s.start) == sorted(blocks * 4 + blocks[:1] * 2, key=lambda s: s.start)
+        assert sum(full_sorts) == 2 * 30
+        assert all(d["tied_rows"] == 30 for d in streamed[1].values())
+        _whole_matrix_reads(monkeypatch)
+        assert _fit_eval_files(data, tmp_path / "whole", runs) == streamed
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_nan_in_the_last_block_exits_2(self, binary_dataset, tmp_path, monkeypatch, capsys, cpus):
+        monkeypatch.setattr(core, "BLOCK_DOUBLES", 60 * 8)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        z, y = data_io.read_dataset(binary_dataset)
+        z = np.asarray(z)
+        z[-1, 5] = np.nan
+        data = str(tmp_path / "nan.bin")
+        data_io._write_table(data, z, y, None)
+        model = str(tmp_path / "model.json")
+        assert run("fit", "--data", binary_dataset, "--method", "mcct", "--out", model) == 0
+        commands = [
+            ("fit", "--method", "mcct", "--topk", 3),
+            ("fit", "--method", "mcct-i"),
+            ("fit", "--method", "ets-nll"),
+            ("eval", "--model", model),
+        ]
+        for command, *flags in commands:
+            out = tmp_path / f"{command}-out.json"
+            capsys.readouterr()
+            assert run(command, "--data", data, *flags, "--out", out) == 2
+            assert "error: logit matrix contains NaN or infinite entries" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("argv, binary_error", [
+        (lambda tmp: ("eval", "--model", tmp / "missing.json"), "No such file or directory"),
+        (lambda tmp: ("fit", "--method", "mcct", "--topk", 9), "need 2 <= k <= m, got k=9, m=8"),
+    ])
+    def test_binary_logits_are_checked_after_the_other_inputs(self, binary_dataset, tmp_path, capsys, argv, binary_error):
+        # A binary file's logits are checked as a walk reads them, after the
+        # model is loaded and k is checked; a CSV file's on the read, before.
+        z, y = data_io.read_dataset(binary_dataset)
+        z = np.asarray(z)
+        z[0, 0] = np.nan
+        for name, expected in (("nan.bin", binary_error), ("nan.csv", "logit matrix contains NaN")):
+            data = str(tmp_path / name)
+            data_io._write_table(data, z, y, None)
+            command, *flags = argv(tmp_path)
+            assert run(command, "--data", data, *flags, "--out", tmp_path / "out.json") == 2
+            assert expected in capsys.readouterr().err, name
+
+    @pytest.mark.parametrize("command", ["fit", "eval"])
+    def test_peak_memory_stays_below_half_the_logits(self, tmp_path, monkeypatch, command):
+        # A 3000 x 1000 binary file: its float64 logits take 24 MB.
+        n, m = 3000, 1000
+        rng = np.random.default_rng(4)
+        data = str(tmp_path / "wide.bin")
+        data_io.write_dataset(data, rng.normal(0, 2, (n, m)).astype(np.float32), rng.integers(0, 10, n))
+        model = str(tmp_path / "model.json")
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        argv = {
+            "fit": ("fit", "--data", data, "--method", "mcct", "--topk", 10, "--max-iterations", 5, "--out", model),
+            "eval": ("eval", "--data", data, "--model", model, "--out", tmp_path / "report.json"),
+        }
+        if command == "eval":
+            assert run(*argv["fit"]) in (0, 3)
+        tracemalloc.start()
+        try:
+            assert run(*argv[command]) in (0, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * m * 8 / 2

@@ -127,10 +127,47 @@ class TestRawBinaryFormat:
         raw = Path(path).read_bytes()
         monkeypatch.setattr(core, "BLOCK_DOUBLES", block_doubles)
         z2, y2 = data_io.read_dataset(path)
-        assert z2.tobytes() == np.frombuffer(raw, "<f4", 17 * 5).reshape(17, 5).astype(np.float64).tobytes()
+        whole = np.frombuffer(raw, "<f4", 17 * 5).reshape(17, 5).astype(np.float64)
+        assert np.asarray(z2).tobytes() == whole.tobytes()
+        assert all(z2[rows].tobytes() == whole[rows].tobytes() for rows in core._row_blocks(17, 5))
         assert y2.tobytes() == np.frombuffer(raw, "<u4", 17, 17 * 5 * 4).astype(np.int64).tobytes()
         data_io.write_matrix(path, z)
         assert data_io.read_matrix(path).tobytes() == z.astype(np.float64).tobytes()
+
+    def test_dataset_logits_are_read_by_block(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(4)
+        z = rng.normal(0, 3, (40, 6)).astype(np.float32).astype(np.float64)
+        path = str(tmp_path / "data.bin")
+        data_io.write_dataset(path, z, rng.integers(0, 6, 40))
+        monkeypatch.setattr(core, "BLOCK_DOUBLES", 7 * 6)
+        z2, _ = data_io.read_dataset(path)
+        assert isinstance(z2, data_io.BinaryLogits) and z2.shape == (40, 6)
+        assert z2[5:12].dtype == np.float64 and z2[5:12].tobytes() == z[5:12].tobytes()
+        assert z2[38:50].tobytes() == z[38:].tobytes() and z2[40:].shape == (0, 6)
+        with pytest.raises(ValueError, match="consecutive rows"):
+            z2[::2]
+        # Every read opens the file for itself, so threads read blocks independently.
+        blocks = core._map_blocks(lambda rows: z2[rows], 40, 6, threads=3)
+        assert np.concatenate(blocks).tobytes() == z.tobytes()
+        assert core.validate_logits(z2).tobytes() == z.tobytes()
+
+    def test_payload_cut_after_the_read_fails_the_block_read(self, tmp_path):
+        path = str(tmp_path / "data.bin")
+        data_io.write_dataset(path, np.zeros((3, 4)), np.zeros(3, dtype=int))
+        z, _ = data_io.read_dataset(path)
+        Path(path).write_bytes(Path(path).read_bytes()[: 4 * 4 + 8])
+        assert z[:1].shape == (1, 4)
+        for read in (lambda: z[1:3], lambda: np.asarray(z)):
+            with pytest.raises(data_io.SidecarError, match="ended before"):
+                read()
+
+    def test_empty_payload_is_refused(self, tmp_path):
+        path = str(tmp_path / "data.bin")
+        data_io.write_dataset(path, np.zeros((1, 3)), np.zeros(1, dtype=int))
+        Path(path).write_bytes(b"")
+        Path(path + ".meta.json").write_text('{"v": 1, "n": 0, "m": 3, "dtype": "f32"}')
+        with pytest.raises(ValueError, match="need n >= 1 samples and m >= 2 classes, got shape \\(0, 3\\)"):
+            data_io.read_dataset(path)
 
     @pytest.mark.parametrize("cut", [4, 3 * 4, 3 * 4 + 38])
     def test_short_read(self, tmp_path, monkeypatch, cut):

@@ -431,6 +431,24 @@ class TestStreamedReport:
                     a, b = getattr(serial, field), getattr(threaded, field)
                     assert (a is None and b is None) or a.tobytes() == b.tobytes(), (kind, field)
 
+    def test_one_read_serves_several_maps(self, models, monkeypatch, tmp_path):
+        # The statistics of each map from one walk, from the logits or from a
+        # binary file's block reader, equal those of separate walks bitwise.
+        # Half-unit logits are exact in the file's float32.
+        fits, zt, yt = models
+        path = str(tmp_path / "test.bin")
+        data_io.write_dataset(path, zt, yt)
+        monkeypatch.setattr(core, "BLOCK_DOUBLES", 3 * 7)
+        maps = (fits["mcct-top3"].apply, core.softmax_rows, fits["ets-nll"].apply)
+        for z in (zt, data_io.read_dataset(path)[0]):
+            for threads in (1, 3):
+                together = metrics._top_labels(maps, z, yt, threads)
+                assert isinstance(together, tuple) and len(together) == len(maps)
+                for probs_of, top in zip(maps, together):
+                    alone = metrics._top_labels(probs_of, zt, yt)
+                    for field in ("pred", "conf", "correct", "picked"):
+                        assert getattr(top, field).tobytes() == getattr(alone, field).tobytes()
+
     def test_non_finite_row_in_a_middle_block_raises_the_serial_error(self, models, monkeypatch):
         fits, zt, yt = models
         monkeypatch.setattr(core, "BLOCK_DOUBLES", 3 * 7)

@@ -422,8 +422,9 @@ class TestBlockedWalk:
         blocks = [(len(range(n)[rows]), m) for rows in core._row_blocks(n, m)]
         assert len(blocks) > 1
         assert all(rows * m <= core.BLOCK_DOUBLES for rows, _ in blocks)
-        # The reorder count walks the kept top k + 1 sorted columns (no row straddles).
-        top_blocks = [(len(range(n)[rows]), k + 1) for rows in core._row_blocks(n, k + 1)]
+        # The reorder count walks the kept top k + 1 sorted columns of the same
+        # row blocks (no row straddles, so it reads no logits).
+        top_blocks = [(rows, k + 1) for rows, _ in blocks]
         assert shapes.pop("order_violations") == top_blocks
         assert shapes == dict.fromkeys(("validate_distinct", "label_positions"), blocks)
 
