@@ -74,16 +74,12 @@ def _check_logit_shape(shape):
         raise ValueError(f"need n >= 1 samples and m >= 2 classes, got shape {shape}")
 
 
-def _finite_logits(z):
-    """A float64 logit matrix or block ``z`` as it is, if every entry is finite; else :func:`validate_logits`'s error."""
+def validate_logits(z):
+    """Coerce to a float64 (n, m) logit matrix, checking shape and finiteness."""
+    z = _logit_matrix(z)
     if not np.all(np.isfinite(z)):
         raise ValueError(_NONFINITE_LOGITS)
     return z
-
-
-def validate_logits(z):
-    """Coerce to a float64 (n, m) logit matrix, checking shape and finiteness."""
-    return _finite_logits(_logit_matrix(z))
 
 
 def validate_labels(y, m, n=None):

@@ -103,14 +103,19 @@ def _read_sidecar(path):
     with open(sidecar) as fh:
         try:
             meta = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, or not text (a UnicodeDecodeError)
             raise SidecarError(f"unparseable sidecar {sidecar}: {exc}") from exc
+    if type(meta) is not dict:
+        raise SidecarError(f"sidecar {sidecar} is not a JSON object")
     for field in ("v", "n", "m", "dtype"):
         if field not in meta:
             raise SidecarError(f"sidecar {sidecar} lacks field {field!r}")
+        # Types are compared exactly: a boolean is an int subclass.
+        if field != "dtype" and type(meta[field]) is not int:
+            raise SidecarError(f"sidecar {sidecar} field {field!r} must be a JSON integer, got {meta[field]!r}")
     if meta["v"] != 1 or meta["dtype"] != "f32":
         raise SidecarError(f"unsupported sidecar version/dtype in {sidecar}: {meta}")
-    return int(meta["n"]), int(meta["m"])
+    return meta["n"], meta["m"]
 
 
 def _write_table(path, a, y, fmt):
@@ -222,7 +227,8 @@ def _logit_rows(z):
     """``z`` to be walked by row blocks, its shape checked: a :class:`BinaryLogits` as it is, else ``core._logit_matrix(z)``.
 
     Either way ``z.shape`` is ``(n, m)`` and ``z[rows]`` a float64 block,
-    whose finiteness the walk checks as it reads it (``core._finite_logits``).
+    unchecked: what each walk calls on the block checks its finiteness
+    (``core.validate_distinct`` in the fit, every ``probs_of`` in the report).
     """
     if isinstance(z, BinaryLogits):
         core._check_logit_shape(z.shape)

@@ -221,37 +221,24 @@ def _projected_newton(evaluate, x, lower, max_iterations, trace=None):
         loss, grad, hess = evaluate(x, 2)
 
 
-def _reordered_rows(z, top, params, threads=1):
-    """``order_violations(z, params)``, counted from ``top``, the last ``m - lo`` columns of ``z``'s sorted rows.
+def _kept_columns(ordered, k):
+    """The top ``min(k + 1, m)`` columns of the sorted rows ``ordered``, the lowest set below the cut in place.
 
-    With ``lo = max(m - k - 1, 0)``, ``top`` holds each row's top k ranks and
-    the highest rank below them (every column when ``k >= m - 1``).  Every
-    rank below the top k goes through the same non-decreasing map ``x *
-    w[0] + b[0]``, so a reversed pair ``(i, j)`` of sorted ranks with ``i <
-    lo`` and ``j`` in the top k has ``t[lo] >= t[i] >= t[j]``: then ``(lo,
-    j)`` is reversed as well, unless ``s[lo] == s[j]``, which makes the tie
-    group at ``lo`` straddle the cut (``s[lo] == s[lo + 1]``).  So a row is
-    counted on ``top`` with the map cut to ``m - lo`` classes, and a
-    straddling row on its whole logits, read again (``z[rows]``) only for
-    the blocks that hold such a row.  A pair of ranks both at or below
-    ``lo`` is reversed only when rounding merges two values a few ulps
-    apart; this count does not see such a pair.  The blocks are the row
-    blocks of the logits, as in the fit's preparation walk; they run on up
-    to ``threads`` threads and their counts are summed in block order.
+    With ``k < m``, rank ``lo = m - k - 1`` takes each row's largest value
+    strictly below rank ``m - k`` (the tied value where there is none).
+    Every rank up to ``m - k`` shares the increasing map of ``(w[0], b[0])``,
+    so a pair reversed across the cut shows as one within these columns:
+    ``order_violations`` of them, with the map cut to their width, is that of
+    the whole row, but for two values below the kept ones that rounding merges.
     """
-    lo = params.m - top.shape[1]
-    reduced = replace(params, m=top.shape[1])
-
-    def count(rows):
-        block = top[rows]
-        straddling = block[:, 0] == block[:, 1] if lo else np.zeros(len(block), dtype=bool)
-        parts = [(block[~straddling], reduced)]
-        if straddling.any():
-            parts.append((z[rows][straddling], params))
-        # A 0-row part is skipped: row-constant logits make every row straddle.
-        return sum(order_violations(part, p) for part, p in parts if len(part))
-
-    return sum(core._map_blocks(count, top.shape[0], params.m, threads))
+    m = ordered.shape[1]
+    lo = max(m - k - 1, 0)
+    if k < m:
+        rows = np.flatnonzero(ordered[:, lo] == ordered[:, lo + 1])
+        below = np.count_nonzero(ordered[rows, :lo] < ordered[rows, lo + 1 : lo + 2], axis=1)
+        rows, below = rows[below > 0], below[below > 0]
+        ordered[rows, lo] = ordered[rows, below - 1]
+    return ordered[:, lo:]
 
 
 def fit_mcct(z, y, mode=DIRECT, k=None, max_iterations=MAX_ITERATIONS, trace=None, threads=1):
@@ -282,18 +269,19 @@ def fit_mcct(z, y, mode=DIRECT, k=None, max_iterations=MAX_ITERATIONS, trace=Non
     ``z`` is a logit matrix or a binary file's block reader
     (``data_io.BinaryLogits``).  The labels, the sample count and ``k`` are
     checked first.  The fitting set is then prepared in one walk over row
-    blocks of about 1 MB (``core.BLOCK_DOUBLES`` entries): each block is
-    read once and checked for finiteness, sorted into a temporary, its tied
-    rows and label ranks are counted while it is in cache, and its top
-    ``min(k + 1, m)`` sorted columns are kept.  Rows are sorted by value
+    blocks of about 1 MB (``core.BLOCK_DOUBLES`` entries), the only read of
+    ``z``: each block is read once, sorted into a temporary and checked for
+    finiteness, its tied rows and label ranks are counted while it is in
+    cache, and its top ``min(k + 1, m)`` sorted columns are kept, the lowest
+    set below the cut (:func:`_kept_columns`).  Rows are sorted by value
     only; each label's rank is counted, not read from a permutation.  With
     ``k`` below the class count, the fit uses the top k columns and drops
     the samples whose true class falls outside them from the fitting set
     (their count is reported on the result).  The result also counts the
     calibration rows with tied logits anywhere in the row, the rows the
-    fitted map reorders (counted block by block from the kept columns after
-    the solve, see :func:`_reordered_rows`) and the distinct labels, and the
-    fit warns about ties, reordered rows and a single label.  So the fit
+    fitted map reorders (``order_violations`` of the kept columns, walked
+    over the same row blocks after the solve) and the distinct labels, and
+    the fit warns about ties, reordered rows and a single label.  So the fit
     holds ``(n, min(k + 1, m))`` sorted columns, the label ranks and a few
     blocks per thread besides its top-k fitting set; from a reader it holds
     no (n, m) logit matrix (at k < m - 1, nothing of that size at all).
@@ -326,11 +314,13 @@ def fit_mcct(z, y, mode=DIRECT, k=None, max_iterations=MAX_ITERATIONS, trace=Non
     top, positions = np.empty((n, m - lo)), np.empty(n, dtype=np.int64)
 
     def prepare(rows):
-        block = core._finite_logits(z[rows])
+        block = z[rows]
         ordered = np.sort(block, axis=1)
-        top[rows] = ordered[:, lo:]
+        # validate_distinct's check is the block's only finiteness check.
+        tied = len({row for row, _ in core.validate_distinct(ordered)})
         positions[rows] = label_positions(block, y[rows])
-        return len({row for row, _ in core.validate_distinct(ordered)})
+        top[rows] = _kept_columns(ordered, k)
+        return tied
 
     tied = sum(core._map_blocks(prepare, n, m, threads))
     if tied:
@@ -365,7 +355,8 @@ def fit_mcct(z, y, mode=DIRECT, k=None, max_iterations=MAX_ITERATIONS, trace=Non
     x0 = np.concatenate([np.diff(start.w, prepend=0.0), np.diff(start.b)])
     x, initial_loss, final_loss, iterations, converged = _projected_newton(evaluate, x0, lower, max_iterations, trace)
     params = MonotoneParams(*params_of(x), mode=DIRECT, m=m)
-    broken = _reordered_rows(z, top, params, threads)
+    reduced = replace(params, m=top.shape[1])
+    broken = sum(core._map_blocks(lambda rows: order_violations(top[rows], reduced), n, m, threads))
     if broken:
         warnings.warn(
             f"fitted map reorders scores on {broken} of {n} calibration rows "

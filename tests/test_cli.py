@@ -1212,8 +1212,8 @@ class TestBinaryStreaming:
 
     def test_tie_group_straddling_the_cut(self, tmp_path, monkeypatch):
         # In the first 60-row block every other row ties sorted ranks m - k - 1,
-        # m - k and m - k + 1: the fit's reorder count reads that block again
-        # for those rows' whole logits, and the apply sorts them whole.  Labels
+        # m - k and m - k + 1: the fit's reorder count takes them from the kept
+        # columns like every other row, and the apply sorts them whole.  Labels
         # fall in each row's top 3 ranks.
         rng = np.random.default_rng(11)
         z = rng.normal(0.0, 2.0, (400, 8))
@@ -1230,9 +1230,8 @@ class TestBinaryStreaming:
         runs = [("mcct", 3), ("mcct-i", 3)]
         streamed = _fit_eval_files(data, tmp_path / "streamed", runs)
         blocks = list(core._row_blocks(400, 8))
-        # Per fit: the preparation walk reads every block, and the reorder count
-        # reads the first one again.  Per eval: one read of every block.
-        assert sorted(reads, key=lambda s: s.start) == sorted(blocks * 4 + blocks[:1] * 2, key=lambda s: s.start)
+        # One read of every block per fit and per eval, and no other read.
+        assert sorted(reads, key=lambda s: s.start) == sorted(blocks * 4, key=lambda s: s.start)
         assert sum(full_sorts) == 2 * 30
         assert all(d["tied_rows"] == 30 for d in streamed[1].values())
         _whole_matrix_reads(monkeypatch)
@@ -1240,26 +1239,47 @@ class TestBinaryStreaming:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_nan_in_the_last_block_exits_2(self, binary_dataset, tmp_path, monkeypatch, capsys, cpus):
+        # eval's only finiteness check of a block is the apply of the model
+        # (or of the raw softmax): every kind's apply must make it.
         monkeypatch.setattr(core, "BLOCK_DOUBLES", 60 * 8)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         z, y = data_io.read_dataset(binary_dataset)
         z = np.asarray(z)
-        z[-1, 5] = np.nan
-        data = str(tmp_path / "nan.bin")
-        data_io._write_table(data, z, y, None)
-        model = str(tmp_path / "model.json")
-        assert run("fit", "--data", binary_dataset, "--method", "mcct", "--out", model) == 0
         commands = [
             ("fit", "--method", "mcct", "--topk", 3),
             ("fit", "--method", "mcct-i"),
             ("fit", "--method", "ets-nll"),
-            ("eval", "--model", model),
         ]
-        for command, *flags in commands:
+        for method in cli.METHODS:
+            model = str(tmp_path / f"{method}.json")
+            assert run("fit", "--data", binary_dataset, "--method", method, "--out", model) in (0, 3)
+            commands.append(("eval", "--model", model))
+        for bad in (np.nan, np.inf, -np.inf):
+            z[-1, 5] = bad
+            data = str(tmp_path / "bad.bin")
+            data_io._write_table(data, z, y, None)
+            for command, *flags in commands:
+                out = tmp_path / f"{command}-out.json"
+                capsys.readouterr()
+                assert run(command, "--data", data, *flags, "--out", out) == 2, (bad, flags)
+                assert "error: logit matrix contains NaN or infinite entries" in capsys.readouterr().err
+                assert not out.exists() and not Path(f"{out}.manifest.json").exists()
+
+    @pytest.mark.parametrize("sidecar", ['"v n m dtype"', "1", "null", '{"v": 1, "n": [700], "m": 8, "dtype": "f32"}',
+                                         '{"v": 1, "n": 700.7, "m": 8, "dtype": "f32"}',
+                                         '{"v": true, "n": 700, "m": 8, "dtype": "f32"}'])
+    def test_malformed_sidecar_exits_2(self, binary_dataset, tmp_path, capsys, sidecar):
+        data = tmp_path / "data.bin"
+        data.write_bytes(Path(binary_dataset).read_bytes())
+        Path(f"{data}.meta.json").write_text(sidecar)
+        model = str(tmp_path / "model.json")
+        assert run("fit", "--data", binary_dataset, "--method", "ts", "--out", model) == 0
+        for command, *flags in (("fit", "--method", "mcct"), ("eval", "--model", model)):
             out = tmp_path / f"{command}-out.json"
             capsys.readouterr()
             assert run(command, "--data", data, *flags, "--out", out) == 2
-            assert "error: logit matrix contains NaN or infinite entries" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: sidecar {data}.meta.json ") and "Traceback" not in err
             assert not out.exists()
 
     @pytest.mark.parametrize("argv, binary_error", [

@@ -193,6 +193,30 @@ class TestRawBinaryFormat:
         with pytest.raises(data_io.SidecarError, match="missing"):
             data_io.read_dataset(str(path))
 
+    # Each malformed sidecar of a 3 x 4 dataset, and the start of its error.
+    MALFORMED_SIDECARS = [
+        ('"v n m dtype"', "sidecar .* is not a JSON object"),
+        ("1", "sidecar .* is not a JSON object"),
+        ("null", "sidecar .* is not a JSON object"),
+        ('{"v": 1, "n": [3], "m": 4, "dtype": "f32"}', "field 'n' must be a JSON integer, got \\[3\\]"),
+        ('{"v": 1, "n": 3.7, "m": 4, "dtype": "f32"}', "field 'n' must be a JSON integer, got 3.7"),
+        ('{"v": 1, "n": 3, "m": "4", "dtype": "f32"}', "field 'm' must be a JSON integer, got '4'"),
+        ('{"v": true, "n": 3, "m": 4, "dtype": "f32"}', "field 'v' must be a JSON integer, got True"),
+        ('{"v": 1, "n": 3, "m": 4, "dtype": "f32"', "unparseable sidecar"),
+        (b"\xff\xfe{", "unparseable sidecar"),
+        ('{"v": 1, "n": 3, "m": 4}', "lacks field 'dtype'"),
+        ('{"v": 2, "n": 3, "m": 4, "dtype": "f32"}', "unsupported sidecar version/dtype"),
+        ('{"v": 1, "n": 3, "m": 4, "dtype": "f64"}', "unsupported sidecar version/dtype"),
+    ]
+
+    @pytest.mark.parametrize("sidecar, error", MALFORMED_SIDECARS)
+    def test_malformed_sidecar(self, tmp_path, sidecar, error):
+        path = str(tmp_path / "data.bin")
+        data_io.write_dataset(path, np.zeros((3, 4)), np.zeros(3, dtype=int))
+        Path(path + ".meta.json").write_bytes(sidecar if isinstance(sidecar, bytes) else sidecar.encode())
+        with pytest.raises(data_io.SidecarError, match=error):
+            data_io.read_dataset(path)
+
     def test_size_mismatch(self, tmp_path):
         path = str(tmp_path / "data.bin")
         data_io.write_dataset(path, np.zeros((3, 4)), np.zeros(3, dtype=int))

@@ -430,20 +430,29 @@ class TestBlockedWalk:
 
 
 class TestReorderCount:
-    """The fit counts reordered rows from each row's top k + 1 sorted columns, exactly as on the whole row."""
+    """The fit counts reordered rows from each row's top k + 1 sorted columns, exactly as on the whole row.
+
+    The lowest kept column holds each row's largest value strictly below rank
+    m - k (:func:`optim._kept_columns`); ``transform.order_violations`` of the
+    whole row is the oracle.
+    """
 
     @staticmethod
     def count(z, params):
-        lo = max(params.m - params.k - 1, 0)
-        return optim._reordered_rows(z, np.sort(z, axis=1)[:, lo:], params)
+        top = optim._kept_columns(np.sort(z, axis=1), params.k)
+        return transform.order_violations(top, dataclasses.replace(params, m=top.shape[1]))
 
     @pytest.mark.parametrize("mode", transform.MODES)
-    def test_straddling_row_is_counted_on_its_whole_logits(self, mode):
-        # m = 4, k = 2: in the first two rows the kept columns (-1, -1, -1)
-        # are all tied, so the only reversed pair, ranks 0 and 3 (-2 and -1
-        # map to -0.2 and -5 in the first row), starts below the tie group
-        # that straddles rank m - k.
-        z = np.array([[-1.0, -2.0, -1.0, -1.0], [-1.0, -1.5, -1.0, -1.0], [3.0, 1.0, 2.0, 0.0]])
+    def test_reversal_below_a_straddling_tie_group_is_counted(self, mode):
+        # m = 4, k = 2: in the first two rows sorted ranks 1-3 tie at -1, so
+        # the only reversed pair, ranks 0 and 3 (-2 and -1 map to -0.2 and -5
+        # in the first row), starts below the tie group that straddles rank
+        # m - k.  The lowest kept column takes rank 0's value, which shows the
+        # pair; the row-constant last row has no value below its tie and
+        # keeps -1 there.
+        z = np.array([[-1.0, -2.0, -1.0, -1.0], [-1.0, -1.5, -1.0, -1.0], [3.0, 1.0, 2.0, 0.0], [-1.0] * 4])
+        kept = optim._kept_columns(np.sort(z, axis=1), 2)
+        assert kept.tolist() == [[-2.0, -1.0, -1.0], [-1.5, -1.0, -1.0], [1.0, 2.0, 3.0], [-1.0, -1.0, -1.0]]
         params = transform.MonotoneParams(w=[0.1, 5.0], b=[0.0, 0.0], mode=transform.DIRECT, m=4).in_mode(mode)
         assert self.count(z, params) == transform.order_violations(z, params) == 2
         assert self.count(z[2:], params) == 0
@@ -465,6 +474,17 @@ class TestReorderCount:
         params = transform.MonotoneParams(w=w, b=np.sort(rng.normal(0.0, 1.0, k)), mode=transform.DIRECT, m=m)
         params = params.in_mode(mode)
         assert self.count(z, params) == transform.order_violations(z, params)
+        # Only the lowest kept column differs from the sorted rows, and only below the cut.
+        ordered = np.sort(z, axis=1)
+        kept = optim._kept_columns(ordered.copy(), k)
+        lo = m - kept.shape[1]
+        assert np.array_equal(kept[:, 1:], ordered[:, lo + 1 :])
+        if k == m:
+            assert np.array_equal(kept, ordered)
+        else:
+            for row, value in zip(ordered, kept[:, 0]):
+                below = row[row < row[lo + 1]]
+                assert value == (below.max() if below.size else row[lo + 1])
 
     @pytest.mark.parametrize("mode", transform.MODES)
     def test_row_constant_logits(self, mode):
