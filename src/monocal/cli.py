@@ -9,7 +9,6 @@ are byte-identical.
 """
 
 import argparse
-import contextlib
 import dataclasses
 import functools
 import json
@@ -189,7 +188,7 @@ def _report(top, y, base, bins):
 
 def cmd_gen_synth(args):
     cfg = data_io.SynthConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(data_io.SynthConfig)})
-    fmt = args.format or data_io.infer_format(args.out)
+    fmt = data_io.file_format(args.out, args.format)
     clock = _Stopwatch()
     z, y, true_probs = data_io.generate_synthetic(cfg)
     data_io.write_dataset(args.out, z, y, fmt=fmt)
@@ -212,17 +211,21 @@ def cmd_fit(args):
     for flag in ("trace", "topk"):
         if getattr(args, flag) and not monotone:
             warnings.warn(f"--{flag} only affects mcct/mcct-i; ignored for {args.method}")
-    # An ignored trace file is neither opened, which would empty it, nor named in the manifest.
+    # An ignored trace file is neither written nor named in the manifest.
     trace_path = args.trace if monotone else None
     threads = _usable_cpus() if monotone else 1
     if not monotone:
         # The baselines read the whole matrix: take it once, not at every step
         # of the fit that checks it.
         z = np.asarray(z)
-    with open(trace_path, "w") if trace_path else contextlib.nullcontext() as trace_fh:
-        trace = (lambda record: trace_fh.write(json.dumps(record) + "\n")) if trace_fh else None
-        model, info = _fitter(args.max_iterations, trace, threads)(None, args.method, z, y, args.topk)
+    # The records are written once the fit returns, so a failing fit leaves the file as it was.
+    records = []
+    trace = records.append if trace_path else None
+    model, info = _fitter(args.max_iterations, trace, threads)(None, args.method, z, y, args.topk)
     clock.lap("fit")
+    if trace_path:
+        with open(trace_path, "w") as fh:
+            fh.writelines(json.dumps(record) + "\n" for record in records)
     model.save(args.out)
     clock.lap("write")
     fields = {"method": args.method, "topk": args.topk, "max_iterations": args.max_iterations, "trace": trace_path}

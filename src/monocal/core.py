@@ -31,8 +31,9 @@ BLOCK_DOUBLES = 131072
 _NONFINITE_LOGITS = "logit matrix contains NaN or infinite entries"
 
 
-def _row_blocks(n, m):
-    """Row slices covering an (n, m) matrix, each of at most ``BLOCK_DOUBLES`` entries or one row."""
+def _row_blocks(shape):
+    """Row slices covering a matrix of ``shape`` (n, m), each of at most ``BLOCK_DOUBLES`` entries or one row."""
+    n, m = shape
     rows = max(1, BLOCK_DOUBLES // max(m, 1))
     return (slice(start, start + rows) for start in range(0, n, rows))
 
@@ -53,9 +54,9 @@ def _map(fn, items, threads=1):
         return list(pool.map(fn, items))
 
 
-def _map_blocks(fn, n, m, threads=1):
-    """:func:`_map` of ``fn`` over :func:`_row_blocks` of an (n, m) matrix; ``fn`` must write only its own rows."""
-    return _map(fn, list(_row_blocks(n, m)), threads)
+def _map_blocks(fn, shape, threads=1):
+    """:func:`_map` of ``fn`` over :func:`_row_blocks` of the walked array's ``shape``; ``fn`` must write only its own rows."""
+    return _map(fn, list(_row_blocks(shape)), threads)
 
 
 def _logit_matrix(z):
@@ -120,7 +121,7 @@ def validate_probs(p):
     # made in order over the whole matrix.  A NaN propagates through min and
     # max, so both are finite exactly when every entry is.
     lo, hi, worst = np.inf, -np.inf, 0.0
-    for rows in _row_blocks(*p.shape):
+    for rows in _row_blocks(p.shape):
         block = p[rows]
         block_lo, block_hi = block.min(), block.max()
         if not (np.isfinite(block_lo) and np.isfinite(block_hi)):
@@ -148,7 +149,7 @@ def _softmax(z, out):
     ``e = exp(z - max); e / e.sum`` without its whole-matrix temporaries.
     A non-finite entry raises, leaving the blocks before it written.
     """
-    for rows in _row_blocks(*z.shape):
+    for rows in _row_blocks(z.shape):
         block, e = z[rows], out[rows]
         top = block.max(axis=1, keepdims=True)
         # NaN or +inf shows in the row maxima, -inf (or NaN) in the minimum.
@@ -167,11 +168,7 @@ def nll(p, y):
     result is always finite and non-negative.
     """
     p = validate_probs(p)
-    return _nll(p, validate_labels(y, p.shape[1], n=p.shape[0]))
-
-
-def _nll(p, y):
-    """:func:`nll` of an already validated probability matrix and label vector."""
+    y = validate_labels(y, p.shape[1], n=p.shape[0])
     return _picked_nll(p[np.arange(p.shape[0]), y])
 
 

@@ -57,13 +57,15 @@ class SidecarError(DataFileError):
     """Binary sidecar is missing, malformed, or inconsistent with the payload."""
 
 
-def infer_format(path):
-    ext = os.path.splitext(path)[1].lower()
-    if ext == ".csv":
-        return CSV
-    if ext == ".bin":
-        return RAW_BINARY
-    raise ValueError(f"cannot infer format from {path!r}; pass fmt explicitly")
+def file_format(path, fmt):
+    """``fmt``, or if it is None the format named by ``path``'s extension (``.csv``, ``.bin``); ValueError for any other."""
+    if fmt is None:
+        fmt = os.path.splitext(path)[1].lower()[1:]
+        if fmt not in FORMATS:
+            raise ValueError(f"cannot infer format from {path!r}; pass fmt explicitly")
+    elif fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r}")
+    return fmt
 
 
 def _header(m, labelled):
@@ -120,22 +122,19 @@ def _read_sidecar(path):
 
 def _write_table(path, a, y, fmt):
     """Write the (n, m) matrix ``a`` and, unless ``y`` is None, its labels to ``path`` in ``fmt``."""
-    fmt = infer_format(path) if fmt is None else fmt
     n, m = a.shape
-    if fmt == CSV:
+    if file_format(path, fmt) == CSV:
         ends = itertools.repeat("\n") if y is None else (f",{label}\n" for label in y.tolist())
         with open(path, "w") as fh:
             fh.write(_header(m, y is not None) + "\n")
             for row, end in zip(a.tolist(), ends):
                 fh.write(",".join(map(repr, row)) + end)
-    elif fmt == RAW_BINARY:
+    else:
         with open(path, "wb") as fh:
             fh.write(np.ascontiguousarray(a, dtype="<f4").tobytes())
             if y is not None:
                 fh.write(np.ascontiguousarray(y, dtype="<u4").tobytes())
         _write_sidecar(path, n, m)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
 
 
 def _read_table(path, fmt, labelled):
@@ -148,8 +147,7 @@ def _read_table(path, fmt, labelled):
     A CSV file's ``a`` is its float64 matrix; a binary file's is a
     :class:`BinaryLogits` reader, of which nothing is read yet.
     """
-    fmt = infer_format(path) if fmt is None else fmt
-    if fmt == CSV:
+    if file_format(path, fmt) == CSV:
         with open(path) as fh:
             header = fh.readline().rstrip("\n")
             has_rows = any(line.strip() for line in fh)
@@ -162,21 +160,19 @@ def _read_table(path, fmt, labelled):
         if data.shape[1] != columns:
             raise HeaderError(f"rows have {data.shape[1]} columns, header declares {columns}")
         return (data[:, :-1], data[:, -1]) if labelled else (data, None)
-    if fmt == RAW_BINARY:
-        n, m = _read_sidecar(path)
-        expected = n * m * 4 + (n * 4 if labelled else 0)
-        actual = os.path.getsize(path)
-        if actual != expected:
-            raise SidecarError(f"{path} holds {actual} bytes but sidecar implies {expected}")
-        a = BinaryLogits(path, (n, m))
-        if not labelled:
-            return a, None
-        labels = np.empty(n, dtype="<u4")
-        with open(path, "rb") as fh:
-            fh.seek(n * m * 4)
-            _read_into(fh, labels, path)
-        return a, labels.astype(np.int64)
-    raise ValueError(f"unknown format {fmt!r}")
+    n, m = _read_sidecar(path)
+    expected = n * m * 4 + (n * 4 if labelled else 0)
+    actual = os.path.getsize(path)
+    if actual != expected:
+        raise SidecarError(f"{path} holds {actual} bytes but sidecar implies {expected}")
+    a = BinaryLogits(path, (n, m))
+    if not labelled:
+        return a, None
+    labels = np.empty(n, dtype="<u4")
+    with open(path, "rb") as fh:
+        fh.seek(n * m * 4)
+        _read_into(fh, labels, path)
+    return a, labels.astype(np.int64)
 
 
 def _read_into(fh, out, path):
@@ -215,7 +211,7 @@ class BinaryLogits:
     def __array__(self, dtype=None, copy=None):
         # One float32 buffer, reused, takes each block and converts into the matrix.
         a = np.empty(self.shape)
-        blocks = list(core._row_blocks(*self.shape))
+        blocks = list(core._row_blocks(self.shape))
         chunk = np.empty(a[blocks[0]].shape if blocks else 0, dtype="<f4")
         for rows in blocks:
             block = a[rows]
@@ -295,15 +291,14 @@ class SynthConfig:
     """Configuration of the synthetic miscalibrated-classifier generator.
 
     ``overconfidence`` (the scale factor on the log-probabilities) at 1.0
-    with zero noise yields perfectly calibrated logits; values above 1
-    sharpen the softmax output and induce systematic overconfidence.
+    yields perfectly calibrated logits; values above 1 sharpen the softmax
+    output and induce systematic overconfidence.
     """
 
     n: int = 10_000
     m: int = 10
     alpha: float = 0.5
     overconfidence: float = 1.0
-    noise_sd: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -312,8 +307,6 @@ class SynthConfig:
         # Written so that NaN fails each comparison, as inf fails the upper one.
         if not (0 < self.alpha < np.inf and 0 < self.overconfidence < np.inf):
             raise ValueError("alpha and overconfidence must be finite and > 0")
-        if not 0 <= self.noise_sd < np.inf:
-            raise ValueError("noise_sd must be finite and >= 0")
 
 
 def generate_synthetic(cfg):
@@ -321,14 +314,13 @@ def generate_synthetic(cfg):
 
     Per sample: a class distribution ``p`` is drawn from a symmetric
     Dirichlet, a label from Categorical(p), and the logits are the
-    overconfidence-scaled, row-centered log-probabilities plus optional
-    Gaussian noise.  Row-centering leaves every softmax unchanged while
-    matching the sign structure of real classifier logits (top scores
-    non-negative, tail negative); without it all logits would be negative,
-    which no softmax classifier produces.  Softmax of the noise-free
-    logits at overconfidence 1 recovers ``p`` exactly, so the returned
-    true probabilities serve as an oracle for calibration checks.  Fully
-    determined by the seed.
+    overconfidence-scaled, row-centered log-probabilities.  Row-centering
+    leaves every softmax unchanged while matching the sign structure of
+    real classifier logits (top scores non-negative, tail negative);
+    without it all logits would be negative, which no softmax classifier
+    produces.  Softmax of the logits at overconfidence 1 recovers ``p``
+    exactly, so the returned true probabilities serve as an oracle for
+    calibration checks.  Fully determined by the seed.
     """
     rng = np.random.default_rng(cfg.seed)
     p = rng.dirichlet(np.full(cfg.m, cfg.alpha), size=cfg.n)
@@ -337,6 +329,4 @@ def generate_synthetic(cfg):
     labels = np.minimum(labels, cfg.m - 1).astype(np.int64)
     log_p = np.log(np.maximum(p, core.LOG_FLOOR))
     z = cfg.overconfidence * (log_p - log_p.mean(axis=1, keepdims=True))
-    if cfg.noise_sd > 0:
-        z = z + rng.normal(0.0, cfg.noise_sd, size=z.shape)
     return z, labels, p

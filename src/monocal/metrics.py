@@ -139,7 +139,7 @@ def _top_labels(probs_of, z, y=None, threads=1):
         block, labels = z[rows], None if y is None else y[rows]
         return [_row_stats(core.validate_probs(f(block)), labels) for f in functions]
 
-    blocks = core._map_blocks(block_stats, n, m, threads)
+    blocks = core._map_blocks(block_stats, z.shape, threads)
     tops = tuple(
         _labelled((n, m), y, *(None if parts[0] is None else np.concatenate(parts) for parts in zip(*stats)))
         for stats in zip(*blocks)

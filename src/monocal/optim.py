@@ -64,15 +64,15 @@ def init_params(mode, k, m=None):
     return MonotoneParams(w=np.ones(k), b=np.zeros(k), mode=mode, m=k if m is None else m)
 
 
-def constraint_violation(params, w_floor=W_FLOOR):
-    """Largest violation of the ordering constraints and the scale floor (0 if feasible)."""
+def constraint_violation(params):
+    """Largest violation of the ordering constraints and the scale floor ``W_FLOOR`` (0 if feasible)."""
     dw = np.diff(params.w)
     if params.mode == INVERSE:
         dw = -dw
     worst = max(
         float((-dw).max(initial=0.0)),
         float((-np.diff(params.b)).max(initial=0.0)),
-        float((w_floor - params.w).max(initial=0.0)),
+        float((W_FLOOR - params.w).max(initial=0.0)),
     )
     return worst if worst > 0.0 else 0.0
 
@@ -280,7 +280,7 @@ def fit_mcct(z, y, mode=DIRECT, k=None, max_iterations=MAX_ITERATIONS, trace=Non
     (their count is reported on the result).  The result also counts the
     calibration rows with tied logits anywhere in the row, the rows the
     fitted map reorders (``order_violations`` of the kept columns, walked
-    over the same row blocks after the solve) and the distinct labels, and
+    over their own row blocks after the solve) and the distinct labels, and
     the fit warns about ties, reordered rows and a single label.  So the fit
     holds ``(n, min(k + 1, m))`` sorted columns, the label ranks and a few
     blocks per thread besides its top-k fitting set; from a reader it holds
@@ -322,7 +322,7 @@ def fit_mcct(z, y, mode=DIRECT, k=None, max_iterations=MAX_ITERATIONS, trace=Non
         top[rows] = _kept_columns(ordered, k)
         return tied
 
-    tied = sum(core._map_blocks(prepare, n, m, threads))
+    tied = sum(core._map_blocks(prepare, z.shape, threads))
     if tied:
         warnings.warn(f"{tied} rows contain tied logits; rank order within ties follows column index")
     distinct_labels = int(np.unique(y).size)
@@ -356,7 +356,7 @@ def fit_mcct(z, y, mode=DIRECT, k=None, max_iterations=MAX_ITERATIONS, trace=Non
     x, initial_loss, final_loss, iterations, converged = _projected_newton(evaluate, x0, lower, max_iterations, trace)
     params = MonotoneParams(*params_of(x), mode=DIRECT, m=m)
     reduced = replace(params, m=top.shape[1])
-    broken = sum(core._map_blocks(lambda rows: order_violations(top[rows], reduced), n, m, threads))
+    broken = sum(core._map_blocks(lambda rows: order_violations(top[rows], reduced), top.shape, threads))
     if broken:
         warnings.warn(
             f"fitted map reorders scores on {broken} of {n} calibration rows "

@@ -281,6 +281,12 @@ class TestModelSerialization:
         with pytest.raises(ValueError, match="unknown model kind"):
             CalibratedModel("platt", {"m": 2})
 
+    @pytest.mark.parametrize("kind", ["mcct", "mcct-i", "platt"])
+    def test_fit_baseline_refuses_other_kinds(self, kind):
+        z = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match=f"not a baseline kind: '{kind}'"):
+            baselines.fit_baseline(kind, z, np.array([1, 0]))
+
     @pytest.mark.parametrize("kind", ["ets-nll", "ets-mse"])
     @pytest.mark.parametrize("temperature", [-1.0, 0.0, float("nan")])
     def test_ensemble_temperature_must_be_positive(self, kind, temperature):

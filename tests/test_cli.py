@@ -61,8 +61,8 @@ class TestGenSynth:
         defaults = dataclasses.asdict(data_io.SynthConfig())
         args = cli._build_parser().parse_args(["gen-synth", "--out", "x"])
         assert {name: getattr(args, name) for name in defaults} == defaults
-        args = cli._build_parser().parse_args(["gen-synth", "--out", "x", "--n", "7", "--noise-sd", "0.25"])
-        assert (type(args.n), args.n, type(args.noise_sd), args.noise_sd) == (int, 7, float, 0.25)
+        args = cli._build_parser().parse_args(["gen-synth", "--out", "x", "--n", "7", "--alpha", "0.25"])
+        assert (type(args.n), args.n, type(args.alpha), args.alpha) == (int, 7, float, 0.25)
 
     def test_manifest_lists_outputs(self, dataset):
         with open(dataset + ".manifest.json") as fh:
@@ -96,8 +96,6 @@ class TestGenSynth:
         ("--alpha", "inf", "alpha and overconfidence must be finite and > 0"),
         ("--overconfidence", "nan", "alpha and overconfidence must be finite and > 0"),
         ("--overconfidence", "inf", "alpha and overconfidence must be finite and > 0"),
-        ("--noise-sd", "nan", "noise_sd must be finite and >= 0"),
-        ("--noise-sd", "inf", "noise_sd must be finite and >= 0"),
     ])
     def test_non_finite_parameter_is_refused_before_generating(self, tmp_path, flag, value, message, monkeypatch, capsys):
         monkeypatch.setattr(data_io, "generate_synthetic", lambda cfg: pytest.fail("generated before the check"))
@@ -170,6 +168,22 @@ class TestFit:
             assert run("fit", "--data", dataset, "--method", "ts", "--trace", trace_path, "--out", out) == 0
         assert trace_path.read_bytes() == b"keep me\n"
         assert json.loads(Path(out + ".manifest.json").read_text())["trace"] is None
+
+    def test_trace_is_written_once_the_fit_returns(self, dataset, tmp_path, capsys):
+        # A fit that fails (k above the 8 classes) leaves an existing trace file as it was.
+        out, trace_path = str(tmp_path / "model.json"), tmp_path / "trace.jsonl"
+        trace_path.write_bytes(b"keep me\n")
+        fit = ("fit", "--data", dataset, "--method", "mcct", "--trace", trace_path, "--out", out)
+        assert run(*fit, "--topk", 9) == 2
+        assert "need 2 <= k <= m, got k=9, m=8" in capsys.readouterr().err
+        assert trace_path.read_bytes() == b"keep me\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["trace.jsonl"]
+        # A fit that stops short of convergence returns, and its records are written.
+        assert run(*fit, "--max-iterations", 1) == 3
+        lines = [json.loads(line) for line in trace_path.read_text().splitlines()]
+        manifest = json.loads(Path(out + ".manifest.json").read_text())
+        assert [line["iteration"] for line in lines] == list(range(manifest["fit"]["iterations"] + 1))
+        assert lines[-1]["loss"] == manifest["fit"]["final_loss"]
 
     def test_ts_on_calibrated_data(self, tmp_path):
         path = str(tmp_path / "cal.csv")
@@ -1229,7 +1243,7 @@ class TestBinaryStreaming:
         monkeypatch.setattr(transform, "_apply_full_sort", lambda z, p: full_sorts.append(len(z)) or full_sort(z, p))
         runs = [("mcct", 3), ("mcct-i", 3)]
         streamed = _fit_eval_files(data, tmp_path / "streamed", runs)
-        blocks = list(core._row_blocks(400, 8))
+        blocks = list(core._row_blocks((400, 8)))
         # One read of every block per fit and per eval, and no other read.
         assert sorted(reads, key=lambda s: s.start) == sorted(blocks * 4, key=lambda s: s.start)
         assert sum(full_sorts) == 2 * 30

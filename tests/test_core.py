@@ -167,14 +167,14 @@ class TestMapBlocks:
     @pytest.mark.parametrize("threads", [1, 2, 3, 8])
     def test_results_come_back_in_block_order(self, monkeypatch, threads):
         monkeypatch.setattr(core, "BLOCK_DOUBLES", 7 * 10)
-        blocks = core._map_blocks(lambda rows: range(53)[rows], 53, 10, threads)
-        assert blocks == [range(53)[rows] for rows in core._row_blocks(53, 10)]
+        blocks = core._map_blocks(lambda rows: range(53)[rows], (53, 10), threads)
+        assert blocks == [range(53)[rows] for rows in core._row_blocks((53, 10))]
         assert len(blocks) == 8
 
     @pytest.mark.parametrize("n, m, threads", [(5, 10, 3), (PARTIAL_N, 10, 1), (PARTIAL_N, 10, 0)])
     def test_one_block_or_one_thread_starts_no_pool(self, monkeypatch, n, m, threads):
         refuse_pools(monkeypatch)
-        assert core._map_blocks(lambda rows: rows, n, m, threads) == list(core._row_blocks(n, m))
+        assert core._map_blocks(lambda rows: rows, (n, m), threads) == list(core._row_blocks((n, m)))
 
     def test_blocks_writing_their_own_rows_lose_no_update(self, monkeypatch):
         # More threads than cores, switching often: every block's rows and
@@ -190,12 +190,12 @@ class TestMapBlocks:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            maxima = core._map_blocks(sort_block, *z.shape, threads=8)
+            maxima = core._map_blocks(sort_block, z.shape, threads=8)
         finally:
             sys.setswitchinterval(interval)
         expected = np.sort(z, axis=1)
         assert np.array_equal(out, expected)
-        assert maxima == [float(expected[rows, -1].sum()) for rows in core._row_blocks(*z.shape)]
+        assert maxima == [float(expected[rows, -1].sum()) for rows in core._row_blocks(z.shape)]
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_the_first_failing_block_raises(self, monkeypatch, threads):
@@ -207,7 +207,20 @@ class TestMapBlocks:
             return rows.start
 
         with pytest.raises(ValueError, match="^block 2$"):
-            core._map_blocks(fail_from_block_2, 6, 10, threads)
+            core._map_blocks(fail_from_block_2, (6, 10), threads)
+
+
+@pytest.mark.parametrize("check, value, message", [
+    (core.validate_logits, np.zeros(3), r"logit matrix must be 2-D \(n, m\), got shape \(3,\)"),
+    (core.validate_logits, np.zeros((2, 2, 2)), r"logit matrix must be 2-D \(n, m\), got shape \(2, 2, 2\)"),
+    (lambda y: core.validate_labels(y, 3), np.zeros((2, 1), dtype=int), r"label vector must be 1-D, got shape \(2, 1\)"),
+    (core.validate_probs, np.full(3, 1 / 3), r"probability matrix must be 2-D, got shape \(3,\)"),
+    (core.validate_probs, np.ones((3, 1)), "probability matrix needs at least 2 classes"),
+    (core.argmax_rows, np.zeros(3), r"expected a 2-D matrix, got shape \(3,\)"),
+])
+def test_refuses_a_wrong_shape(check, value, message):
+    with pytest.raises(ValueError, match=message):
+        check(value)
 
 
 class TestNll:

@@ -129,7 +129,7 @@ class TestRawBinaryFormat:
         z2, y2 = data_io.read_dataset(path)
         whole = np.frombuffer(raw, "<f4", 17 * 5).reshape(17, 5).astype(np.float64)
         assert np.asarray(z2).tobytes() == whole.tobytes()
-        assert all(z2[rows].tobytes() == whole[rows].tobytes() for rows in core._row_blocks(17, 5))
+        assert all(z2[rows].tobytes() == whole[rows].tobytes() for rows in core._row_blocks((17, 5)))
         assert y2.tobytes() == np.frombuffer(raw, "<u4", 17, 17 * 5 * 4).astype(np.int64).tobytes()
         data_io.write_matrix(path, z)
         assert data_io.read_matrix(path).tobytes() == z.astype(np.float64).tobytes()
@@ -147,7 +147,7 @@ class TestRawBinaryFormat:
         with pytest.raises(ValueError, match="consecutive rows"):
             z2[::2]
         # Every read opens the file for itself, so threads read blocks independently.
-        blocks = core._map_blocks(lambda rows: z2[rows], 40, 6, threads=3)
+        blocks = core._map_blocks(lambda rows: z2[rows], z2.shape, threads=3)
         assert np.concatenate(blocks).tobytes() == z.tobytes()
         assert core.validate_logits(z2).tobytes() == z.tobytes()
 
@@ -254,6 +254,25 @@ class TestRawBinaryFormat:
             assert np.array_equal(data_io.read_matrix(path), a)
 
 
+class TestRefusals:
+    @pytest.mark.parametrize("call, message", [
+        (lambda path: data_io.write_matrix(path, np.zeros(3)), "expected a 2-D matrix"),
+        (lambda path: data_io.write_matrix(path, np.eye(2), fmt="txt"), "unknown format 'txt'"),
+        (lambda path: data_io.write_dataset(path, np.eye(2), [0, 1], fmt="txt"), "unknown format 'txt'"),
+        (lambda path: data_io.read_matrix(path, fmt="txt"), "unknown format 'txt'"),
+        (lambda path: data_io.read_dataset(path, fmt="txt"), "unknown format 'txt'"),
+        (lambda path: data_io.write_dataset(path + ".txt", np.eye(2), [0, 1]), "cannot infer format from"),
+        (lambda path: data_io.read_dataset(path + ".txt"), "cannot infer format from"),
+    ])
+    def test_refused_before_any_file_is_touched(self, tmp_path, call, message):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"keep me\n")
+        with pytest.raises(ValueError, match=message):
+            call(str(path))
+        assert path.read_bytes() == b"keep me\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+
 class TestSplit:
     def test_half_split_sizes(self):
         z = np.arange(20, dtype=float).reshape(10, 2)
@@ -341,13 +360,8 @@ class TestSyntheticGenerator:
             data_io.SynthConfig(n=0)
         with pytest.raises(ValueError):
             data_io.SynthConfig(alpha=0.0)
-        with pytest.raises(ValueError):
-            data_io.SynthConfig(noise_sd=-1.0)
         nan, inf = float("nan"), float("inf")
         for field in ("alpha", "overconfidence"):
             for value in (nan, inf, -inf):
                 with pytest.raises(ValueError, match="alpha and overconfidence must be finite and > 0"):
                     data_io.SynthConfig(**{field: value})
-        for value in (nan, inf):
-            with pytest.raises(ValueError, match="noise_sd must be finite and >= 0"):
-                data_io.SynthConfig(noise_sd=value)

@@ -174,6 +174,14 @@ class TestEqMassEce:
             metrics.eq_mass_ece(p, y, num_bins=5)
 
 
+@pytest.mark.parametrize("metric", [metrics.ece, metrics.eq_mass_ece])
+@pytest.mark.parametrize("num_bins", [0, -1])
+def test_refuses_fewer_than_one_bin(metric, num_bins):
+    p, y = two_class_rows([0.8, 0.6], [True, False])
+    with pytest.raises(ValueError, match="need num_bins >= 1"):
+        metric(p, y, num_bins)
+
+
 class TestEceKde:
     def test_bandwidth_rule(self):
         conf = np.array([0.3, 0.5, 0.7, 0.9, 0.2, 0.6])

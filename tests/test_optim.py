@@ -49,16 +49,16 @@ class TestInitParams:
 class TestConstraintViolation:
     def test_oriented_chain_differences(self):
         # Duck-typed parameters: MonotoneParams rejects infeasible values.
-        def violation(w, b, mode, w_floor=1e-8):
+        def violation(w, b, mode):
             params = SimpleNamespace(w=np.array(w), b=np.array(b), mode=mode)
-            return optim.constraint_violation(params, w_floor)
+            return optim.constraint_violation(params)
 
         assert violation([1.0, 3.0], [0.0, 2.0], "direct") == 0.0
         assert violation([3.0, 1.0], [0.0, 2.0], "inverse") == 0.0
         assert violation([3.0, 1.0], [0.0, 2.0], "direct") == 2.0
         assert violation([1.0, 3.0], [0.0, 2.0], "inverse") == 2.0
         assert violation([1.0, 3.0], [2.0, 0.5], "direct") == 1.5
-        assert violation([0.5, 3.0], [0.0, 0.0], "direct", w_floor=1.0) == 0.5
+        assert violation([5e-9, 3.0], [0.0, 0.0], "direct") == optim.W_FLOOR - 5e-9
 
 
 class TestFit:
@@ -290,6 +290,13 @@ class TestFit:
         with pytest.raises(ValueError, match="mode must be one of"):
             optim.fit_mcct(z, y, mode="Inverse")
 
+    @pytest.mark.parametrize("mode", transform.MODES)
+    def test_rejects_labels_all_outside_the_top_k(self, mode):
+        # Every label is its row's smallest logit, which a top-3 fit of 4 classes drops.
+        z = np.random.default_rng(4).normal(0, 1, (10, 4))
+        with pytest.raises(ValueError, match="every sample's true class fell outside the top k ranks"):
+            optim.fit_mcct(z, z.argmin(axis=1), mode=mode, k=3)
+
     def test_rejects_nonpositive_max_iterations(self):
         rng = np.random.default_rng(4)
         z = rng.normal(0, 1, (10, 4))
@@ -419,14 +426,25 @@ class TestBlockedWalk:
         counted(optim, "order_violations")
         k = 10
         _quiet_fit(z, y, k=k)
-        blocks = [(len(range(n)[rows]), m) for rows in core._row_blocks(n, m)]
+        blocks = [(len(range(n)[rows]), m) for rows in core._row_blocks((n, m))]
         assert len(blocks) > 1
         assert all(rows * m <= core.BLOCK_DOUBLES for rows, _ in blocks)
-        # The reorder count walks the kept top k + 1 sorted columns of the same
-        # row blocks (no row straddles, so it reads no logits).
-        top_blocks = [(rows, k + 1) for rows, _ in blocks]
-        assert shapes.pop("order_violations") == top_blocks
+        # The reorder count walks the kept top k + 1 sorted columns in row
+        # blocks sized by their own width: all 600 rows fit in one.
+        assert shapes.pop("order_violations") == [(n, k + 1)]
         assert shapes == dict.fromkeys(("validate_distinct", "label_positions"), blocks)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_reorder_count_is_one_walk_over_the_kept_columns(self, monkeypatch, threads):
+        # 10000 rows of k + 1 = 11 kept columns fill one row block.  Blocks sized
+        # by the logits' width (131 rows of 1000) would make 77 calls.
+        rng = np.random.default_rng(9)
+        z = rng.normal(0.0, 2.0, (10_000, 1000))
+        y = np.where(rng.uniform(size=10_000) < 0.6, z.argmax(axis=1), rng.integers(0, 1000, 10_000))
+        calls, original = [], optim.order_violations
+        monkeypatch.setattr(optim, "order_violations", lambda top, params: calls.append(top.shape) or original(top, params))
+        _quiet_fit(z, y, k=10, threads=threads)
+        assert calls == [(10_000, 11)]
 
 
 class TestReorderCount:

@@ -41,6 +41,20 @@ class TestParams:
         with pytest.raises(ValueError, match="2 <= k <= m"):
             MonotoneParams(w=np.ones(3), b=np.zeros(3), mode="direct", m=2)
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: MonotoneParams(w=np.ones(2), b=np.zeros(3), mode="direct", m=4), "1-D vectors of equal length"),
+        (lambda: MonotoneParams(w=np.ones((1, 2)), b=np.zeros((1, 2)), mode="direct", m=4), "1-D vectors of equal length"),
+        (lambda: MonotoneParams(w=np.array([1.0, np.inf]), b=np.zeros(2), mode="direct", m=4), "parameters must be finite"),
+        (lambda: MonotoneParams(w=np.ones(2), b=np.array([0.0, np.nan]), mode="direct", m=4), "parameters must be finite"),
+        (
+            lambda: MonotoneParams.from_json({"mode": "direct", "m": 4, "k": 3, "w": [1.0, 2.0], "b": [0.0, 1.0]}),
+            r"declared k=3 does not match len\(w\)=2",
+        ),
+    ], ids=["unequal", "not-1-D", "infinite-w", "nan-b", "declared-k"])
+    def test_refuses_malformed_vectors(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
     def test_json_round_trip(self):
         params = MonotoneParams(
             w=np.array([1.5, 0.5]), b=np.array([-1.0, 2.0]), mode="inverse", m=4
