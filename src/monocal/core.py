@@ -84,22 +84,25 @@ def validate_logits(z):
 
 
 def validate_labels(y, m, n=None):
-    """Coerce to an int64 label vector with every entry in [0, m)."""
+    """Coerce to an int64 label vector with every entry in [0, m).
+
+    A float label is checked finite, then in range, before the cast, which
+    would warn on a NaN and wrap a value beyond int64; a finite one in range
+    must then be an integer.
+    """
     y = np.asarray(y)
     if y.ndim != 1:
         raise ValueError(f"label vector must be 1-D, got shape {y.shape}")
-    if not np.issubdtype(y.dtype, np.integer):
-        cast = y.astype(np.int64)
-        if not np.array_equal(cast, y):
-            raise ValueError("labels must be integers")
-        y = cast
-    else:
-        y = y.astype(np.int64)
     if n is not None and y.shape[0] != n:
         raise ValueError(f"expected {n} labels, got {y.shape[0]}")
+    if np.issubdtype(y.dtype, np.floating) and not np.all(np.isfinite(y)):
+        raise ValueError("labels must be finite, got NaN or infinity")
     if y.size and (y.min() < 0 or y.max() >= m):
         raise ValueError(f"labels must lie in [0, {m})")
-    return y
+    cast = y.astype(np.int64)
+    if not np.issubdtype(y.dtype, np.integer) and not np.array_equal(cast, y):
+        raise ValueError("labels must be integers")
+    return cast
 
 
 def validate_dataset(z, y):
@@ -190,15 +193,25 @@ def sort_rows(z):
 
 
 def sort_values(z):
-    """Each row's values in ascending order, without the permutation.
+    """Each row's values in ascending order, without the permutation, checked for finiteness.
 
-    A matrix whose rows are already ascending is returned as it is, so a
-    caller can pass on its sorted matrix without paying for a second sort.
-    Tied values may come out in either order, which matters only for a
-    ``-0.0``/``0.0`` pair: :func:`sort_rows` puts it in column order.
+    A floating matrix keeps its dtype (a float32 block is sorted as float32,
+    which orders and ties its values exactly as their float64 widening);
+    any other is coerced to float64.  A matrix whose rows are already
+    ascending is returned as it is, so a caller can pass on its sorted
+    matrix without paying for a second sort.  A NaN fails the ascending
+    test and sorts last, so every non-finite entry ends up first or last in
+    its sorted row, and only those two columns are checked.  Tied values
+    may come out in either order, which matters only for a ``-0.0``/``0.0``
+    pair: :func:`sort_rows` puts it in column order.
     """
-    z = validate_logits(z)
-    return np.sort(z, axis=1) if (z[:, 1:] < z[:, :-1]).any() else z
+    z = np.asarray(z)
+    z = z if np.issubdtype(z.dtype, np.floating) else z.astype(np.float64)
+    _check_logit_shape(z.shape)
+    s = z if (z[:, 1:] >= z[:, :-1]).all() else np.sort(z, axis=1)
+    if not np.isfinite(s[:, [0, -1]]).all():
+        raise ValueError(_NONFINITE_LOGITS)
+    return s
 
 
 def inverse_sort_rows(sorted_z, perm):

@@ -14,11 +14,12 @@ probabilities) laid out the same without labels, CSV header ``p0,...``.
 
 A binary file's payload is not read whole on open.  :func:`read_dataset`
 reads its sidecar and labels and returns a :class:`BinaryLogits` block
-reader for the logits: ``z[rows]`` reads one row block, and
-``np.asarray(z)`` the whole float64 matrix.  The fit's preparation walk and
-the report's top-label walk read it one block at a time, so neither holds
-the (n, m) matrix; every other consumer takes the matrix once, through
-``core.validate_logits``.
+reader for the logits: ``z[rows]`` reads one row block as the file's
+float32 values, and ``np.asarray(z)`` the whole float64 matrix.  The fit's
+preparation walk and the report's top-label walk read it one block at a
+time, so neither holds the (n, m) matrix; the fit sorts, tie-counts and
+ranks each block at float32, the report widens it to float64.  Every other
+consumer takes the matrix once, through ``core.validate_logits``.
 
 Binary round trips are bitwise exact at float32 fidelity (float64 inputs
 are quantized on write); CSV round trips are exact because values are
@@ -185,7 +186,8 @@ class BinaryLogits:
     """The (n, m) float32 payload of a binary file, read one row block at a time.
 
     ``z[rows]``, for a slice of consecutive rows, reads those rows and
-    returns them as a float64 block; ``np.asarray(z)`` reads every block of
+    returns them as a float32 block, the file's own values; any other index
+    is refused with a ValueError.  ``np.asarray(z)`` reads every block of
     ``core._row_blocks`` into the whole float64 matrix.  Each read opens the
     file for itself, so no descriptor outlives it and threads read
     independently.  A read checks only that the file holds the rows
@@ -203,10 +205,10 @@ class BinaryLogits:
         return out
 
     def __getitem__(self, rows):
-        start, stop, step = rows.indices(self.shape[0])
-        if step != 1:
+        if not isinstance(rows, slice) or rows.indices(self.shape[0])[2] != 1:
             raise ValueError("a binary payload is read by slices of consecutive rows")
-        return self._read(start, np.empty((max(stop - start, 0), self.shape[1]), dtype="<f4")).astype(np.float64)
+        start, stop, _ = rows.indices(self.shape[0])
+        return self._read(start, np.empty((max(stop - start, 0), self.shape[1]), dtype="<f4"))
 
     def __array__(self, dtype=None, copy=None):
         # One float32 buffer, reused, takes each block and converts into the matrix.
@@ -222,9 +224,10 @@ class BinaryLogits:
 def _logit_rows(z):
     """``z`` to be walked by row blocks, its shape checked: a :class:`BinaryLogits` as it is, else ``core._logit_matrix(z)``.
 
-    Either way ``z.shape`` is ``(n, m)`` and ``z[rows]`` a float64 block,
-    unchecked: what each walk calls on the block checks its finiteness
-    (``core.validate_distinct`` in the fit, every ``probs_of`` in the report).
+    Either way ``z.shape`` is ``(n, m)`` and ``z[rows]`` an unchecked
+    block, float32 from a reader and float64 from a matrix: what each walk
+    calls on the block checks its finiteness (``core.validate_distinct`` in
+    the fit, every ``probs_of`` in the report).
     """
     if isinstance(z, BinaryLogits):
         core._check_logit_shape(z.shape)

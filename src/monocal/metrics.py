@@ -118,9 +118,10 @@ def _top_labels(probs_of, z, y=None, threads=1):
     """:func:`_top_label` of ``probs_of(z)``, computed one row block of the logits ``z`` at a time.
 
     ``z`` is a logit matrix or a binary file's block reader
-    (``data_io.BinaryLogits``); each block is read once.  ``probs_of`` maps
-    a logit block to its probability rows, checking its finiteness: a
-    model's ``apply`` or ``core.softmax_rows``.  It may also be a
+    (``data_io.BinaryLogits``); each block is read once and widened to
+    float64 (a reader's blocks are float32).  ``probs_of`` maps a logit
+    block to its probability rows, checking its finiteness: a model's
+    ``apply`` or ``core.softmax_rows``.  It may also be a
     tuple of such functions: then the result is a tuple, one entry per
     function, all taken from the one read of each block.  Each block's
     probabilities are validated, reduced by :func:`_row_stats` and dropped,
@@ -136,7 +137,7 @@ def _top_labels(probs_of, z, y=None, threads=1):
     functions = probs_of if isinstance(probs_of, tuple) else (probs_of,)
 
     def block_stats(rows):
-        block, labels = z[rows], None if y is None else y[rows]
+        block, labels = np.asarray(z[rows], dtype=np.float64), None if y is None else y[rows]
         return [_row_stats(core.validate_probs(f(block)), labels) for f in functions]
 
     blocks = core._map_blocks(block_stats, z.shape, threads)

@@ -269,11 +269,14 @@ def fit_mcct(z, y, mode=DIRECT, k=None, max_iterations=MAX_ITERATIONS, trace=Non
     ``z`` is a logit matrix or a binary file's block reader
     (``data_io.BinaryLogits``).  The labels, the sample count and ``k`` are
     checked first.  The fitting set is then prepared in one walk over row
-    blocks of about 1 MB (``core.BLOCK_DOUBLES`` entries), the only read of
-    ``z``: each block is read once, sorted into a temporary and checked for
-    finiteness, its tied rows and label ranks are counted while it is in
-    cache, and its top ``min(k + 1, m)`` sorted columns are kept, the lowest
-    set below the cut (:func:`_kept_columns`).  Rows are sorted by value
+    blocks of ``core.BLOCK_DOUBLES`` entries (1 MB of float64), the only
+    read of ``z``: each block is read once, sorted into a temporary and
+    checked for finiteness, its tied rows and label ranks are counted while
+    it is in cache, and its top ``min(k + 1, m)`` sorted columns are kept,
+    the lowest set below the cut (:func:`_kept_columns`), widened to
+    float64.  A reader's blocks are float32 and are sorted, tie-counted and
+    ranked at float32, which is exact: widening to float64 keeps every
+    value's order and distinctness.  Rows are sorted by value
     only; each label's rank is counted, not read from a permutation.  With
     ``k`` below the class count, the fit uses the top k columns and drops
     the samples whose true class falls outside them from the fitting set

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -387,6 +388,24 @@ class TestFormat:
         assert not out.exists()
         assert run("fit", "--data", data_path, "--method", "ts", "--format", "csv", "--out", out) == 0
         assert json.loads(Path(out).read_text())["kind"] == "ts"
+
+
+@pytest.mark.parametrize("cell, message", [
+    ("nan", "labels must be finite, got NaN or infinity"),
+    ("1e20", "labels must lie in [0, 3)"),
+])
+def test_a_bad_label_cell_exits_2_without_a_cast_warning(tmp_path, capsys, cell, message):
+    data, model = tmp_path / "bad.csv", str(tmp_path / "model.json")
+    data.write_text(f"z0,z1,z2,label\n0.5,1.0,-1.0,0\n0.0,2.0,1.0,{cell}\n1.0,0.0,3.0,2\n")
+    baselines.CalibratedModel("ts", {"T": 1.5, "m": 3}).save(model)
+    for command in (("fit", "--method", "ts"), ("eval", "--model", model)):
+        out = tmp_path / "out.json"
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(*command, "--data", data, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert caught == [] and not out.exists()
 
 
 class TestEval:

@@ -1,12 +1,13 @@
 import concurrent.futures
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monocal import baselines, core, data_io, optim
+from monocal import baselines, core, data_io, optim, transform
 
 
 @st.composite
@@ -213,6 +214,7 @@ class TestMapBlocks:
 @pytest.mark.parametrize("check, value, message", [
     (core.validate_logits, np.zeros(3), r"logit matrix must be 2-D \(n, m\), got shape \(3,\)"),
     (core.validate_logits, np.zeros((2, 2, 2)), r"logit matrix must be 2-D \(n, m\), got shape \(2, 2, 2\)"),
+    (core.sort_values, np.zeros(3, dtype=np.float32), r"logit matrix must be 2-D \(n, m\), got shape \(3,\)"),
     (lambda y: core.validate_labels(y, 3), np.zeros((2, 1), dtype=int), r"label vector must be 1-D, got shape \(2, 1\)"),
     (core.validate_probs, np.full(3, 1 / 3), r"probability matrix must be 2-D, got shape \(3,\)"),
     (core.validate_probs, np.ones((3, 1)), "probability matrix needs at least 2 classes"),
@@ -321,6 +323,69 @@ class TestValidateDistinct:
         report = core.validate_distinct([[2.0, 2.0, 5.0, 5.0, 1.0]])
         assert report == [(0, 2.0), (0, 5.0)]
         assert core.validate_distinct([[1.0, 2.0, 2.0, 5.0, 5.0]]) == report
+
+
+NONFINITE_ROWS = {
+    "nan first": [np.nan, 1.0, 2.0, 3.0],
+    "nan in an ascending row": [0.0, 1.0, np.nan, 3.0],
+    "nan last": [0.0, 1.0, 2.0, np.nan],
+    "-inf": [1.0, -np.inf, 2.0, 0.0],
+    "+inf": [1.0, np.inf, 2.0, 0.0],
+    "sorted -inf": [-np.inf, 0.0, 1.0, 2.0],
+    "sorted +inf": [0.0, 1.0, 2.0, np.inf],
+}
+
+
+class TestNonFiniteRows:
+    """sort_values finds a non-finite entry at a sorted row's ends, for every caller and float width."""
+
+    CHECKS = {
+        "sort_values": core.sort_values,
+        "validate_distinct": core.validate_distinct,
+        "order_violations": lambda z: transform.order_violations(
+            z, transform.MonotoneParams(w=np.ones(4), b=np.zeros(4), mode="direct", m=4)
+        ),
+    }
+
+    @pytest.mark.parametrize("check", CHECKS)
+    @pytest.mark.parametrize("row", NONFINITE_ROWS)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("first", [[0.0, 1.0, 2.0, 3.0], [3.0, 2.0, 1.0, 0.0]], ids=["ascending", "descending"])
+    def test_refused(self, check, row, dtype, first):
+        # Beside ascending rows the bad row alone decides whether the matrix is sorted.
+        z = np.array([first, NONFINITE_ROWS[row], [0.0, 1.0, 2.0, 3.0]], dtype=dtype)
+        with pytest.raises(ValueError, match="^logit matrix contains NaN or infinite entries$"):
+            self.CHECKS[check](z)
+
+    def test_float32_keeps_its_width_and_its_ties(self):
+        rng = np.random.default_rng(5)
+        z = np.round(rng.normal(0, 2, (300, 7)), 1).astype(np.float32)
+        wide = z.astype(np.float64)
+        s = core.sort_values(z)
+        assert s.dtype == np.float32 and s.tobytes() == np.sort(z, axis=1).tobytes()
+        assert core.sort_values(s) is s
+        report = core.validate_distinct(z)
+        assert len(report) > 50 and report == core.validate_distinct(wide)
+        # Input that is not floating is sorted as float64.
+        assert core.sort_values([[2, 1], [0, 3]]).dtype == np.float64
+
+
+class TestValidateLabels:
+    @pytest.mark.parametrize("bad, message", [
+        (np.nan, "labels must be finite, got NaN or infinity"),
+        (np.inf, "labels must be finite, got NaN or infinity"),
+        (-np.inf, "labels must be finite, got NaN or infinity"),
+        (1e20, r"labels must lie in \[0, 3\)"),
+        (-1e20, r"labels must lie in \[0, 3\)"),
+        (3.0, r"labels must lie in \[0, 3\)"),
+        (1.5, "labels must be integers"),
+    ])
+    def test_float_labels_are_checked_before_the_cast(self, bad, message):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                core.validate_labels(np.array([0.0, bad, 2.0]), 3)
+        assert caught == []
 
 
 class TestArgmax:

@@ -127,8 +127,10 @@ class TestRawBinaryFormat:
         raw = Path(path).read_bytes()
         monkeypatch.setattr(core, "BLOCK_DOUBLES", block_doubles)
         z2, y2 = data_io.read_dataset(path)
-        whole = np.frombuffer(raw, "<f4", 17 * 5).reshape(17, 5).astype(np.float64)
-        assert np.asarray(z2).tobytes() == whole.tobytes()
+        # A block is the file's float32 values; the whole matrix is their float64 widening.
+        whole = np.frombuffer(raw, "<f4", 17 * 5).reshape(17, 5)
+        assert np.asarray(z2).tobytes() == whole.astype(np.float64).tobytes()
+        assert all(z2[rows].dtype == np.float32 for rows in core._row_blocks((17, 5)))
         assert all(z2[rows].tobytes() == whole[rows].tobytes() for rows in core._row_blocks((17, 5)))
         assert y2.tobytes() == np.frombuffer(raw, "<u4", 17, 17 * 5 * 4).astype(np.int64).tobytes()
         data_io.write_matrix(path, z)
@@ -136,20 +138,28 @@ class TestRawBinaryFormat:
 
     def test_dataset_logits_are_read_by_block(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(4)
-        z = rng.normal(0, 3, (40, 6)).astype(np.float32).astype(np.float64)
+        z = rng.normal(0, 3, (40, 6)).astype(np.float32)
         path = str(tmp_path / "data.bin")
         data_io.write_dataset(path, z, rng.integers(0, 6, 40))
         monkeypatch.setattr(core, "BLOCK_DOUBLES", 7 * 6)
         z2, _ = data_io.read_dataset(path)
         assert isinstance(z2, data_io.BinaryLogits) and z2.shape == (40, 6)
-        assert z2[5:12].dtype == np.float64 and z2[5:12].tobytes() == z[5:12].tobytes()
+        assert z2[5:12].dtype == np.float32 and z2[5:12].tobytes() == z[5:12].tobytes()
         assert z2[38:50].tobytes() == z[38:].tobytes() and z2[40:].shape == (0, 6)
-        with pytest.raises(ValueError, match="consecutive rows"):
-            z2[::2]
         # Every read opens the file for itself, so threads read blocks independently.
         blocks = core._map_blocks(lambda rows: z2[rows], z2.shape, threads=3)
         assert np.concatenate(blocks).tobytes() == z.tobytes()
-        assert core.validate_logits(z2).tobytes() == z.tobytes()
+        assert core.validate_logits(z2).tobytes() == z.astype(np.float64).tobytes()
+
+    @pytest.mark.parametrize("index", [
+        slice(None, None, 2), slice(None, None, -1), 3, -1, np.int64(3), (slice(1, 3), 0), [1, 2], np.arange(2), ...,
+    ])
+    def test_only_a_slice_of_consecutive_rows_is_read(self, tmp_path, index):
+        path = str(tmp_path / "data.bin")
+        data_io.write_dataset(path, np.zeros((4, 3)), np.zeros(4, dtype=int))
+        z, _ = data_io.read_dataset(path)
+        with pytest.raises(ValueError, match="^a binary payload is read by slices of consecutive rows$"):
+            z[index]
 
     def test_payload_cut_after_the_read_fails_the_block_read(self, tmp_path):
         path = str(tmp_path / "data.bin")

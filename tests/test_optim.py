@@ -434,6 +434,27 @@ class TestBlockedWalk:
         assert shapes.pop("order_violations") == [(n, k + 1)]
         assert shapes == dict.fromkeys(("validate_distinct", "label_positions"), blocks)
 
+    @pytest.mark.parametrize("fmt, dtype", [("bin", np.float32), ("csv", np.float64)])
+    def test_a_binary_file_is_prepared_at_float32(self, tmp_path, monkeypatch, fmt, dtype):
+        # A binary file's blocks are sorted, tie-counted and ranked as read;
+        # a CSV file's matrix is float64.  Either way the fit is the same.
+        rng = np.random.default_rng(8)
+        z = np.round(rng.normal(0.0, 2.0, (300, 20)), 2).astype(np.float32).astype(np.float64)
+        y = np.where(rng.uniform(size=300) < 0.6, z.argmax(axis=1), rng.integers(0, 20, 300))
+        path = str(tmp_path / f"data.{fmt}")
+        data_io.write_dataset(path, z, y)
+        monkeypatch.setattr(core, "BLOCK_DOUBLES", 60 * 20)
+        dtypes, original = [], core.validate_distinct
+        monkeypatch.setattr(core, "validate_distinct", lambda block: dtypes.append(block.dtype) or original(block))
+        read = _quiet_fit(*data_io.read_dataset(path), k=5)
+        assert dtypes == [dtype] * 5
+        whole = _quiet_fit(z, y, k=5)
+        assert read.params.w.tobytes() == whole.params.w.tobytes()
+        assert read.params.b.tobytes() == whole.params.b.tobytes()
+        fields = [f.name for f in dataclasses.fields(optim.FitResult) if f.name != "params"]
+        assert [getattr(read, f) for f in fields] == [getattr(whole, f) for f in fields]
+        assert read.tied_rows > 0 and read.dropped_samples > 0
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_reorder_count_is_one_walk_over_the_kept_columns(self, monkeypatch, threads):
         # 10000 rows of k + 1 = 11 kept columns fill one row block.  Blocks sized
