@@ -13,14 +13,7 @@ from .metrics import (
     ranking_diagnostics,
 )
 from .optim import FitResult, fit_mcct, init_params
-from .transform import (
-    DIRECT,
-    INVERSE,
-    MonotoneParams,
-    apply_map_topk,
-    order_violations,
-    truncate_training_set,
-)
+from .transform import MonotoneParams, apply_map_topk, order_violations, truncate_training_set
 
 __version__ = "0.1.0"
 
@@ -51,8 +44,6 @@ __all__ = [
     "FitResult",
     "fit_mcct",
     "init_params",
-    "DIRECT",
-    "INVERSE",
     "MonotoneParams",
     "apply_map_topk",
     "order_violations",

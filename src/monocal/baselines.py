@@ -27,7 +27,7 @@ import json
 import numpy as np
 
 from . import core, data_io, metrics, optim
-from .transform import DIRECT, INVERSE, MonotoneParams, apply_map_topk, json_floats, softmax_nll, sorted_nll_objective
+from .transform import MonotoneParams, apply_map_topk, softmax_nll, sorted_nll_objective
 
 MCCT = "mcct"
 MCCT_I = "mcct-i"
@@ -37,8 +37,9 @@ HB = "hb"
 ETS_NLL = "ets-nll"
 ETS_MSE = "ets-mse"
 KINDS = (MCCT, MCCT_I, TS, VS, HB, ETS_NLL, ETS_MSE)
-# The monotone-map kinds and the mode each one is applied in.
-MONOTONE_MODES = {MCCT: DIRECT, MCCT_I: INVERSE}
+# The monotone-map kinds and the mode their documents write ``w`` in: the
+# scales themselves (direct), or each scale's divisor ``1 / w`` (inverse).
+MONOTONE_MODES = {MCCT: "direct", MCCT_I: "inverse"}
 # The ensemble kinds and the loss each one fits its weights against.
 ENSEMBLE_LOSSES = {ETS_NLL: "nll", ETS_MSE: "mse"}
 # The fields of each kind's JSON document besides ``kind`` and ``m``.
@@ -60,9 +61,10 @@ class CalibratedModel:
     """A fitted calibrator, applicable to new logit matrices.
 
     ``kind`` discriminates the method; ``payload`` holds its parameters
-    (plain floats/arrays, or :class:`MonotoneParams` under ``"params"`` for
-    the monotone-map kinds).  Serializes to a flat JSON document with a
-    ``kind`` field.
+    (plain floats/arrays, or, for the monotone-map kinds,
+    :class:`MonotoneParams` under ``"params"`` and the mode its document
+    writes ``w`` in under ``"mode"``).  Serializes to a flat JSON document
+    with a ``kind`` field.
     """
 
     def __init__(self, kind, payload):
@@ -118,19 +120,28 @@ class CalibratedModel:
         elif self.kind == VS:
             t = z * p["scale"] + p["bias"]
         else:
-            # A stored model's kind names the formula; never apply the other one.
-            if p["params"].mode != MONOTONE_MODES[self.kind]:
-                raise ValueError(f"model kind {self.kind!r} does not match mode {p['params'].mode!r}")
+            # A stored model's kind names how its file spells w; refuse one spelled the other way.
+            if p["mode"] != MONOTONE_MODES[self.kind]:
+                raise ValueError(f"model kind {self.kind!r} does not match mode {p['mode']!r}")
             t = apply_map_topk(z, p["params"])
         # The transformed logits are this call's own temporary: softmax them in place.
         return core._softmax(t, t)
 
     def to_json(self):
+        if self.kind in MONOTONE_MODES:
+            params, mode = self.payload["params"], self.payload["mode"]
+            w = params.w if mode == "direct" else 1.0 / params.w
+            return {
+                "kind": self.kind,
+                "mode": mode,
+                "m": int(params.m),
+                "k": int(params.k),
+                "w": [float(v) for v in w],
+                "b": [float(v) for v in params.b],
+            }
         doc = {"kind": self.kind}
         for key, value in self.payload.items():
-            if isinstance(value, MonotoneParams):
-                doc.update(value.to_json())
-            elif isinstance(value, np.ndarray):
+            if isinstance(value, np.ndarray):
                 doc[key] = [float(v) for v in value]
             elif isinstance(value, (np.floating, float)):
                 doc[key] = float(value)
@@ -151,7 +162,7 @@ class CalibratedModel:
         doc = dict(doc)
         kind = doc.pop("kind")
         if kind in MONOTONE_MODES:
-            return cls(kind, {"params": MonotoneParams.from_json(doc), "m": doc["m"]})
+            return cls(kind, _monotone_payload(doc))
         # A baseline kind's fields that are not scalars are lists of numbers, and
         # so is any other list the document carries (the payload keeps it).
         lists = set(_JSON_FIELDS.get(kind, ())).difference(_SCALAR_TYPES)
@@ -168,10 +179,44 @@ class CalibratedModel:
             return cls.from_json(json.load(fh))
 
 
-def from_monotone_params(params):
-    """Wrap fitted monotone-map parameters as a tagged model."""
-    kind = next(kind for kind, mode in MONOTONE_MODES.items() if mode == params.mode)
-    return CalibratedModel(kind, {"params": params, "m": params.m})
+def json_floats(doc, name):
+    """The float64 vector of a model document's list field ``name``.
+
+    The field must be a flat JSON list of numbers, checked before any
+    conversion; types are compared exactly, so a boolean (an ``int``
+    subclass) or a numeric string is refused.
+    """
+    value = doc[name]
+    bad = [v for v in value if type(v) not in (int, float)] if type(value) is list else [value]
+    if bad:
+        raise ValueError(f"model field {name!r} must be a list of int or float, got {bad[0]!r}")
+    return np.array(value, dtype=np.float64)
+
+
+def _monotone_payload(doc):
+    """The payload of a monotone-map document: its map and the mode it writes ``w`` in.
+
+    An inverse document's ``w`` holds divisors, each checked to be positive
+    before it is turned into the scale ``1 / w``.  The mode, not the kind,
+    decides this, so a document whose mode disagrees with its kind loads
+    (and is refused on apply).
+    """
+    mode, w, b = doc["mode"], json_floats(doc, "w"), json_floats(doc, "b")
+    if mode not in MONOTONE_MODES.values():
+        raise ValueError(f"mode must be one of {tuple(MONOTONE_MODES.values())}, got {mode!r}")
+    if mode == "inverse":
+        if np.any(w <= 0):
+            raise ValueError("every scale entry must be strictly positive")
+        w = 1.0 / w
+    params = MonotoneParams(w=w, b=b, m=doc["m"])
+    if params.k != doc["k"]:
+        raise ValueError(f"declared k={doc['k']} does not match len(w)={params.k}")
+    return {"params": params, "m": params.m, "mode": mode}
+
+
+def from_monotone_params(params, kind):
+    """Wrap fitted monotone-map parameters as a model of the monotone ``kind``."""
+    return CalibratedModel(kind, {"params": params, "m": params.m, "mode": MONOTONE_MODES[kind]})
 
 
 def _solved(model, *solves):
@@ -234,7 +279,7 @@ def fit_vs(z, y):
         return x[:m], np.concatenate([[0.0], x[m:]])
 
     def evaluate(x, order):
-        out = sorted_nll_objective(s, y, *params_of(x), DIRECT, order)
+        out = sorted_nll_objective(s, y, *params_of(x), order)
         if order == 0:
             return out
         loss, grad_w, grad_b, *hess = out

@@ -40,8 +40,8 @@ def _usable_cpus():
 def _fitter(max_iterations, trace=None, threads=1):
     """``fit(key, method, z, y, topk=None)``: a fitted model and its diagnostics, sharing one solve per key.
 
-    A key names one calibration set and ``topk``.  mcct-i is the mcct solve
-    with its scales written as divisors, and both report the
+    A key names one calibration set and ``topk``.  mcct-i is the mcct solve,
+    whose model file writes its scales as divisors, and both report the
     ``optim.FitResult`` fields other than the parameters.  ts and both ets
     kinds share one temperature, and the two ets kinds share the ensemble's
     terms (``baselines.ensemble_terms``).  A baseline reports its
@@ -66,7 +66,7 @@ def _fitter(max_iterations, trace=None, threads=1):
                 z, y, k=topk, max_iterations=max_iterations, trace=trace, threads=threads
             ))
             info = {f.name: getattr(result, f.name) for f in dataclasses.fields(result) if f.name != "params"}
-            return baselines.from_monotone_params(result.params.in_mode(baselines.MONOTONE_MODES[method])), info
+            return baselines.from_monotone_params(result.params, method), info
         if method in (baselines.TS, *baselines.ENSEMBLE_LOSSES):
             model = ts = once((key, baselines.TS), lambda: baselines.fit_ts(z, y))
             if method != baselines.TS:

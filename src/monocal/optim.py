@@ -13,15 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import core, data_io
-from .transform import (
-    DIRECT,
-    INVERSE,
-    MonotoneParams,
-    label_positions,
-    order_violations,
-    sorted_nll_objective,
-    truncate_training_set,
-)
+from .transform import MonotoneParams, label_positions, order_violations, sorted_nll_objective, truncate_training_set
 
 
 # Every fitted scale lies in [W_FLOOR, 1 / W_FLOOR].  Strict positivity is an
@@ -53,24 +45,20 @@ class FitResult:
     distinct_labels: int = 0
 
 
-def init_params(mode, k, m=None):
+def init_params(k, m=None):
     """Starting point of the fit: the identity map (``w`` ones, ``b`` zero).
 
-    It is the same map in either mode, satisfies every constraint, and
-    reproduces the uncalibrated logits.
+    It satisfies every constraint and reproduces the uncalibrated logits.
     """
     if k < 2:
         raise ValueError("need k >= 2")
-    return MonotoneParams(w=np.ones(k), b=np.zeros(k), mode=mode, m=k if m is None else m)
+    return MonotoneParams(w=np.ones(k), b=np.zeros(k), m=k if m is None else m)
 
 
 def constraint_violation(params):
     """Largest violation of the ordering constraints and the scale floor ``W_FLOOR`` (0 if feasible)."""
-    dw = np.diff(params.w)
-    if params.mode == INVERSE:
-        dw = -dw
     worst = max(
-        float((-dw).max(initial=0.0)),
+        float((-np.diff(params.w)).max(initial=0.0)),
         float((-np.diff(params.b)).max(initial=0.0)),
         float((W_FLOOR - params.w).max(initial=0.0)),
     )
@@ -241,18 +229,16 @@ def _kept_columns(ordered, k):
     return ordered[:, lo:]
 
 
-def fit_mcct(z, y, mode=DIRECT, k=None, max_iterations=MAX_ITERATIONS, trace=None, threads=1):
+def fit_mcct(z, y, k=None, max_iterations=MAX_ITERATIONS, trace=None, threads=1):
     """Fit a monotone calibration map by constrained NLL minimization.
 
-    Both modes solve the same problem: the direct map ``s * w + b`` over the
-    increments ``x = (dw, db[1:])`` with ``w = minimum(cumsum(dw), 1 /
-    W_FLOOR)`` and ``b = (0, cumsum(db[1:]))``, under the bounds ``dw[0] >=
-    W_FLOOR`` and ``dw[1:], db[1:] >= 0``, starting from the identity map
-    (``dw = (1, 0, ...)``, ``db = 0``).  ``b[0]`` is pinned at 0: a common
-    shift of ``b`` leaves every softmax unchanged.  ``mode=INVERSE``
-    returns exactly the direct ``FitResult`` with its scales written as
-    divisors (``w`` replaced by ``1 / w``): every other field, the reorder
-    count and constraint violation included, is the direct fit's.
+    The fit solves for the map ``s * w + b`` over the increments ``x =
+    (dw, db[1:])`` with ``w = minimum(cumsum(dw), 1 / W_FLOOR)`` and ``b =
+    (0, cumsum(db[1:]))``, under the bounds ``dw[0] >= W_FLOOR`` and
+    ``dw[1:], db[1:] >= 0``, starting from the identity map (``dw = (1, 0,
+    ...)``, ``db = 0``).  ``b[0]`` is pinned at 0: a common shift of ``b``
+    leaves every softmax unchanged.  Its parameters serve both mcct and
+    mcct-i (see :func:`monocal.baselines.from_monotone_params`).
 
     The solver is projected Newton (see :func:`_projected_newton`) on the
     exact Hessian, for at most ``max_iterations`` steps.  Each of its
@@ -309,8 +295,7 @@ def fit_mcct(z, y, mode=DIRECT, k=None, max_iterations=MAX_ITERATIONS, trace=Non
     k = m if k is None else int(k)
     if not 2 <= k <= m:
         raise ValueError(f"need 2 <= k <= m, got k={k}, m={m}")
-    # The identity map, in either mode; building it refuses an unknown mode.
-    start = init_params(mode, k, m=m)
+    start = init_params(k, m=m)
     # Each block is sorted into a temporary and counted while it is in cache;
     # only its top k + 1 sorted columns are kept (all m when k >= m - 1).
     lo = max(m - k - 1, 0)
@@ -343,7 +328,7 @@ def fit_mcct(z, y, mode=DIRECT, k=None, max_iterations=MAX_ITERATIONS, trace=Non
         return np.minimum(np.cumsum(x[:k]), 1.0 / W_FLOOR), np.concatenate([[0.0], np.cumsum(x[k:])])
 
     def evaluate(x, order):
-        out = sorted_nll_objective(s_fit, pos_fit, *params_of(x), DIRECT, order)
+        out = sorted_nll_objective(s_fit, pos_fit, *params_of(x), order)
         if order == 0:
             return out
         # Through the cumulative sums, the gradient and Hessian take reverse
@@ -357,7 +342,7 @@ def fit_mcct(z, y, mode=DIRECT, k=None, max_iterations=MAX_ITERATIONS, trace=Non
     lower[0] = W_FLOOR
     x0 = np.concatenate([np.diff(start.w, prepend=0.0), np.diff(start.b)])
     x, initial_loss, final_loss, iterations, converged = _projected_newton(evaluate, x0, lower, max_iterations, trace)
-    params = MonotoneParams(*params_of(x), mode=DIRECT, m=m)
+    params = MonotoneParams(*params_of(x), m=m)
     reduced = replace(params, m=top.shape[1])
     broken = sum(core._map_blocks(lambda rows: order_violations(top[rows], reduced), top.shape, threads))
     if broken:
@@ -367,7 +352,7 @@ def fit_mcct(z, y, mode=DIRECT, k=None, max_iterations=MAX_ITERATIONS, trace=Non
             "with a non-negative maximum are still preserved)"
         )
     return FitResult(
-        params=params.in_mode(mode),
+        params=params,
         initial_loss=initial_loss,
         final_loss=final_loss,
         iterations=iterations,

@@ -3,13 +3,11 @@
 A map is parameterized by a scale vector ``w`` and a bias vector ``b``
 indexed by rank (position in the per-row ascending sort), not by class.
 Each row is sorted, transformed elementwise, and scattered back to its
-original column order:
-
-* direct mode:   sorted row ``s`` maps to ``s * w + b`` with ``w`` positive
-  and non-decreasing and ``b`` non-decreasing;
-* inverse mode:  ``s / w + b`` with ``w`` positive and non-increasing and
-  ``b`` non-decreasing: the same map with its scales written as divisors
-  (inverse ``(1 / w, b)`` equals direct ``(w, b)``).
+original column order: sorted row ``s`` maps to ``s * w + b``, with ``w``
+positive and non-decreasing and ``b`` non-decreasing.  mcct and mcct-i are
+this one map; an mcct-i model file writes each scale as its divisor
+``1 / w``, which only :class:`monocal.baselines.CalibratedModel` reads
+and writes.
 
 With fewer parameters than classes (``k < m``), the top k ranks get their
 own entries and every lower rank is transformed with the first (lowest-rank)
@@ -25,8 +23,8 @@ The result is bitwise that of the full sort.
 Order preservation is conditional, not universal.  Rescaling two sorted
 values keeps their order only when the pair is not both negative: for
 ``s = (-10, -1)`` and ``w = (0.1, 2)`` the transform yields ``(-1, -2)``
-and reverses them.  The exact guarantees (either mode, any valid
-parameters) are:
+and reverses them.  The exact guarantees (any valid parameters)
+are:
 
 * every comparison involving a non-negative value is preserved, so rows
   whose entries are all non-negative are fully order-preserved, and the
@@ -47,10 +45,6 @@ import numpy as np
 
 from . import core
 
-DIRECT = "direct"
-INVERSE = "inverse"
-MODES = (DIRECT, INVERSE)
-
 
 @dataclass(frozen=True)
 class MonotoneParams:
@@ -63,7 +57,6 @@ class MonotoneParams:
 
     w: np.ndarray
     b: np.ndarray
-    mode: str
     m: int
 
     def __post_init__(self):
@@ -71,8 +64,6 @@ class MonotoneParams:
         b = np.asarray(self.b, dtype=np.float64)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "b", b)
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if w.ndim != 1 or b.ndim != 1 or w.shape != b.shape:
             raise ValueError("w and b must be 1-D vectors of equal length")
         k = w.shape[0]
@@ -82,57 +73,14 @@ class MonotoneParams:
             raise ValueError("parameters must be finite")
         if np.any(w <= 0):
             raise ValueError("every scale entry must be strictly positive")
-        dw = np.diff(w)
-        if self.mode == DIRECT and np.any(dw < 0):
-            raise ValueError("direct mode requires non-decreasing w")
-        if self.mode == INVERSE and np.any(dw > 0):
-            raise ValueError("inverse mode requires non-increasing w")
+        if np.any(np.diff(w) < 0):
+            raise ValueError("w must be non-decreasing")
         if np.any(np.diff(b) < 0):
             raise ValueError("b must be non-decreasing")
 
     @property
     def k(self):
         return self.w.shape[0]
-
-    def in_mode(self, mode):
-        """The same map written in ``mode``: a change of mode replaces ``w`` by ``1 / w``."""
-        return self if mode == self.mode else MonotoneParams(w=1.0 / self.w, b=self.b, mode=mode, m=self.m)
-
-    def to_json(self):
-        """JSON document with the fixed interchange field names."""
-        return {
-            "mode": self.mode,
-            "m": int(self.m),
-            "k": int(self.k),
-            "w": [float(v) for v in self.w],
-            "b": [float(v) for v in self.b],
-        }
-
-    @classmethod
-    def from_json(cls, doc):
-        params = cls(
-            w=json_floats(doc, "w"),
-            b=json_floats(doc, "b"),
-            mode=doc["mode"],
-            m=int(doc["m"]),
-        )
-        if params.k != int(doc["k"]):
-            raise ValueError(f"declared k={doc['k']} does not match len(w)={params.k}")
-        return params
-
-
-def json_floats(doc, name):
-    """The float64 vector of a model document's list field ``name``.
-
-    The field must be a flat JSON list of numbers, checked before any
-    conversion; types are compared exactly, so a boolean (an ``int``
-    subclass) or a numeric string is refused.
-    """
-    value = doc[name]
-    bad = [v for v in value if type(v) not in (int, float)] if type(value) is list else [value]
-    if bad:
-        raise ValueError(f"model field {name!r} must be a list of int or float, got {bad[0]!r}")
-    return np.array(value, dtype=np.float64)
 
 
 def _rank_aligned_wb(params):
@@ -146,8 +94,8 @@ def _rank_aligned_wb(params):
     )
 
 
-def _transform_sorted(s, w, b, mode):
-    t = s * w if mode == DIRECT else s / w
+def _transform_sorted(s, w, b):
+    t = s * w
     t += b
     return t
 
@@ -155,7 +103,7 @@ def _transform_sorted(s, w, b, mode):
 def _apply_full_sort(z, params):
     s, perm = core.sort_rows(z)
     w, b = _rank_aligned_wb(params)
-    return core.inverse_sort_rows(_transform_sorted(s, w, b, params.mode), perm)
+    return core.inverse_sort_rows(_transform_sorted(s, w, b), perm)
 
 
 def apply_map_topk(z, params):
@@ -174,13 +122,13 @@ def apply_map_topk(z, params):
     if params.k == params.m:
         return _apply_full_sort(z, params)
     cut = params.m - params.k
-    out = _transform_sorted(z, params.w[0], params.b[0], params.mode)
+    out = _transform_sorted(z, params.w[0], params.b[0])
     top = np.sort(np.argpartition(z, cut, axis=1)[:, cut:], axis=1)
     vals = np.take_along_axis(z, top, axis=1)
     order = np.argsort(vals, axis=1, kind="stable")
     top = np.take_along_axis(top, order, axis=1)
     vals = np.take_along_axis(vals, order, axis=1)
-    np.put_along_axis(out, top, _transform_sorted(vals, params.w, params.b, params.mode), axis=1)
+    np.put_along_axis(out, top, _transform_sorted(vals, params.w, params.b), axis=1)
     # Every kept value is >= every dropped one, so a dropped value ties with
     # the lowest kept one exactly when more than k values reach it.
     tied = np.flatnonzero(vals[:, 1] == vals[:, 0])
@@ -202,7 +150,7 @@ def order_violations(z, params):
     """
     s = core.sort_values(z)
     w, b = _rank_aligned_wb(params)
-    t = _transform_sorted(s, w, b, params.mode)
+    t = _transform_sorted(s, w, b)
     rows = np.flatnonzero((t[:, 1:] <= t[:, :-1]).any(axis=1))
     s, t = s[rows], t[rows]
     before = np.maximum.accumulate(t, axis=1)[:, :-1]
@@ -260,22 +208,22 @@ def softmax_nll(t, label):
     return core._picked_nll(e.ravel()[label] / total), e, total
 
 
-def sorted_nll_objective(s, y_pos, w, b, mode, order=1):
+def sorted_nll_objective(s, y_pos, w, b, order=1):
     """Mean NLL of the transformed sorted logits, with derivatives up to ``order``.
 
     ``s`` is an (n, k) logit block and ``y_pos`` the true class's position
     within each row.  The monotone fit passes rows sorted ascending; nothing
     here depends on that, and vector scaling passes its logits as they are
-    (``w`` may then be any sign in direct mode).  ``order`` 0 returns the loss; 1 adds
+    (``w`` may then be any sign).  ``order`` 0 returns the loss; 1 adds
     ``(grad_w, grad_b)``, the means over samples of the per-sample
-    expressions ``s * (p - e_y)`` (direct) or ``-s / w**2 * (p - e_y)``
-    (inverse) and ``p - e_y``, with ``p`` the row softmax of the transformed
-    block and ``e_y`` the one-hot target at ``y_pos``; 2 (direct mode only)
-    adds the exact Hessian over ``(w, b[1:])``: ``diag(...) - A A^T / n``
-    with ``A = [s * p ; p[1:]]`` of shape (2k - 1, n), where the first term
-    holds ``mean(s**2 p)``, ``mean(p[1:])`` and, between ``w[j]`` and
-    ``b[j]``, ``mean(s p)``.  ``b[0]`` is left out because a common shift of
-    ``b`` does not change the softmax.
+    expressions ``s * (p - e_y)`` and ``p - e_y``, with ``p`` the row
+    softmax of the transformed block ``s * w + b`` and ``e_y`` the one-hot
+    target at ``y_pos``; 2 adds the exact Hessian over ``(w, b[1:])``:
+    ``diag(...) - A A^T / n`` with ``A = [s * p ; p[1:]]`` of shape
+    (2k - 1, n), where the first term holds ``mean(s**2 p)``,
+    ``mean(p[1:])`` and, between ``w[j]`` and ``b[j]``, ``mean(s p)``.
+    ``b[0]`` is left out because a common shift of ``b`` does not change
+    the softmax.
 
     The work is done on the C-contiguous (k, n) transpose of ``s``, so every
     reduction over a row's k entries runs along the long axis.  An ``s`` that
@@ -283,15 +231,11 @@ def sorted_nll_objective(s, y_pos, w, b, mode, order=1):
     """
     w = np.asarray(w, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if mode != DIRECT and np.any(w <= 0):
-        raise ValueError("scale entries must be strictly positive")
-    if order == 2 and mode != DIRECT:
-        raise ValueError("the Hessian is computed in direct mode only")
     S = np.ascontiguousarray(np.asarray(s, dtype=np.float64).T)
     y_pos = np.asarray(y_pos, dtype=np.int64)
     k, n = S.shape
     label = y_pos * n + np.arange(n)  # flat index of each sample's target in S
-    t = _transform_sorted(S, w[:, None], b[:, None], mode)
+    t = _transform_sorted(S, w[:, None], b[:, None])
     loss, p, total = softmax_nll(t, label)
     if order == 0:
         return loss
@@ -300,8 +244,7 @@ def sorted_nll_objective(s, y_pos, w, b, mode, order=1):
     sp = np.multiply(S, p, out=A[:k])
     p_sum, sp_sum = p.sum(axis=1), sp.sum(axis=1)
     grad_b = (p_sum - np.bincount(y_pos, minlength=k)) / n
-    grad_s = (sp_sum - np.bincount(y_pos, weights=S.ravel()[label], minlength=k)) / n
-    grad_w = grad_s if mode == DIRECT else -grad_s / (w * w)
+    grad_w = (sp_sum - np.bincount(y_pos, weights=S.ravel()[label], minlength=k)) / n
     if order == 1:
         return loss, grad_w, grad_b
     A[k:] = p[1:]

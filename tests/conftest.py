@@ -24,24 +24,22 @@ def calibrated_split():
 
 
 @pytest.fixture(scope="session")
-def fitted_direct(overconfident_split):
+def fitted_map(overconfident_split):
     (zc, yc), _ = overconfident_split
-    return optim.fit_mcct(zc, yc, mode=transform.DIRECT)
+    return optim.fit_mcct(zc, yc)
 
 
-@pytest.fixture(scope="session")
-def fitted_inverse(overconfident_split):
-    (zc, yc), _ = overconfident_split
-    return optim.fit_mcct(zc, yc, mode=transform.INVERSE)
+def random_valid_params(rng, m, m_total=None, divisors=False):
+    """Random parameters satisfying the ordering invariants.
 
-
-def random_valid_params(rng, m, mode, m_total=None):
-    """Random parameters satisfying the ordering invariants of the given mode."""
+    With ``divisors``, the scales are drawn as non-increasing divisors, the
+    way an mcct-i model file writes them, and turned into scales by ``1 / w``.
+    """
     w = np.sort(rng.uniform(0.05, 3.0, m))
-    if mode == transform.INVERSE:
-        w = w[::-1].copy()
+    if divisors:
+        w = 1.0 / w[::-1]
     b = np.sort(rng.normal(0.0, 1.0, m))
-    return transform.MonotoneParams(w=w, b=b, mode=mode, m=m if m_total is None else m_total)
+    return transform.MonotoneParams(w=w, b=b, m=m if m_total is None else m_total)
 
 
 # Row patterns for the fast-path oracle tests; every pattern but "plain" is
@@ -93,7 +91,7 @@ def stable_apply(z, params):
     pad = params.m - params.k
     w = np.concatenate([np.full(pad, params.w[0]), params.w])
     b = np.concatenate([np.full(pad, params.b[0]), params.b])
-    t = s * w + b if params.mode == transform.DIRECT else s / w + b
+    t = s * w + b
     out = np.empty_like(z)
     np.put_along_axis(out, perm, t, axis=1)
     return out
@@ -108,9 +106,9 @@ def stable_fit_inputs(z, y, k):
     return s[keep][:, cut:], (pos[keep] - cut).astype(np.int64), int(len(y) - keep.sum())
 
 
-def reference_nll_objective(s, y_pos, w, b, mode):
+def reference_nll_objective(s, y_pos, w, b):
     """Reference objective on a row-major (n, k) sorted block: ``(loss, grad_w, grad_b)``."""
-    t = s * w + b if mode == transform.DIRECT else s / w + b
+    t = s * w + b
     t = t - t.max(axis=1, keepdims=True)
     e = np.exp(t)
     p = e / e.sum(axis=1, keepdims=True)
@@ -118,12 +116,7 @@ def reference_nll_objective(s, y_pos, w, b, mode):
     loss = float(-np.log(np.maximum(p[rows, y_pos], core.LOG_FLOOR)).mean())
     resid = p.copy()
     resid[rows, y_pos] -= 1.0
-    grad_b = resid.mean(axis=0)
-    if mode == transform.DIRECT:
-        grad_w = (s * resid).mean(axis=0)
-    else:
-        grad_w = (-(s / (w * w)) * resid).mean(axis=0)
-    return loss, grad_w, grad_b
+    return loss, (s * resid).mean(axis=0), resid.mean(axis=0)
 
 
 def reverse_cumsum(v):
@@ -133,7 +126,7 @@ def reverse_cumsum(v):
 def slsqp_fit(z, y, k=None):
     """Reference solve: SLSQP over the increments ``(dw, db)`` from the identity map.
 
-    It fits the direct map on the stable-sort fitting set with the reference
+    It fits the map on the stable-sort fitting set with the reference
     objective, under the bounds ``dw[0] >= W_FLOOR``, ``dw[1:] >= 0`` and
     ``db[1:] >= 0`` (``db[0]`` free).  Returns ``(w, b, loss)``.
     """
@@ -144,25 +137,25 @@ def slsqp_fit(z, y, k=None):
         return np.cumsum(x[:k]), np.cumsum(x[k:])
 
     def fun(x):
-        loss, gw, gb = reference_nll_objective(s, pos, *params_of(x), transform.DIRECT)
+        loss, gw, gb = reference_nll_objective(s, pos, *params_of(x))
         return loss, np.concatenate([reverse_cumsum(gw), reverse_cumsum(gb)])
 
     x0 = np.concatenate([[1.0], np.zeros(2 * k - 1)])
     bounds = [(optim.W_FLOOR, None)] + [(0.0, None)] * (k - 1) + [(None, None)] + [(0.0, None)] * (k - 1)
     res = minimize(fun, x0, jac=True, method="SLSQP", bounds=bounds, options={"maxiter": 500, "ftol": 1e-8})
     w, b = params_of(res.x)
-    return w, b, reference_nll_objective(s, pos, w, b, transform.DIRECT)[0]
+    return w, b, reference_nll_objective(s, pos, w, b)[0]
 
 
 def projected_gradient_residual(z, y, params):
-    """Largest projected-gradient component of the fit's problem at a direct map with ``b[0] = 0``.
+    """Largest projected-gradient component of the fit's problem at a map with ``b[0] = 0``.
 
     The problem is over the increments ``x = (dw, db[1:])`` with the bounds
     ``dw[0] >= W_FLOOR`` and every other increment ``>= 0``; the residual is
     ``x - max(x - grad, lower)``, zero exactly at a stationary point.
     """
     s, pos, _ = stable_fit_inputs(z, y, params.k)
-    _, gw, gb = reference_nll_objective(s, pos, params.w, params.b, transform.DIRECT)
+    _, gw, gb = reference_nll_objective(s, pos, params.w, params.b)
     x = np.concatenate([np.diff(params.w, prepend=0.0), np.diff(params.b)])
     grad = np.concatenate([reverse_cumsum(gw), reverse_cumsum(gb[1:])])
     lower = np.zeros_like(x)

@@ -36,7 +36,8 @@ def report(num, description, ok, detail=""):
 @pytest.fixture(scope="module")
 def end_to_end():
     """Criterion-6 fixture: 5000/10000 split of overconfident 10-class data,
-    with both monotone maps fitted; also reused by criteria 4, 8, and 11."""
+    with the monotone map fitted and wrapped as both kinds, each read back
+    from its model document; also reused by criteria 4, 8, and 11."""
     t0 = time.perf_counter()
     cfg = data_io.SynthConfig(n=15_000, m=10, alpha=0.5, overconfidence=2.5, seed=0)
     z, y, _ = data_io.generate_synthetic(cfg)
@@ -44,17 +45,16 @@ def end_to_end():
     p_uncal = core.softmax_rows(zt)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        fits = {mode: optim.fit_mcct(zc, yc, mode=mode) for mode in transform.MODES}
-    probs = {
-        mode: core.softmax_rows(transform.apply_map_topk(zt, fits[mode].params))
-        for mode in transform.MODES
-    }
+        fit = optim.fit_mcct(zc, yc)
+    models = {kind: baselines.from_monotone_params(fit.params, kind) for kind in baselines.MONOTONE_MODES}
+    loaded = {kind: baselines.CalibratedModel.from_json(model.to_json()) for kind, model in models.items()}
+    probs = {kind: model.apply(zt) for kind, model in loaded.items()}
     elapsed = time.perf_counter() - t0
     return {
         "cal": (zc, yc),
         "test": (zt, yt),
         "p_uncal": p_uncal,
-        "fits": fits,
+        "models": models,
         "probs": probs,
         "elapsed": elapsed,
     }
@@ -63,16 +63,17 @@ def end_to_end():
 def test_criterion_01_universal_monotonicity():
     t0 = time.perf_counter()
     rng = np.random.default_rng(2024)
-    pairs_per_mode = 10_000
+    pairs_per_draw = 10_000
     violations = 0
     counterexample = None
-    for mode in transform.MODES:
-        for _ in range(pairs_per_mode):
+    # Half the maps are drawn as an mcct-i file's divisors and turned into scales.
+    for divisors in (False, True):
+        for _ in range(pairs_per_draw):
             m = int(rng.integers(2, 51))
             z = rng.normal(0.0, 2.0, m)
-            params = random_valid_params(rng, m, mode)
+            params = random_valid_params(rng, m, divisors=divisors)
             order = np.argsort(z, kind="stable")
-            t = transform._transform_sorted(z[order], params.w, params.b, mode)
+            t = transform._transform_sorted(z[order], params.w, params.b)
             strict = bool(np.all(np.diff(t) > 0))
             out = np.empty(m)
             out[order] = t
@@ -80,10 +81,10 @@ def test_criterion_01_universal_monotonicity():
             if not (strict and same_argmax):
                 violations += 1
                 if counterexample is None:
-                    counterexample = (z, params.w, params.b, mode)
+                    counterexample = (z, params.w, params.b)
     elapsed = time.perf_counter() - t0
     detail = (
-        f"{violations} of {2 * pairs_per_mode} pairs violated in {elapsed:.1f}s; "
+        f"{violations} of {2 * pairs_per_draw} pairs violated in {elapsed:.1f}s; "
         "the property is false for pairs of negative values, e.g. scales (0.1, 2) "
         "map the sorted row (-10, -1) to (-1, -2); preservation holds for "
         "non-negative rows, for any row's argmax when the row max is >= 0, and "
@@ -91,7 +92,7 @@ def test_criterion_01_universal_monotonicity():
     )
     report(
         1,
-        "strict order and argmax preservation on 10^4 random (row, params) pairs per mode",
+        "strict order and argmax preservation on 2 x 10^4 random (row, params) pairs, half drawn as divisors",
         violations == 0 and elapsed < 10.0,
         detail,
     )
@@ -101,17 +102,18 @@ def test_criterion_02_gradient_correctness():
     rng = np.random.default_rng(77)
     step = 1e-6
     worst = 0.0
-    for mode in transform.MODES:
+    # Half the fixtures' scales are drawn as divisors and turned into scales.
+    for divisors in (False, True):
         for _ in range(100):
             n = int(rng.integers(2, 51))
             m = int(rng.integers(2, 11))
             s = np.sort(rng.normal(0, 2, (n, m)), axis=1)
             pos = rng.integers(0, m, n)
             w = np.sort(rng.uniform(0.2, 3.0, m))
-            if mode == transform.INVERSE:
-                w = w[::-1].copy()
+            if divisors:
+                w = 1.0 / w[::-1]
             b = np.sort(rng.normal(0, 0.5, m))
-            _, grad_w, grad_b = transform.sorted_nll_objective(s, pos, w, b, mode)
+            _, grad_w, grad_b = transform.sorted_nll_objective(s, pos, w, b)
             fd_w = np.empty(m)
             fd_b = np.empty(m)
             for j in range(m):
@@ -119,22 +121,22 @@ def test_criterion_02_gradient_correctness():
                 w_hi[j] += step
                 w_lo[j] -= step
                 fd_w[j] = (
-                    transform.sorted_nll_objective(s, pos, w_hi, b, mode)[0]
-                    - transform.sorted_nll_objective(s, pos, w_lo, b, mode)[0]
+                    transform.sorted_nll_objective(s, pos, w_hi, b)[0]
+                    - transform.sorted_nll_objective(s, pos, w_lo, b)[0]
                 ) / (2 * step)
                 b_hi, b_lo = b.copy(), b.copy()
                 b_hi[j] += step
                 b_lo[j] -= step
                 fd_b[j] = (
-                    transform.sorted_nll_objective(s, pos, w, b_hi, mode)[0]
-                    - transform.sorted_nll_objective(s, pos, w, b_lo, mode)[0]
+                    transform.sorted_nll_objective(s, pos, w, b_hi)[0]
+                    - transform.sorted_nll_objective(s, pos, w, b_lo)[0]
                 ) / (2 * step)
             rel_w = np.abs(grad_w - fd_w).max() / max(np.abs(fd_w).max(), 1e-8)
             rel_b = np.abs(grad_b - fd_b).max() / max(np.abs(fd_b).max(), 1e-8)
             worst = max(worst, rel_w, rel_b)
     report(
         2,
-        "analytic gradients match central finite differences on 100 fixtures per mode",
+        "analytic gradients match central finite differences on 200 fixtures, half drawn as divisors",
         worst <= 1e-5,
         f"worst relative error {worst:.2e}",
     )
@@ -146,7 +148,7 @@ def test_criterion_03_temperature_embedding():
     worst = 0.0
     for temperature in (0.5, 1.0, 2.0, 5.0):
         params = transform.MonotoneParams(
-            w=np.full(9, 1.0 / temperature), b=np.zeros(9), mode="direct", m=9
+            w=np.full(9, 1.0 / temperature), b=np.zeros(9), m=9
         )
         got = core.softmax_rows(transform.apply_map_topk(z, params))
         expected = core.softmax_rows(z / temperature)
@@ -160,14 +162,15 @@ def test_criterion_03_temperature_embedding():
 
 
 def test_criterion_04_mode_equivalence(end_to_end):
-    gap = abs(
-        end_to_end["fits"]["direct"].final_loss - end_to_end["fits"]["inverse"].final_loss
-    )
+    zt, _ = end_to_end["test"]
+    models = end_to_end["models"]
+    bitwise = models["mcct-i"].apply(zt).tobytes() == models["mcct"].apply(zt).tobytes()
+    gap = float(np.abs(end_to_end["probs"]["mcct-i"] - end_to_end["probs"]["mcct"]).max())
     report(
         4,
-        "direct and inverse fits reach the same final NLL within 1e-5",
-        gap <= 1e-5,
-        f"|gap| = {gap:.2e}",
+        "an mcct-i model and its mcct twin agree: bitwise in-process, within 1e-12 through their model files",
+        bitwise and gap <= 1e-12,
+        f"bitwise {bitwise}, file gap {gap:.2e}",
     )
 
 
@@ -220,13 +223,12 @@ def test_criterion_06_synthetic_end_to_end(end_to_end):
     argmax_uncal = core.argmax_rows(p_uncal)
     ok = ece_uncal >= 0.05
     details = [f"uncalibrated ece {ece_uncal:.4f}"]
-    for mode in transform.MODES:
-        p_cal = end_to_end["probs"][mode]
+    for kind, p_cal in end_to_end["probs"].items():
         ece_cal = metrics.ece(p_cal, yt)[0]
         same_argmax = np.array_equal(core.argmax_rows(p_cal), argmax_uncal)
         same_accuracy = metrics.accuracy(p_cal, yt) == acc_uncal
         ok = ok and ece_cal * 3 <= ece_uncal and same_argmax and same_accuracy
-        details.append(f"{mode} ece {ece_cal:.4f} (x{ece_uncal / ece_cal:.1f})")
+        details.append(f"{kind} ece {ece_cal:.4f} (x{ece_uncal / ece_cal:.1f})")
     elapsed_ok = end_to_end["elapsed"] < 60.0
     details.append(f"setup+fits {end_to_end['elapsed']:.1f}s")
     report(6, "overconfident synthetic data: 3x ECE reduction, accuracy bitwise unchanged",
@@ -254,7 +256,7 @@ def test_criterion_07_non_monotonic_contrast():
             big_rates.append(
                 metrics.ranking_diagnostics(p_base, vs_big.apply(zt)).prediction_change_rate
             )
-            mono = optim.fit_mcct(zc[:100], yc[:100], mode="direct")
+            mono = optim.fit_mcct(zc[:100], yc[:100])
             p_mono = core.softmax_rows(transform.apply_map_topk(zt, mono.params))
             diag_mono = metrics.ranking_diagnostics(p_base, p_mono)
             if diag_mono.prediction_change_rate != 0.0 or diag_mono.uncertain_alteration_rate != 0.0:
@@ -274,13 +276,13 @@ def test_criterion_07_non_monotonic_contrast():
 def test_criterion_08_data_efficiency(end_to_end):
     (zc, yc) = end_to_end["cal"]
     (zt, yt) = end_to_end["test"]
-    ece_full = metrics.ece(end_to_end["probs"]["direct"], yt)[0]
+    ece_full = metrics.ece(end_to_end["probs"]["mcct"], yt)[0]
     small_eces = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for seed in range(10):
             idx = np.random.default_rng(seed).permutation(zc.shape[0])[:500]
-            result = optim.fit_mcct(zc[idx], yc[idx], mode="direct")
+            result = optim.fit_mcct(zc[idx], yc[idx])
             p = core.softmax_rows(transform.apply_map_topk(zt, result.params))
             small_eces.append(metrics.ece(p, yt)[0])
     mean_small = float(np.mean(small_eces))
@@ -299,8 +301,8 @@ def test_criterion_09_topk_truncation():
     (zc, yc), (zt, yt) = data_io.split_dataset(z, y, 1 / 3, seed=0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        full = optim.fit_mcct(zc, yc, mode="direct")
-        explicit = optim.fit_mcct(zc, yc, mode="direct", k=100)
+        full = optim.fit_mcct(zc, yc)
+        explicit = optim.fit_mcct(zc, yc, k=100)
         bitwise = np.array_equal(full.params.w, explicit.params.w) and np.array_equal(
             full.params.b, explicit.params.b
         )
@@ -311,7 +313,7 @@ def test_criterion_09_topk_truncation():
         ece_at_k = {}
         for k in (10, 25, 50, 75, 100):
             t0 = time.perf_counter()
-            result = optim.fit_mcct(zc, yc, mode="direct", k=k)
+            result = optim.fit_mcct(zc, yc, k=k)
             times.append(time.perf_counter() - t0)
             p = core.softmax_rows(transform.apply_map_topk(zt, result.params))
             ece_at_k[k] = metrics.ece(p, yt)[0]
@@ -366,7 +368,7 @@ def test_criterion_11_kde_sanity(end_to_end):
     calibrated_ok = kde_calibrated <= 0.01
 
     (zt, yt) = end_to_end["test"]
-    p_smooth = end_to_end["probs"]["direct"]
+    p_smooth = end_to_end["probs"]["mcct"]
     gap = abs(metrics.ece_kde(p_smooth, yt) - metrics.ece(p_smooth, yt)[0])
     report(
         11,

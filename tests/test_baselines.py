@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -134,7 +136,7 @@ class TestVectorScaling:
         vs = baselines.fit_vs(zc, yc)
         vs_diag = metrics.ranking_diagnostics(p_base, vs.apply(zt))
         assert vs_diag.prediction_change_rate > 0
-        mono = optim.fit_mcct(zc, yc, mode="direct")
+        mono = optim.fit_mcct(zc, yc)
         p_mono = core.softmax_rows(transform.apply_map_topk(zt, mono.params))
         mono_diag = metrics.ranking_diagnostics(p_base, p_mono)
         assert mono_diag.prediction_change_rate == 0.0
@@ -222,9 +224,8 @@ class TestModelSerialization:
         assert back.kind == model.kind
         assert np.array_equal(back.apply(z), model.apply(z))
 
-    def test_monotone_round_trip(self, tmp_path, fitted_direct):
-        model = baselines.from_monotone_params(fitted_direct.params)
-        assert model.kind == baselines.MCCT
+    def test_monotone_round_trip(self, tmp_path, fitted_map):
+        model = baselines.from_monotone_params(fitted_map.params, baselines.MCCT)
         path = tmp_path / "model.json"
         model.save(path)
         back = CalibratedModel.load(path)
@@ -232,18 +233,45 @@ class TestModelSerialization:
         z = rng.normal(0, 2, (30, 10))
         assert np.array_equal(back.apply(z), model.apply(z))
 
-    def test_inverse_mode_kind(self, fitted_inverse):
-        assert baselines.from_monotone_params(fitted_inverse.params).kind == baselines.MCCT_I
+    @pytest.mark.parametrize("kind", baselines.MONOTONE_MODES)
+    def test_kind_discriminator_present(self, fitted_map, kind):
+        doc = baselines.from_monotone_params(fitted_map.params, kind).to_json()
+        assert doc["kind"] == kind and doc["mode"] == baselines.MONOTONE_MODES[kind]
+        assert list(doc) == ["kind", "mode", "m", "k", "w", "b"]
 
-    def test_kind_discriminator_present(self, fitted_direct):
-        doc = baselines.from_monotone_params(fitted_direct.params).to_json()
-        assert doc["kind"] == "mcct"
-        assert set(doc) == {"kind", "mode", "m", "k", "w", "b"}
+    def test_monotone_json_round_trip(self):
+        # An inverse document's w holds divisors: the map's scales are 1 / w.
+        doc = {"kind": "mcct-i", "mode": "inverse", "m": 4, "k": 2, "w": [2.0, 0.5], "b": [-1.0, 2.0]}
+        model = CalibratedModel.from_json(doc)
+        assert model.payload["params"].w.tolist() == [0.5, 2.0] and model.m == 4
+        assert model.to_json() == doc
+        direct = {**doc, "kind": "mcct", "mode": "direct", "w": [0.5, 2.0]}
+        assert CalibratedModel.from_json(direct).to_json() == direct
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"k": 3}, r"declared k=3 does not match len\(w\)=2"),
+        ({"mode": "Inverse"}, r"mode must be one of \('direct', 'inverse'\), got 'Inverse'"),
+        ({"w": [1.0, 2.0]}, "w must be non-decreasing"),
+        ({"w": [2.0, 0.0]}, "every scale entry must be strictly positive"),
+        ({"w": [-0.0, -1.0]}, "every scale entry must be strictly positive"),
+        ({"w": [1.0, -2.0]}, "every scale entry must be strictly positive"),
+    ], ids=["declared-k", "unknown-mode", "rising-divisors", "zero-divisor", "negative-zero-divisor", "negative-divisor"])
+    def test_malformed_divisor_document_is_refused(self, changes, message):
+        # A divisor is checked before its reciprocal is taken: no divide-by-zero warning.
+        doc = {"kind": "mcct-i", "mode": "inverse", "m": 4, "k": 2, "w": [2.0, 1.0], "b": [0.0, 1.0], **changes}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                CalibratedModel.from_json(doc)
 
     @pytest.mark.parametrize("kind, mode", [("mcct", "inverse"), ("mcct-i", "direct")])
     def test_kind_mode_mismatch_rejected(self, kind, mode):
-        doc = {"kind": kind, "mode": mode, "m": 2, "k": 2, "w": [1.0, 1.0], "b": [0.0, 0.0]}
+        # The document's mode, not its kind, says whether w holds divisors.
+        w = [1.0, 2.0] if mode == "direct" else [2.0, 1.0]
+        doc = {"kind": kind, "mode": mode, "m": 2, "k": 2, "w": w, "b": [0.0, 0.0]}
         model = CalibratedModel.from_json(doc)
+        assert model.payload["params"].w.tolist() == ([1.0, 2.0] if mode == "direct" else [0.5, 1.0])
+        assert model.to_json() == doc
         with pytest.raises(ValueError, match="does not match mode"):
             model.apply(np.array([[0.5, -1.0], [2.0, 1.0]]))
 
@@ -258,8 +286,7 @@ class TestModelSerialization:
         if kind == baselines.TS:
             model = CalibratedModel(baselines.TS, {"T": 2.0, "m": 6})
         else:
-            mode = baselines.MONOTONE_MODES[kind]
-            model = baselines.from_monotone_params(transform.MonotoneParams(np.ones(3), np.arange(3.0), mode, 6))
+            model = baselines.from_monotone_params(transform.MonotoneParams(np.ones(3), np.arange(3.0), 6), kind)
         calls = []
         validate_logits = core.validate_logits
         monkeypatch.setattr(core, "validate_logits", lambda z: calls.append(1) or validate_logits(z))
@@ -268,8 +295,7 @@ class TestModelSerialization:
 
     @pytest.mark.parametrize("kind", ["mcct", "mcct-i"])
     def test_monotone_apply_still_checks_its_logits(self, kind):
-        mode = baselines.MONOTONE_MODES[kind]
-        model = baselines.from_monotone_params(transform.MonotoneParams(np.ones(3), np.arange(3.0), mode, 6))
+        model = baselines.from_monotone_params(transform.MonotoneParams(np.ones(3), np.arange(3.0), 6), kind)
         with pytest.raises(ValueError, match="model was fitted for m=6 classes, data has m=5"):
             model.apply(np.zeros((2, 5)))
         z = np.zeros((2, 6))

@@ -122,6 +122,17 @@ class TestFit:
         assert np.all(np.diff(w) >= 0) and np.all(w > 0)
         assert np.all(np.diff(doc["b"]) >= 0)
 
+    @pytest.mark.parametrize("topk", [None, 3])
+    def test_mcct_i_model_file_writes_the_mcct_scales_as_divisors(self, dataset, tmp_path, topk):
+        docs = {}
+        for method in ("mcct", "mcct-i"):
+            out = str(tmp_path / f"{method}.json")
+            assert run("fit", "--data", dataset, "--method", method, *(("--topk", topk) if topk else ()), "--out", out) == 0
+            docs[method] = json.loads(Path(out).read_text())
+        mcct, mcct_i = docs["mcct"], docs["mcct-i"]
+        assert list(mcct_i) == list(mcct)
+        assert mcct_i == {**mcct, "kind": "mcct-i", "mode": "inverse", "w": [1.0 / v for v in mcct["w"]]}
+
     def test_manifest_has_fit_diagnostics(self, dataset, tmp_path):
         out = str(tmp_path / "model.json")
         run("fit", "--data", dataset, "--method", "mcct-i", "--out", out)
@@ -131,7 +142,7 @@ class TestFit:
         assert manifest["fit"]["final_loss"] > 0
         assert manifest["fit"]["iterations"] >= 1
         z, y = data_io.read_dataset(dataset)
-        result = optim.fit_mcct(z, y, mode="inverse")
+        result = optim.fit_mcct(z, y)
         assert manifest["fit"]["tied_rows"] == result.tied_rows == 0
         assert manifest["fit"]["reordered_rows"] == result.reordered_rows
         assert manifest["fit"]["distinct_labels"] == result.distinct_labels == np.unique(y).size
@@ -410,9 +421,7 @@ def test_a_bad_label_cell_exits_2_without_a_cast_warning(tmp_path, capsys, cell,
 
 class TestEval:
     def test_identity_model_reproduces_uncalibrated_metrics(self, dataset, tmp_path):
-        model = baselines.from_monotone_params(
-            transform.MonotoneParams(w=np.ones(8), b=np.zeros(8), mode="direct", m=8)
-        )
+        model = baselines.from_monotone_params(transform.MonotoneParams(w=np.ones(8), b=np.zeros(8), m=8), "mcct")
         model_path = str(tmp_path / "identity.json")
         model.save(model_path)
         out = str(tmp_path / "report.json")
@@ -434,9 +443,7 @@ class TestEval:
         data_path = str(tmp_path / "tiny.csv")
         data_io.write_dataset(data_path, z, y)
         model_path = str(tmp_path / "identity.json")
-        baselines.from_monotone_params(
-            transform.MonotoneParams(w=np.ones(2), b=np.zeros(2), mode="direct", m=2)
-        ).save(model_path)
+        baselines.from_monotone_params(transform.MonotoneParams(w=np.ones(2), b=np.zeros(2), m=2), "mcct").save(model_path)
         out = str(tmp_path / "report.json")
         assert run("eval", "--data", data_path, "--model", model_path, "--bins", 10, "--out", out) == 0
         assert json.loads(Path(out).read_text())["ece"] == pytest.approx(0.35, abs=1e-9)
@@ -672,6 +679,16 @@ class TestCompare:
             assert doc["mean"][method]["accuracy"] == reference
             assert doc["mean"][method]["prediction_change_rate"] == 0.0
 
+    def test_mcct_and_mcct_i_cells_are_bitwise_equal(self, dataset, tmp_path):
+        out = str(tmp_path / "cmp.json")
+        assert run(
+            "compare", "--data", dataset, "--methods", "mcct,mcct-i", "--split", 0.5, "--runs", 2, "--out", out,
+        ) == 0
+        doc = json.loads(Path(out).read_text())
+        cells = {(c.pop("method"), c["seed"]): c for c in doc["per_seed"]}
+        assert len(cells) == 6 and all(cells["mcct-i", seed] == cells["mcct", seed] for seed in doc["seeds"])
+        assert doc["mean"]["mcct-i"] == doc["mean"]["mcct"]
+
     def test_mcct_and_mcct_i_share_one_solve_per_split(self, dataset, tmp_path, solves):
         out = str(tmp_path / "cmp.json")
         assert run(
@@ -686,7 +703,7 @@ class TestCompare:
         # Each shared cell equals a separate fit and eval of its kind.
         (zc, yc), (zt, yt) = data_io.split_dataset(*data_io.read_dataset(dataset), 0.5, 1)
         for method in ("mcct", "mcct-i"):
-            model = baselines.from_monotone_params(optim.fit_mcct(zc, yc, baselines.MONOTONE_MODES[method]).params)
+            model = baselines.from_monotone_params(optim.fit_mcct(zc, yc).params, method)
             report = metrics.compute_report(model.apply(zt), yt, core.softmax_rows(zt))
             cell = next(c for c in doc["per_seed"] if c["method"] == method and c["seed"] == 1)
             assert cell["nll"] == report.scalars()["nll"]
@@ -816,7 +833,7 @@ class TestFitter:
             assert json.loads(Path(model + ".manifest.json").read_text())["fit"] == record, method
             # Both count every solve of a separate library fit, the ets kinds' temperature included.
             if method in baselines.MONOTONE_MODES:
-                alone = optim.fit_mcct(zc, yc, baselines.MONOTONE_MODES[method])
+                alone = optim.fit_mcct(zc, yc)
                 solver = (alone.iterations, alone.converged)
             else:
                 solver = baselines.fit_baseline(method, zc, yc)._solver or (None, True)

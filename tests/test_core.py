@@ -343,7 +343,7 @@ class TestNonFiniteRows:
         "sort_values": core.sort_values,
         "validate_distinct": core.validate_distinct,
         "order_violations": lambda z: transform.order_violations(
-            z, transform.MonotoneParams(w=np.ones(4), b=np.zeros(4), mode="direct", m=4)
+            z, transform.MonotoneParams(w=np.ones(4), b=np.zeros(4), m=4)
         ),
     }
 

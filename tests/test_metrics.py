@@ -271,10 +271,10 @@ class TestRankingDiagnostics:
         assert diag.prediction_change_rate == 0.0
         assert diag.uncertain_alteration_rate == 0.0
 
-    def test_monotone_map_output(self, overconfident_split, fitted_direct):
+    def test_monotone_map_output(self, overconfident_split, fitted_map):
         _, (zt, _) = overconfident_split
         p_before = core.softmax_rows(zt)
-        p_after = core.softmax_rows(transform.apply_map_topk(zt, fitted_direct.params))
+        p_after = core.softmax_rows(transform.apply_map_topk(zt, fitted_map.params))
         diag = metrics.ranking_diagnostics(p_before, p_after)
         assert diag.prediction_change_rate == 0.0
         assert diag.uncertain_alteration_rate == 0.0
@@ -313,10 +313,10 @@ class TestRankingDiagnostics:
 
 
 class TestReport:
-    def test_full_report_fields(self, overconfident_split, fitted_direct):
+    def test_full_report_fields(self, overconfident_split, fitted_map):
         _, (zt, yt) = overconfident_split
         p_base = core.softmax_rows(zt)
-        p = core.softmax_rows(transform.apply_map_topk(zt, fitted_direct.params))
+        p = core.softmax_rows(transform.apply_map_topk(zt, fitted_map.params))
         report = metrics.compute_report(p, yt, p_base)
         assert 0.0 <= report.ece <= 1.0
         assert report.eq_mass_ece >= 0.0
@@ -403,9 +403,9 @@ class TestStreamedReport:
         z = np.round(2.0 * z) / 2.0
         zc, yc, zt, yt = z[:1000], y[:1000], z[1000:], y[1000:]
         fits = {kind: baselines.fit_baseline(kind, zc, yc) for kind in ("ts", "vs", "hb", "ets-nll", "ets-mse")}
-        for kind, mode in baselines.MONOTONE_MODES.items():
-            fits[kind] = baselines.from_monotone_params(optim.fit_mcct(zc, yc, mode=mode).params)
-        fits["mcct-top3"] = baselines.from_monotone_params(optim.fit_mcct(zc, yc, k=3).params)
+        result = optim.fit_mcct(zc, yc)
+        fits.update({kind: baselines.from_monotone_params(result.params, kind) for kind in baselines.MONOTONE_MODES})
+        fits["mcct-top3"] = baselines.from_monotone_params(optim.fit_mcct(zc, yc, k=3).params, "mcct")
         top = np.sort(zt, axis=1)[:, -3:]
         straddling = (top[:, 1] == top[:, 0]) & ((zt >= top[:, :1]).sum(axis=1) > 3)
         assert straddling.sum() >= 3

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monocal import core, data_io, metrics, optim, transform
+from monocal import baselines, core, data_io, metrics, optim, transform
 
 from conftest import (
     ROW_PATTERNS,
@@ -23,42 +23,32 @@ ORACLE_CASES = [(pattern, k) for pattern in ROW_PATTERNS for k in (3, 8)] + [("o
 
 
 class TestInitParams:
-    def test_direct_is_identity_map(self):
-        params = optim.init_params("direct", 3)
-        assert params.mode == "direct"
+    def test_is_identity_map(self):
+        params = optim.init_params(3)
         assert np.array_equal(params.w, np.ones(3))
         assert np.array_equal(params.b, np.zeros(3))
+        assert params.m == 3 and optim.init_params(3, m=5).m == 5
 
-    def test_inverse_is_ones(self):
-        params = optim.init_params("inverse", 5)
-        assert params.mode == "inverse"
-        assert np.array_equal(params.w, np.ones(5))
-        assert np.array_equal(params.b, np.zeros(5))
-
-    @pytest.mark.parametrize("mode", transform.MODES)
     @pytest.mark.parametrize("k", [2, 3, 10])
-    def test_inits_are_feasible(self, mode, k):
-        params = optim.init_params(mode, k)
+    def test_inits_are_feasible(self, k):
+        params = optim.init_params(k)
         assert optim.constraint_violation(params) == 0.0
 
     def test_rejects_k_below_two(self):
         with pytest.raises(ValueError, match="k >= 2"):
-            optim.init_params("direct", 1)
+            optim.init_params(1)
 
 
 class TestConstraintViolation:
-    def test_oriented_chain_differences(self):
+    def test_chain_differences(self):
         # Duck-typed parameters: MonotoneParams rejects infeasible values.
-        def violation(w, b, mode):
-            params = SimpleNamespace(w=np.array(w), b=np.array(b), mode=mode)
-            return optim.constraint_violation(params)
+        def violation(w, b):
+            return optim.constraint_violation(SimpleNamespace(w=np.array(w), b=np.array(b)))
 
-        assert violation([1.0, 3.0], [0.0, 2.0], "direct") == 0.0
-        assert violation([3.0, 1.0], [0.0, 2.0], "inverse") == 0.0
-        assert violation([3.0, 1.0], [0.0, 2.0], "direct") == 2.0
-        assert violation([1.0, 3.0], [0.0, 2.0], "inverse") == 2.0
-        assert violation([1.0, 3.0], [2.0, 0.5], "direct") == 1.5
-        assert violation([5e-9, 3.0], [0.0, 0.0], "direct") == optim.W_FLOOR - 5e-9
+        assert violation([1.0, 3.0], [0.0, 2.0]) == 0.0
+        assert violation([3.0, 1.0], [0.0, 2.0]) == 2.0
+        assert violation([1.0, 3.0], [2.0, 0.5]) == 1.5
+        assert violation([5e-9, 3.0], [0.0, 0.0]) == optim.W_FLOOR - 5e-9
 
 
 class TestFit:
@@ -66,17 +56,16 @@ class TestFit:
         # Calibrating already-calibrated data should barely change test NLL.
         (zc, yc), (zt, yt) = calibrated_split
         nll_before = core.nll(core.softmax_rows(zt), yt)
-        for mode in transform.MODES:
-            result = optim.fit_mcct(zc, yc, mode=mode)
-            nll_after = core.nll(core.softmax_rows(transform.apply_map_topk(zt, result.params)), yt)
-            assert abs(nll_after - nll_before) / nll_before <= 1e-3
+        result = optim.fit_mcct(zc, yc)
+        nll_after = core.nll(core.softmax_rows(transform.apply_map_topk(zt, result.params)), yt)
+        assert abs(nll_after - nll_before) / nll_before <= 1e-3
 
     def test_recovers_temperature_like_scaling(self):
         # Logits scaled by 2.5: the fit should find a near-constant w around 1/2.5.
         cfg = data_io.SynthConfig(n=15_000, m=10, alpha=0.5, overconfidence=2.5, seed=6)
         z, y, _ = data_io.generate_synthetic(cfg)
         (zc, yc), (zt, yt) = data_io.split_dataset(z, y, 1 / 3, seed=6)
-        result = optim.fit_mcct(zc, yc, mode="direct")
+        result = optim.fit_mcct(zc, yc)
         w = result.params.w
         assert w.max() - w.min() < 0.15
         assert 0.3 <= w.mean() <= 0.5
@@ -84,33 +73,16 @@ class TestFit:
         ece_oracle = metrics.ece(core.softmax_rows(zt / 2.5), yt)[0]
         assert ece_fit <= 2.0 * ece_oracle
 
-    def test_modes_reach_same_loss_small_fixture(self):
-        cfg = data_io.SynthConfig(n=3000, m=8, alpha=0.5, overconfidence=2.0, seed=22)
-        z, y, _ = data_io.generate_synthetic(cfg)
-        direct = optim.fit_mcct(z, y, mode="direct")
-        inverse = optim.fit_mcct(z, y, mode="inverse")
-        assert abs(direct.final_loss - inverse.final_loss) <= 1e-6
-
-    def test_modes_reach_same_loss(self, fitted_direct, fitted_inverse):
-        assert abs(fitted_direct.final_loss - fitted_inverse.final_loss) <= 1e-5
-
-    def test_inverse_is_reciprocal_of_direct_fit(self, fitted_direct, fitted_inverse):
-        assert np.array_equal(fitted_inverse.params.w, 1.0 / fitted_direct.params.w)
-        assert np.array_equal(fitted_inverse.params.b, fitted_direct.params.b)
-        assert fitted_inverse.final_loss == fitted_direct.final_loss
-        assert fitted_inverse.iterations == fitted_direct.iterations
-
-    def test_descent_from_init(self, overconfident_split, fitted_direct):
+    def test_descent_from_init(self, overconfident_split, fitted_map):
         (zc, yc), _ = overconfident_split
-        start = optim.init_params("direct", 10, m=10)
+        start = optim.init_params(10, m=10)
         s, y_pos = np.sort(zc, axis=1), transform.label_positions(zc, yc)
-        init_loss = transform.sorted_nll_objective(s, y_pos, start.w, start.b, start.mode)[0]
-        assert fitted_direct.final_loss <= init_loss
+        init_loss = transform.sorted_nll_objective(s, y_pos, start.w, start.b)[0]
+        assert fitted_map.final_loss <= init_loss
 
-    def test_returned_params_feasible(self, fitted_direct, fitted_inverse):
-        for result in (fitted_direct, fitted_inverse):
-            assert result.constraint_violation == 0.0
-            assert np.all(result.params.w >= optim.W_FLOOR)
+    def test_returned_params_feasible(self, fitted_map):
+        assert fitted_map.constraint_violation == 0.0
+        assert np.all(fitted_map.params.w >= optim.W_FLOOR)
 
     @pytest.mark.parametrize("pattern", ROW_PATTERNS)
     @pytest.mark.parametrize("k", [3, 8])
@@ -121,16 +93,12 @@ class TestFit:
         rng = np.random.default_rng(62)
         z = patterned_logits(rng, 400, 8, k, pattern) * 1.5
         y = np.where(rng.uniform(size=400) < 0.6, z.argmax(axis=1), rng.integers(0, 8, 400))
-        for mode in transform.MODES:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                result = optim.fit_mcct(z, y, mode=mode, k=k, max_iterations=max_iterations)
-            w, b = result.params.w, result.params.b
-            rising_w = w if mode == transform.DIRECT else w[::-1]
-            assert np.all(np.diff(rising_w) >= 0)
-            assert np.all(np.diff(b) >= 0)
-            assert np.all(result.params.in_mode(transform.DIRECT).w >= optim.W_FLOOR)
-            assert result.constraint_violation == 0.0
+        result = _quiet_fit(z, y, k=k, max_iterations=max_iterations)
+        w, b = result.params.w, result.params.b
+        assert np.all(np.diff(w) >= 0)
+        assert np.all(np.diff(b) >= 0)
+        assert np.all(w >= optim.W_FLOOR)
+        assert result.constraint_violation == 0.0
 
     @pytest.mark.parametrize("pattern,k", ORACLE_CASES)
     def test_newton_matches_slsqp_oracle(self, pattern, k):
@@ -152,8 +120,8 @@ class TestFit:
     def test_deterministic(self):
         cfg = data_io.SynthConfig(n=800, m=6, alpha=0.5, overconfidence=2.0, seed=13)
         z, y, _ = data_io.generate_synthetic(cfg)
-        a = optim.fit_mcct(z, y, mode="direct")
-        b = optim.fit_mcct(z, y, mode="direct")
+        a = optim.fit_mcct(z, y)
+        b = optim.fit_mcct(z, y)
         assert np.array_equal(a.params.w, b.params.w)
         assert np.array_equal(a.params.b, b.params.b)
         assert a.final_loss == b.final_loss
@@ -162,7 +130,7 @@ class TestFit:
     def test_topk_fit_reports_dropped(self):
         cfg = data_io.SynthConfig(n=1000, m=12, alpha=0.3, overconfidence=2.0, seed=21)
         z, y, _ = data_io.generate_synthetic(cfg)
-        result = optim.fit_mcct(z, y, mode="direct", k=4)
+        result = optim.fit_mcct(z, y, k=4)
         assert result.params.k == 4
         assert result.params.m == 12
         assert result.dropped_samples > 0
@@ -195,7 +163,7 @@ class TestFit:
         z[5, 2] = z[5, 1]
         y = rng.integers(0, 3, 20)
         with pytest.warns(UserWarning, match="2 rows contain tied logits"):
-            result = optim.fit_mcct(z, y, mode="direct")
+            result = optim.fit_mcct(z, y)
         assert result.tied_rows == 2
         assert result.reordered_rows == transform.order_violations(z, result.params)
 
@@ -217,8 +185,8 @@ class TestFit:
     def test_k_equals_m_matches_default(self):
         cfg = data_io.SynthConfig(n=600, m=5, alpha=0.5, overconfidence=2.0, seed=2)
         z, y, _ = data_io.generate_synthetic(cfg)
-        full = optim.fit_mcct(z, y, mode="direct")
-        explicit = optim.fit_mcct(z, y, mode="direct", k=5)
+        full = optim.fit_mcct(z, y)
+        explicit = optim.fit_mcct(z, y, k=5)
         assert np.array_equal(full.params.w, explicit.params.w)
         assert np.array_equal(full.params.b, explicit.params.b)
 
@@ -226,7 +194,7 @@ class TestFit:
         rng = np.random.default_rng(0)
         z = rng.normal(0, 1, (20, 3))
         with pytest.warns(UserWarning, match="identical"):
-            result = optim.fit_mcct(z, np.zeros(20, dtype=int), mode="direct")
+            result = optim.fit_mcct(z, np.zeros(20, dtype=int))
         assert result.distinct_labels == 1
 
     def test_warns_on_tied_logits(self):
@@ -235,7 +203,7 @@ class TestFit:
         z[0, 0] = z[0, 1]
         y = rng.integers(0, 3, 20)
         with pytest.warns(UserWarning, match="tied logits"):
-            optim.fit_mcct(z, y, mode="direct")
+            optim.fit_mcct(z, y)
 
     def test_iteration_cap_reports_nonconvergence(self):
         cfg = data_io.SynthConfig(n=500, m=6, alpha=0.5, overconfidence=2.5, seed=3)
@@ -251,11 +219,10 @@ class TestFit:
         cfg = data_io.SynthConfig(n=500, m=6, alpha=0.5, overconfidence=1.0, seed=3)
         z, y, _ = data_io.generate_synthetic(cfg)
         uncalibrated = core.nll(core.softmax_rows(z), y)
-        for mode in transform.MODES:
-            result = optim.fit_mcct(z, y, mode=mode, max_iterations=1)
-            p = core.softmax_rows(transform.apply_map_topk(z, result.params))
-            assert core.nll(p, y) <= uncalibrated
-            assert result.final_loss <= result.initial_loss
+        result = optim.fit_mcct(z, y, max_iterations=1)
+        p = core.softmax_rows(transform.apply_map_topk(z, result.params))
+        assert core.nll(p, y) <= uncalibrated
+        assert result.final_loss <= result.initial_loss
 
     def test_overflowing_hessian_is_not_convergence(self):
         # s**2 overflows, so the Hessian holds NaNs and no step lowers the
@@ -283,19 +250,11 @@ class TestFit:
         with pytest.raises(ValueError, match="2 <= k <= m"):
             optim.fit_mcct(z, y, k=5)
 
-    def test_rejects_unknown_mode(self):
-        rng = np.random.default_rng(4)
-        z = rng.normal(0, 1, (10, 4))
-        y = rng.integers(0, 4, 10)
-        with pytest.raises(ValueError, match="mode must be one of"):
-            optim.fit_mcct(z, y, mode="Inverse")
-
-    @pytest.mark.parametrize("mode", transform.MODES)
-    def test_rejects_labels_all_outside_the_top_k(self, mode):
+    def test_rejects_labels_all_outside_the_top_k(self):
         # Every label is its row's smallest logit, which a top-3 fit of 4 classes drops.
         z = np.random.default_rng(4).normal(0, 1, (10, 4))
         with pytest.raises(ValueError, match="every sample's true class fell outside the top k ranks"):
-            optim.fit_mcct(z, z.argmin(axis=1), mode=mode, k=3)
+            optim.fit_mcct(z, z.argmin(axis=1), k=3)
 
     def test_rejects_nonpositive_max_iterations(self):
         rng = np.random.default_rng(4)
@@ -304,9 +263,8 @@ class TestFit:
         with pytest.raises(ValueError, match="max_iterations must be >= 1"):
             optim.fit_mcct(z, y, max_iterations=0)
 
-    @pytest.mark.parametrize("mode", transform.MODES)
     @pytest.mark.parametrize("k", [None, 3])
-    def test_objective_is_evaluated_only_by_the_solver(self, monkeypatch, mode, k):
+    def test_objective_is_evaluated_only_by_the_solver(self, monkeypatch, k):
         # One gradient evaluation at the start and one per accepted step; the
         # reported losses are the solver's, at the identity map and at the
         # returned parameters.
@@ -316,24 +274,23 @@ class TestFit:
         orders = []
 
         def counted(*args, **kwargs):
-            orders.append(args[5] if len(args) > 5 else kwargs.get("order", 1))
+            orders.append(args[4] if len(args) > 4 else kwargs.get("order", 1))
             return objective(*args, **kwargs)
 
         monkeypatch.setattr(optim, "sorted_nll_objective", counted)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            result = optim.fit_mcct(z, y, mode=mode, k=k)
+            result = optim.fit_mcct(z, y, k=k)
         assert result.iterations >= 1
         assert sum(order >= 1 for order in orders) == result.iterations + 1
         params = result.params
         s, pos, _ = transform.truncate_training_set(np.sort(z, axis=1), transform.label_positions(z, y), params.k)
-        assert result.initial_loss == objective(s, pos, np.ones(params.k), np.zeros(params.k), "direct", 0)
-        if mode == transform.DIRECT:  # inverse mode's 1 / (1 / w) may round
-            assert result.final_loss == objective(s, pos, params.w, params.b, "direct", 0)
+        assert result.initial_loss == objective(s, pos, np.ones(params.k), np.zeros(params.k), 0)
+        assert result.final_loss == objective(s, pos, params.w, params.b, 0)
 
 
 def _reordering_problem():
-    """Negative logits on which a 3-step mcct-i fit reorders about half the rows."""
+    """Negative logits on which a 3-step fit reorders about half the rows."""
     rng = np.random.default_rng(0)
     z = rng.normal(0, 2, (300, 6)) - 3.0
     return z, np.where(rng.uniform(size=300) < 0.5, z.argmax(axis=1), rng.integers(0, 6, 300))
@@ -349,7 +306,7 @@ class TestBlockedWalk:
     """The fit prepares its sorted block, tie count, label ranks and reorder count one row block at a time."""
 
     BLOCK_CASES = [(pattern, {"k": k}) for pattern in ROW_PATTERNS for k in (3, 8)] + [
-        ("reordering", {"mode": transform.INVERSE, "max_iterations": 3}),
+        ("reordering", {"max_iterations": 3}),
     ]
 
     @staticmethod
@@ -481,8 +438,7 @@ class TestReorderCount:
         top = optim._kept_columns(np.sort(z, axis=1), params.k)
         return transform.order_violations(top, dataclasses.replace(params, m=top.shape[1]))
 
-    @pytest.mark.parametrize("mode", transform.MODES)
-    def test_reversal_below_a_straddling_tie_group_is_counted(self, mode):
+    def test_reversal_below_a_straddling_tie_group_is_counted(self):
         # m = 4, k = 2: in the first two rows sorted ranks 1-3 tie at -1, so
         # the only reversed pair, ranks 0 and 3 (-2 and -1 map to -0.2 and -5
         # in the first row), starts below the tie group that straddles rank
@@ -492,7 +448,7 @@ class TestReorderCount:
         z = np.array([[-1.0, -2.0, -1.0, -1.0], [-1.0, -1.5, -1.0, -1.0], [3.0, 1.0, 2.0, 0.0], [-1.0] * 4])
         kept = optim._kept_columns(np.sort(z, axis=1), 2)
         assert kept.tolist() == [[-2.0, -1.0, -1.0], [-1.5, -1.0, -1.0], [1.0, 2.0, 3.0], [-1.0, -1.0, -1.0]]
-        params = transform.MonotoneParams(w=[0.1, 5.0], b=[0.0, 0.0], mode=transform.DIRECT, m=4).in_mode(mode)
+        params = transform.MonotoneParams(w=[0.1, 5.0], b=[0.0, 0.0], m=4)
         assert self.count(z, params) == transform.order_violations(z, params) == 2
         assert self.count(z[2:], params) == 0
 
@@ -501,17 +457,15 @@ class TestReorderCount:
         st.integers(0, 2**32 - 1),
         st.integers(2, 12),
         st.integers(0, 10),
-        st.sampled_from(transform.MODES),
     )
-    def test_matches_the_whole_row_count(self, seed, m, cut, mode):
+    def test_matches_the_whole_row_count(self, seed, m, cut):
         # Half-rounded logits put tie groups anywhere, straddling rank m - k
         # among them; negative values give the map pairs to reverse.
         rng = np.random.default_rng(seed)
         k = max(m - cut, 2)
         z = np.round(rng.normal(-1.0, 2.0, (int(rng.integers(1, 40)), m)) * 2) / 2
         w = np.sort(rng.uniform(0.05, 5.0, k))
-        params = transform.MonotoneParams(w=w, b=np.sort(rng.normal(0.0, 1.0, k)), mode=transform.DIRECT, m=m)
-        params = params.in_mode(mode)
+        params = transform.MonotoneParams(w=w, b=np.sort(rng.normal(0.0, 1.0, k)), m=m)
         assert self.count(z, params) == transform.order_violations(z, params)
         # Only the lowest kept column differs from the sorted rows, and only below the cut.
         ordered = np.sort(z, axis=1)
@@ -525,14 +479,15 @@ class TestReorderCount:
                 below = row[row < row[lo + 1]]
                 assert value == (below.max() if below.size else row[lo + 1])
 
-    @pytest.mark.parametrize("mode", transform.MODES)
-    def test_row_constant_logits(self, mode):
+    def test_row_constant_logits(self):
         # Every row straddles the cut; none is reordered, all are tied.
-        result = _quiet_fit(np.zeros((50, 5)), np.arange(50) % 5, mode=mode, k=2)
+        result = _quiet_fit(np.zeros((50, 5)), np.arange(50) % 5, k=2)
         assert (result.reordered_rows, result.tied_rows, result.dropped_samples) == (0, 50, 30)
 
 
-class TestModes:
+class TestKinds:
+    """mcct and mcct-i wrap one fit; only an mcct-i model file writes its scales as divisors."""
+
     @staticmethod
     def problem(case):
         if case == "reordering":
@@ -543,20 +498,21 @@ class TestModes:
         return z, np.where(rng.uniform(size=300) < 0.7, z.argmax(axis=1), rng.integers(0, 8, 300)), {"k": 3}
 
     @pytest.mark.parametrize("case", ["reordering", "straddling"])
-    def test_inverse_fit_is_the_direct_fit_in_divisors(self, case):
+    def test_mcct_i_is_the_mcct_fit_in_divisors(self, case):
         z, y, fit_args = self.problem(case)
         if case == "straddling":
             top = np.sort(z, axis=1)[:, z.shape[1] - fit_args["k"] - 1 :]
             assert (top[:, 0] == top[:, 1]).any()
-        direct = _quiet_fit(z, y, mode=transform.DIRECT, **fit_args)
-        inverse = _quiet_fit(z, y, mode=transform.INVERSE, **fit_args)
-        assert direct.reordered_rows > 0
-        expected = direct.params.in_mode(transform.INVERSE)
-        assert inverse.params.mode == expected.mode and inverse.params.m == expected.m
-        assert inverse.params.w.tobytes() == expected.w.tobytes()
-        assert inverse.params.b.tobytes() == expected.b.tobytes()
-        fields = [f.name for f in dataclasses.fields(optim.FitResult) if f.name != "params"]
-        assert [getattr(inverse, f) for f in fields] == [getattr(direct, f) for f in fields]
+        result = _quiet_fit(z, y, **fit_args)
+        assert result.reordered_rows > 0
+        mcct, mcct_i = (baselines.from_monotone_params(result.params, kind) for kind in baselines.MONOTONE_MODES)
+        assert mcct_i.apply(z).tobytes() == mcct.apply(z).tobytes()
+        doc = mcct_i.to_json()
+        assert doc["w"] == [1.0 / v for v in result.params.w] and doc["b"] == mcct.to_json()["b"]
+        # Read back, each divisor's reciprocal is the fitted scale up to rounding.
+        back = baselines.CalibratedModel.from_json(doc).payload["params"]
+        np.testing.assert_allclose(back.w, result.params.w, rtol=1e-15, atol=0)
+        assert back.b.tobytes() == result.params.b.tobytes()
 
 
 class TestIncrementHessian:
@@ -575,7 +531,7 @@ class TestIncrementHessian:
 
             def derivatives(x, order):
                 w, b = np.cumsum(x[:k]), np.concatenate([[0.0], np.cumsum(x[k:])])
-                _, gw, gb, *hess = transform.sorted_nll_objective(S.T, pos, w, b, "direct", order)
+                _, gw, gb, *hess = transform.sorted_nll_objective(S.T, pos, w, b, order)
                 grad = optim._reverse_cumsum(np.concatenate([gw, gb[1:]]), k, 0)
                 return grad, *(optim._reverse_cumsum(optim._reverse_cumsum(h, k, 0), k, 1) for h in hess)
 
