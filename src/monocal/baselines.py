@@ -207,7 +207,8 @@ def _monotone_payload(doc):
     if mode == "inverse":
         if np.any(w <= 0):
             raise ValueError("every scale entry must be strictly positive")
-        w = 1.0 / w
+        with np.errstate(over="ignore"):  # a subnormal divisor's infinite scale is refused as not finite
+            w = 1.0 / w
     params = MonotoneParams(w=w, b=b, m=doc["m"])
     if params.k != doc["k"]:
         raise ValueError(f"declared k={doc['k']} does not match len(w)={params.k}")

@@ -255,14 +255,45 @@ class TestModelSerialization:
         ({"w": [2.0, 0.0]}, "every scale entry must be strictly positive"),
         ({"w": [-0.0, -1.0]}, "every scale entry must be strictly positive"),
         ({"w": [1.0, -2.0]}, "every scale entry must be strictly positive"),
-    ], ids=["declared-k", "unknown-mode", "rising-divisors", "zero-divisor", "negative-zero-divisor", "negative-divisor"])
+        ({"w": [float("nan"), 1.0]}, "parameters must be finite"),
+        ({"w": [float("inf"), 1.0]}, "every scale entry must be strictly positive"),
+        ({"w": [1e-310, 1e-311]}, "parameters must be finite"),
+    ], ids=[
+        "declared-k", "unknown-mode", "rising-divisors", "zero-divisor", "negative-zero-divisor", "negative-divisor",
+        "nan-divisor", "infinite-divisor", "subnormal-divisor",
+    ])
     def test_malformed_divisor_document_is_refused(self, changes, message):
-        # A divisor is checked before its reciprocal is taken: no divide-by-zero warning.
+        # A divisor is checked before its reciprocal is taken: no divide-by-zero
+        # warning, and no overflow warning for a subnormal divisor.
         doc = {"kind": "mcct-i", "mode": "inverse", "m": 4, "k": 2, "w": [2.0, 1.0], "b": [0.0, 1.0], **changes}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=message):
                 CalibratedModel.from_json(doc)
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"k": 3}, r"declared k=3 does not match len\(w\)=2"),
+        ({"w": [2.0, 0.5]}, "w must be non-decreasing"),
+        ({"w": [0.0, 1.0]}, "every scale entry must be strictly positive"),
+        ({"b": [1.0, 0.0]}, "b must be non-decreasing"),
+        ({"b": [0.0, float("inf")]}, "parameters must be finite"),
+    ], ids=["declared-k", "falling-scales", "zero-scale", "falling-biases", "infinite-bias"])
+    def test_malformed_direct_document_is_refused(self, changes, message):
+        # A direct document's w holds the scales themselves, checked as MonotoneParams checks them.
+        doc = {"kind": "mcct", "mode": "direct", "m": 4, "k": 2, "w": [0.5, 2.0], "b": [0.0, 1.0], **changes}
+        with pytest.raises(ValueError, match=message):
+            CalibratedModel.from_json(doc)
+
+    def test_divisor_document_applies_the_reciprocal_scales(self):
+        # Divisors (2, 0.5) are the scales (0.5, 2) on the top two ranks; the
+        # lowest rank takes the first pair.
+        doc = {"kind": "mcct-i", "mode": "inverse", "m": 3, "k": 2, "w": [2.0, 0.5], "b": [-1.0, 1.0]}
+        direct = {**doc, "kind": "mcct", "mode": "direct", "w": [0.5, 2.0]}
+        z = np.array([[1.0, -3.0, 4.0], [-2.0, 0.5, -1.0]])
+        out = CalibratedModel.from_json(doc).apply(z)
+        assert out.tobytes() == CalibratedModel.from_json(direct).apply(z).tobytes()
+        want = core.softmax_rows(np.array([[-0.5, -2.5, 9.0], [-2.0, 2.0, -1.5]]))
+        np.testing.assert_allclose(out, want, rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize("kind, mode", [("mcct", "inverse"), ("mcct-i", "direct")])
     def test_kind_mode_mismatch_rejected(self, kind, mode):

@@ -34,6 +34,11 @@ class TestInitParams:
         params = optim.init_params(k)
         assert optim.constraint_violation(params) == 0.0
 
+    def test_top_k_init_applies_as_identity(self):
+        # With k < m the lower ranks take the first (unit, zero) pair too.
+        z = np.random.default_rng(22).normal(0, 2, (50, 6))
+        assert transform.apply_map_topk(z, optim.init_params(3, m=6)).tobytes() == z.tobytes()
+
     def test_rejects_k_below_two(self):
         with pytest.raises(ValueError, match="k >= 2"):
             optim.init_params(1)

@@ -210,6 +210,36 @@ class TestObjective:
             assert full[0] == got[0] == transform.sorted_nll_objective(S.T, pos, w, b, order=0)
             assert all(np.array_equal(g, f) for g, f in zip(got[1:], full[1:3]))
 
+    def test_common_bias_shift_changes_nothing(self):
+        # The softmax ignores a shift shared by every b entry, which is why the
+        # Hessian leaves b[0] out; the b gradient sums to zero.
+        rng = np.random.default_rng(20)
+        s = np.sort(rng.normal(0, 2, (40, 5)), axis=1)
+        pos = rng.integers(0, 5, 40)
+        w = np.sort(rng.uniform(0.2, 3.0, 5))
+        b = np.sort(rng.normal(0, 0.5, 5))
+        base = transform.sorted_nll_objective(s, pos, w, b)
+        shifted = transform.sorted_nll_objective(s, pos, w, b + 1.75)
+        assert shifted[0] == pytest.approx(base[0], rel=1e-13)
+        for g, h in zip(base[1:], shifted[1:]):
+            np.testing.assert_allclose(h, g, rtol=1e-12, atol=1e-15)
+        assert abs(base[2].sum()) <= 1e-15
+
+    def test_unsorted_blocks_and_signed_scales(self):
+        # Vector scaling passes its logits unsorted, with scales of any sign;
+        # the objective agrees with the row-major reference there too.
+        rng = np.random.default_rng(21)
+        for _ in range(10):
+            n, m = int(rng.integers(2, 200)), int(rng.integers(2, 8))
+            s = rng.normal(0, 3, (n, m))
+            pos = rng.integers(0, m, n)
+            w, b = rng.normal(0, 2, m), rng.normal(0, 1, m)
+            got = transform.sorted_nll_objective(s, pos, w, b)
+            want = reference_nll_objective(s, pos, w, b)
+            assert got[0] == pytest.approx(want[0], rel=1e-12, abs=1e-12)
+            for g, r in zip(got[1:], want[1:]):
+                np.testing.assert_allclose(g, r, rtol=1e-12, atol=1e-12)
+
     def test_hessian_matches_finite_differences(self):
         # The Hessian over (w, b[1:]) against central differences of the
         # analytic gradient, at random feasible points (as criterion 2 does
