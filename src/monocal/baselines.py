@@ -15,10 +15,12 @@ scaling and histogram binning may change it.
 
 Every iterative fit here runs the monotone maps' solver, projected Newton on
 the exact Hessian (:func:`monocal.optim._projected_newton`), on a convex
-objective: temperature scaling on ``1 / T``, vector scaling on its scales
-and biases, and ensemble NLL scaling on its weights.  Ensemble MSE scaling
-is a quadratic in three weights, solved exactly.  Every sum runs in a fixed
-order, so the fits do not depend on the BLAS thread count.
+objective: temperature scaling on ``1 / T`` (the monotone fit's first stage,
+:func:`monocal.optim.fit_temperature`), vector scaling on its scales and
+biases from the fitted temperature, and ensemble NLL scaling on its
+weights.  Ensemble MSE scaling is a quadratic in three weights, solved
+exactly.  Every sum runs in a fixed order, so the fits do not depend on the
+BLAS thread count.
 """
 
 import itertools
@@ -27,7 +29,7 @@ import json
 import numpy as np
 
 from . import core, data_io, metrics, optim
-from .transform import MonotoneParams, apply_map_topk, softmax_nll, sorted_nll_objective
+from .transform import MonotoneParams, apply_map_topk, sorted_nll_objective
 
 MCCT = "mcct"
 MCCT_I = "mcct-i"
@@ -53,8 +55,6 @@ _JSON_FIELDS = {
 }
 # The JSON types of a document's scalar fields, compared exactly: bool is a subclass of int.
 _SCALAR_TYPES = {"kind": (str,), "m": (int,), "k": (int,), "T": (int, float)}
-# Temperature scaling fits beta = 1 / T within these bounds: T in [1e-3, 1e3].
-BETA_MIN, BETA_MAX = 1e-3, 1e3
 
 
 class CalibratedModel:
@@ -62,9 +62,11 @@ class CalibratedModel:
 
     ``kind`` discriminates the method; ``payload`` holds its parameters
     (plain floats/arrays, or, for the monotone-map kinds,
-    :class:`MonotoneParams` under ``"params"`` and the mode its document
-    writes ``w`` in under ``"mode"``).  Serializes to a flat JSON document
-    with a ``kind`` field.
+    :class:`MonotoneParams` under ``"params"``, the mode its document
+    writes ``w`` in under ``"mode"`` and, for an inverse document read from
+    JSON, its divisors as read under ``"divisors"``).  Serializes to a flat
+    JSON document with a ``kind`` field; a document read and written again
+    is written as it was read.
     """
 
     def __init__(self, kind, payload):
@@ -130,7 +132,7 @@ class CalibratedModel:
     def to_json(self):
         if self.kind in MONOTONE_MODES:
             params, mode = self.payload["params"], self.payload["mode"]
-            w = params.w if mode == "direct" else 1.0 / params.w
+            w = params.w if mode == "direct" else self.payload.get("divisors", 1.0 / params.w)
             return {
                 "kind": self.kind,
                 "mode": mode,
@@ -197,22 +199,25 @@ def _monotone_payload(doc):
     """The payload of a monotone-map document: its map and the mode it writes ``w`` in.
 
     An inverse document's ``w`` holds divisors, each checked to be positive
-    before it is turned into the scale ``1 / w``.  The mode, not the kind,
-    decides this, so a document whose mode disagrees with its kind loads
-    (and is refused on apply).
+    before it is turned into the scale ``1 / w``; the payload keeps them as
+    read, because ``1 / (1 / v)`` is not always ``v``.  The mode, not the
+    kind, decides this, so a document whose mode disagrees with its kind
+    loads (and is refused on apply).
     """
     mode, w, b = doc["mode"], json_floats(doc, "w"), json_floats(doc, "b")
     if mode not in MONOTONE_MODES.values():
         raise ValueError(f"mode must be one of {tuple(MONOTONE_MODES.values())}, got {mode!r}")
+    payload = {"mode": mode}
     if mode == "inverse":
         if np.any(w <= 0):
             raise ValueError("every scale entry must be strictly positive")
+        payload["divisors"] = w
         with np.errstate(over="ignore"):  # a subnormal divisor's infinite scale is refused as not finite
             w = 1.0 / w
     params = MonotoneParams(w=w, b=b, m=doc["m"])
     if params.k != doc["k"]:
         raise ValueError(f"declared k={doc['k']} does not match len(w)={params.k}")
-    return {"params": params, "m": params.m, "mode": mode}
+    return {"params": params, "m": params.m, **payload}
 
 
 def from_monotone_params(params, kind):
@@ -221,7 +226,11 @@ def from_monotone_params(params, kind):
 
 
 def _solved(model, *solves):
-    """``model`` with its fit's Newton solves, each ``(iterations, converged)``, summed and kept as ``_solver``."""
+    """``model`` with its fit's Newton solves, each ``(iterations, converged)``, summed and kept as ``_solver``.
+
+    A ``None`` solve, that of a model built from given parameters, counts no steps.
+    """
+    solves = [solve for solve in solves if solve is not None]
     if solves:
         model._solver = (sum(i for i, _ in solves), all(c for _, c in solves))
     return model
@@ -230,47 +239,33 @@ def _solved(model, *solves):
 def fit_ts(z, y):
     """Fit temperature scaling: the scalar T > 0 minimizing mean NLL of softmax(z / T).
 
-    The loss is convex in ``beta = 1 / T``, which is fitted by projected
-    Newton from ``beta = 1``: its derivatives are the mean over samples of
-    ``E_p[z] - z_y`` and of ``Var_p(z)``, ``p`` being the row softmax of
-    ``z * beta``.  The solver bounds ``beta`` below by ``BETA_MIN``; its
-    point is capped at ``BETA_MAX``, and ``BETA_MAX`` itself is taken when
-    its loss is lower.  So on a calibration set that the logits separate,
-    where the loss falls as T falls, T is its bound ``1 / BETA_MAX``.  Logits
-    constant within each row leave the loss flat, and T stays 1.
+    ``beta = 1 / T`` is :func:`monocal.optim.fit_temperature`'s, on the
+    class-major transpose of ``z``: projected Newton from ``beta = 1``
+    within ``[optim.BETA_MIN, optim.BETA_MAX]``.  So on a calibration set
+    that the logits separate, where the loss falls as T falls, T is its
+    bound ``1 / BETA_MAX``.  Logits constant within each row leave the loss
+    flat, and T stays 1.
     """
     z, y = core.validate_dataset(z, y)
     n, m = z.shape
-    s = np.ascontiguousarray(z.T)
-    label = y * n + np.arange(n)  # flat index of each sample's target in s
-
-    def evaluate(x, order):
-        loss, p, total = softmax_nll(s * x[0], label)
-        if order == 0:
-            return loss
-        p /= total
-        mean = np.einsum("ij,ij->j", p, s)
-        grad = np.array([(mean - s.ravel()[label]).mean()])
-        if order == 1:
-            return loss, grad
-        centred = s - mean
-        return loss, grad, np.array([[np.einsum("ij,ij,ij->", p, centred, centred) / n]])
-
-    x, _, loss, *solve = optim._projected_newton(evaluate, np.ones(1), np.full(1, BETA_MIN), optim.MAX_ITERATIONS)
-    beta = BETA_MAX if x[0] >= BETA_MAX or evaluate(np.full(1, BETA_MAX), 0) < loss else x[0]
+    beta, _, *solve = optim.fit_temperature(np.ascontiguousarray(z.T), y * n + np.arange(n))
     return _solved(CalibratedModel(TS, {"T": 1.0 / beta, "m": m}), solve)
 
 
-def fit_vs(z, y):
+def fit_vs(z, y, ts=None):
     """Fit vector scaling: per-class scale and bias minimizing mean NLL.
 
-    Newton with no bounds on ``(scale, bias[1:])`` from the identity map,
-    on the exact Hessian of :func:`~monocal.transform.sorted_nll_objective`
-    (``z * scale + bias`` is a rank map's formula applied by class).
+    Newton with no bounds on ``(scale, bias[1:])``, on the exact Hessian of
+    :func:`~monocal.transform.sorted_nll_objective` (``z * scale + bias`` is
+    a rank map's formula applied by class).  It starts from temperature
+    scaling, every scale ``1 / T`` and every bias 0, with ``T`` that of
+    ``ts``, the set's fitted temperature-scaling model if given, else of
+    :func:`fit_ts`; either way the fit's solves include the temperature's.
     ``bias[0]`` is pinned at 0: a common shift of the biases leaves the
     softmax unchanged.  The Hessian has ``(2m - 1)**2`` entries, so one
     iteration costs of order ``n * m**2``.
     """
+    ts = ts or fit_ts(z, y)
     z, y = core.validate_dataset(z, y)
     n, m = z.shape
     # The objective works on a class-major block and does not copy this view of it.
@@ -279,17 +274,20 @@ def fit_vs(z, y):
     def params_of(x):
         return x[:m], np.concatenate([[0.0], x[m:]])
 
-    def evaluate(x, order):
-        out = sorted_nll_objective(s, y, *params_of(x), order)
-        if order == 0:
-            return out
-        loss, grad_w, grad_b, *hess = out
-        return (loss, np.concatenate([grad_w, grad_b[1:]]), *hess)
+    def evaluate(x):
+        scale, bias = params_of(x)
+        loss, derivatives = sorted_nll_objective(s, y, scale, bias, None)
 
-    x0 = np.concatenate([np.ones(m), np.zeros(m - 1)])
+        def joined(order):
+            grad_w, grad_b, *hess = derivatives(order)
+            return (np.concatenate([grad_w, grad_b[1:]]), *hess)
+
+        return loss, joined
+
+    x0 = np.concatenate([np.full(m, 1.0 / ts.payload["T"]), np.zeros(m - 1)])
     x, _, _, *solve = optim._projected_newton(evaluate, x0, np.full(2 * m - 1, -np.inf), optim.MAX_ITERATIONS)
     scale, bias = params_of(x)
-    return _solved(CalibratedModel(VS, {"scale": scale.copy(), "bias": bias, "m": m}), solve)
+    return _solved(CalibratedModel(VS, {"scale": scale.copy(), "bias": bias, "m": m}), ts._solver, solve)
 
 
 def ensemble_terms(z, y, ts):
@@ -320,16 +318,15 @@ def _ensemble_nll_weights(true):
     """
     n = true.shape[0]
 
-    def evaluate(v, order):
+    def evaluate(v):
         mix = np.maximum(np.einsum("ij,j->i", true, v), core.LOG_FLOOR)
-        loss = float(v.sum() - np.log(mix).mean())
-        if order == 0:
-            return loss
-        ratio = true / mix[:, None]
-        grad = 1.0 - ratio.mean(axis=0)
-        if order == 1:
-            return loss, grad
-        return loss, grad, np.einsum("ij,ik->jk", ratio, ratio) / n
+
+        def derivatives(order):
+            ratio = true / mix[:, None]
+            grad = 1.0 - ratio.mean(axis=0)
+            return (grad,) if order == 1 else (grad, np.einsum("ij,ik->jk", ratio, ratio) / n)
+
+        return float(v.sum() - np.log(mix).mean()), derivatives
 
     v, _, _, *solve = optim._projected_newton(evaluate, np.full(3, 1.0 / 3.0), np.zeros(3), optim.MAX_ITERATIONS)
     return v, solve

@@ -37,28 +37,41 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
+def _once():
+    """``once(key, compute)``: ``compute()``'s result, computed once per key and then shared.
+
+    A per-key lock makes a later caller wait for a computation in progress,
+    not repeat it, on whichever thread it runs.
+    """
+    shared, locks = {}, {}
+
+    def once(key, compute):
+        with locks.setdefault(key, threading.Lock()):  # one atomic dict call
+            if key not in shared:
+                shared[key] = compute()
+        return shared[key]
+
+    return once
+
+
 def _fitter(max_iterations, trace=None, threads=1):
     """``fit(key, method, z, y, topk=None)``: a fitted model and its diagnostics, sharing one solve per key.
 
     A key names one calibration set and ``topk``.  mcct-i is the mcct solve,
     whose model file writes its scales as divisors, and both report the
-    ``optim.FitResult`` fields other than the parameters.  ts and both ets
-    kinds share one temperature, and the two ets kinds share the ensemble's
-    terms (``baselines.ensemble_terms``).  A baseline reports its
-    calibration NLL and the iterations and convergence of the Newton solves
-    that fitted it (null and true for hb, which runs none).  A per-key lock
-    makes a later method wait for a shared solve, not repeat it.
-    ``topk``, ``max_iterations``, ``trace`` (which receives the per-iterate
-    solver records) and ``threads`` (of the fit's row-block walks) only
-    affect mcct/mcct-i.
+    ``optim.FitResult`` fields other than the parameters.  ts, vs and both
+    ets kinds share one temperature (``baselines.fit_ts``), which vs starts
+    from, and the two ets kinds share the ensemble's terms
+    (``baselines.ensemble_terms``).  A baseline reports its calibration NLL
+    and the iterations and convergence of the Newton solves that fitted it,
+    the shared temperature's included (null and true for hb, which runs
+    none).  A later method waits for a shared solve rather than repeat it
+    (``_once``).  ``topk``, ``max_iterations`` (the steps of the temperature
+    and map stages together), ``trace`` (which receives the per-iterate
+    records of both stages) and ``threads`` (of the fit's row-block walks)
+    only affect mcct/mcct-i.
     """
-    shared, locks = {}, {}
-
-    def once(key, solve):
-        with locks.setdefault(key, threading.Lock()):  # one atomic dict call
-            if key not in shared:
-                shared[key] = solve()
-        return shared[key]
+    once = _once()
 
     def fit(key, method, z, y, topk=None):
         if method in baselines.MONOTONE_MODES:
@@ -67,9 +80,11 @@ def _fitter(max_iterations, trace=None, threads=1):
             ))
             info = {f.name: getattr(result, f.name) for f in dataclasses.fields(result) if f.name != "params"}
             return baselines.from_monotone_params(result.params, method), info
-        if method in (baselines.TS, *baselines.ENSEMBLE_LOSSES):
+        if method in (baselines.TS, baselines.VS, *baselines.ENSEMBLE_LOSSES):
             model = ts = once((key, baselines.TS), lambda: baselines.fit_ts(z, y))
-            if method != baselines.TS:
+            if method == baselines.VS:
+                model = baselines.fit_vs(z, y, ts)
+            elif method != baselines.TS:
                 terms = once((key, "ets"), lambda: baselines.ensemble_terms(z, y, ts))
                 model = baselines.fit_ets(z, y, baselines.ENSEMBLE_LOSSES[method], terms)
         else:
@@ -78,6 +93,11 @@ def _fitter(max_iterations, trace=None, threads=1):
         return model, {"final_loss": core.nll(model.apply(z), y), "iterations": iterations, "converged": converged}
 
     return fit
+
+
+def _applied_kind(method):
+    """The kind whose map ``method``'s model applies: mcct-i applies the mcct map, so the two share one test report."""
+    return baselines.MCCT if method in baselines.MONOTONE_MODES else method
 
 
 class _Stopwatch:
@@ -122,8 +142,9 @@ def _run_cells(cells, worker, threads):
 
     Results are collected by cell index, so output order and content do not
     depend on scheduling.  Failures are captured per cell as strings.  The
-    mcct-i cells start last, so they find the solve they share with mcct
-    (see ``_fitter``) done rather than wait on it.
+    mcct-i cells start last, so they find the solve and the test report they
+    share with mcct (see ``_fitter`` and ``_applied_kind``) done rather than
+    wait on them.
     """
     results = [None] * len(cells)
     order = sorted(range(len(cells)), key=lambda i: baselines.MCCT_I in cells[i])
@@ -265,7 +286,7 @@ def cmd_compare(args):
 
     splits = {seed: data_io.split_dataset(z, y, args.split, seed) for seed in seeds}
     bases = {seed: metrics._top_labels(core.softmax_rows, *splits[seed][1]) for seed in seeds}
-    fit = _fitter(args.max_iterations)
+    fit, evaluated = _fitter(args.max_iterations), _once()
     clock.lap("split")
 
     def run_cell(method, seed):
@@ -273,7 +294,8 @@ def cmd_compare(args):
         if method == UNCALIBRATED:
             return _report(bases[seed], yt, bases[seed], args.bins), None
         model, info = fit(seed, method, zc, yc)
-        return _report(metrics._top_labels(model.apply, zt, yt), yt, bases[seed], args.bins), info
+        key = (seed, _applied_kind(method))
+        return evaluated(key, lambda: _report(metrics._top_labels(model.apply, zt, yt), yt, bases[seed], args.bins)), info
 
     all_methods = [UNCALIBRATED] + args.methods
     header = ["method", "seed"] + list(SCALAR_COLUMNS) + ["status"]
@@ -329,7 +351,7 @@ def cmd_sweep_size(args):
     (zc, yc), (zt, yt) = data_io.split_dataset(z, y, args.split, args.seed)
     base = metrics._top_labels(core.softmax_rows, zt, yt)
     n_cal = zc.shape[0]
-    fit = _fitter(args.max_iterations)
+    fit, evaluated = _fitter(args.max_iterations), _once()
     clock.lap("split")
 
     def run_cell(fraction, seed, method):
@@ -341,9 +363,13 @@ def cmd_sweep_size(args):
         else:
             idx = np.random.default_rng(seed).permutation(n_cal)[:size]
             zs, ys = zc[idx], yc[idx]
-        # The full set is every seed's subsample, so its fits are shared across seeds.
-        model, info = fit((size, seed if size < n_cal else None), method, zs, ys)
-        return [size] + _report(metrics._top_labels(model.apply, zt, yt), yt, base, args.bins), info
+        # The full set is every seed's subsample, so its fits and reports are shared across seeds.
+        key = (size, seed if size < n_cal else None)
+        model, info = fit(key, method, zs, ys)
+        report = evaluated(
+            (key, _applied_kind(method)), lambda: _report(metrics._top_labels(model.apply, zt, yt), yt, base, args.bins)
+        )
+        return [size] + report, info
 
     header = ["fraction", "seed", "method", "n_calib"] + list(SCALAR_COLUMNS) + ["status"]
     cells = [(f, s, m) for f in fractions for s in seeds for m in methods]
@@ -458,7 +484,7 @@ def _build_parser():
         "--max-iterations",
         type=_positive_int,
         default=optim.MAX_ITERATIONS,
-        help=f"mcct/mcct-i solver iteration limit (default {optim.MAX_ITERATIONS})",
+        help=f"mcct/mcct-i solver iteration limit, temperature and map stages together (default {optim.MAX_ITERATIONS})",
     )
     # The parents of compare and the sweeps.
     grid = [dataset, common, seeded, solver, binned, split]

@@ -13,7 +13,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import core, data_io
-from .transform import MonotoneParams, label_positions, order_violations, sorted_nll_objective, truncate_training_set
+from .transform import (
+    MonotoneParams,
+    label_positions,
+    order_violations,
+    softmax_nll,
+    sorted_nll_objective,
+    truncate_training_set,
+)
 
 
 # Every fitted scale lies in [W_FLOOR, 1 / W_FLOOR].  Strict positivity is an
@@ -29,6 +36,8 @@ STATIONARITY_TOL = 1e-8
 ARMIJO = 1e-4
 MIN_STEP = 2.0**-40
 MAX_ITERATIONS = 500
+# Temperature scaling fits beta = 1 / T within these bounds: T in [1e-3, 1e3].
+BETA_MIN, BETA_MAX = 1e-3, 1e3
 
 
 @dataclass(frozen=True)
@@ -46,7 +55,7 @@ class FitResult:
 
 
 def init_params(k, m=None):
-    """Starting point of the fit: the identity map (``w`` ones, ``b`` zero).
+    """The identity map (``w`` ones, ``b`` zero), which the fit scales by its fitted temperature to start from.
 
     It satisfies every constraint and reproduces the uncalibrated logits.
     """
@@ -116,38 +125,49 @@ def _newton_direction(hess, grad):
     return -grad
 
 
-def _projected_newton(evaluate, x, lower, max_iterations, trace=None):
+def _projected_newton(evaluate, x, lower, max_iterations, trace=None, iterations=0):
     """Minimize a convex function over ``x >= lower`` from a feasible ``x`` by projected Newton.
 
     A ``lower`` entry of ``-inf`` leaves its variable unbounded.
 
-    ``evaluate(x, order)`` returns the loss (order 0), the loss and gradient
-    (order 1), or the loss, gradient and Hessian (order 2).  The method is
-    Bertsekas's (1982, "Projected Newton methods for optimization problems
-    with simple constraints").  Each iteration holds the variables within
-    ``eps`` of their bound whose gradient points out of the feasible set,
-    ``eps`` being the projected-gradient residual's norm capped at
-    ``ACTIVE_EPS``.  The held variables move onto their bounds, and the free
-    ones take the Newton step given that move, solved by Cholesky on the
-    free block of the exact Hessian.  A free variable on its bound that the
-    step would push out is held as well (it stays), so that the projection
-    does not bend the path.  An Armijo backtracking search runs along the
-    projection arc ``max(x + t d, lower)``; every accepted step lowers the
-    loss.
+    ``evaluate(x)`` returns ``(loss, derivatives)``, and
+    ``derivatives(order)`` the gradient (order 1) or the gradient and
+    Hessian (order 2) at the same point, as a tuple.  Each point is evaluated
+    once (but see below): the line search takes a trial's loss, and an
+    accepted trial's ``derivatives`` then give its gradient and Hessian from
+    that evaluation.  The solver calls a point's ``derivatives`` at most
+    once, so it may finish that point's work in place; a rejected trial's is
+    never called.  The method is Bertsekas's (1982, "Projected Newton methods
+    for optimization problems with simple constraints").  Each iteration
+    holds the variables within ``eps`` of their bound whose gradient points
+    out of the feasible set, ``eps`` being the projected-gradient residual's
+    norm capped at ``ACTIVE_EPS``.  The held variables move onto their
+    bounds, and the free ones take the Newton step given that move, solved
+    by Cholesky on the free block of the exact Hessian.  A free variable on
+    its bound that the step would push out is held as well (it stays), so
+    that the projection does not bend the path.  An Armijo backtracking
+    search runs along the projection arc ``max(x + t d, lower)``; every
+    accepted step lowers the loss.
 
     The solve has converged when half the free block's Newton decrement,
-    ``g_F^T H_FF^-1 g_F / 2``, is at most ``STATIONARITY_TOL`` and
-    moving the held variables onto their bounds gains no more than that to
-    first order: then no held bound has a gradient pointing into the
-    feasible set.  The converged point still takes its full step when that
-    step passes the Armijo test.  ``trace``, if given, is called with one
-    dict per iterate: ``iteration``, ``loss``, ``pg_norm`` (the largest
-    projected-gradient component), ``free`` (the free-variable count) and
-    ``step`` (the accepted step length, 0 at the returned point).  The solve
-    takes at most ``max_iterations`` steps.
+    ``g_F^T H_FF^-1 g_F / 2``, is at most ``STATIONARITY_TOL`` and moving
+    the held variables onto their bounds gains no more than that to first
+    order: then no held bound has a gradient pointing into the feasible
+    set.  The converged point still takes its full step when that step passes
+    the Armijo test, and the solve returns the step's point unless the step
+    changed which variables are held; then it goes on from there, evaluating
+    that point a second time for its Hessian.  ``trace``, if given, is called
+    with one dict per iterate: ``iteration``, ``loss``, ``pg_norm`` (the
+    largest projected-gradient component), ``free`` (the free-variable
+    count) and ``step`` (the accepted step length, 0 at the returned point).
+
+    ``iterations`` counts the steps taken before this solve (by an earlier
+    stage of the same fit): the iterates are numbered on from it, and the
+    solve stops once ``max_iterations`` steps are taken in all.
 
     Returns ``(x, initial_loss, final_loss, iterations, converged)``, the
-    losses being those at the start and at the returned ``x``.
+    losses being those at the start and at the returned ``x`` and
+    ``iterations`` the step count, earlier stages' included.
     """
 
     def near_bound(x, grad):
@@ -174,8 +194,9 @@ def _projected_newton(evaluate, x, lower, max_iterations, trace=None):
                 "step": step,
             })
 
-    loss, grad, hess = evaluate(x, 2)
-    initial_loss, iterations = loss, 0
+    loss, derivatives = evaluate(x)
+    grad, hess = derivatives(2)
+    initial_loss = loss
     while True:
         residual, near = near_bound(x, grad)
         held = near & (grad > 0)
@@ -193,20 +214,79 @@ def _projected_newton(evaluate, x, lower, max_iterations, trace=None):
         while step:
             trial = np.maximum(x + step * direction, lower)
             slope = -float((grad * (trial - x)).sum())
-            if slope > 0 and loss - evaluate(trial, 0) >= ARMIJO * slope:
-                break
+            # The last point's evaluation is released before a trial is evaluated:
+            # one point's softmax is held at a time.
+            derivatives = None
+            if slope > 0:
+                trial_loss, derivatives = evaluate(trial)
+                if loss - trial_loss >= ARMIJO * slope:
+                    break
             step = step / 2 if step > MIN_STEP and not converged else 0.0
         record(loss, residual, held, step)
         if not step:
             return x, initial_loss, loss, iterations, converged
-        x = trial
+        x, loss = trial, trial_loss
         iterations += 1
         if converged:
-            loss, grad = evaluate(x, 1)
+            (grad,) = derivatives(1)
             residual, near = near_bound(x, grad)
-            record(loss, residual, near & (grad > 0), 0.0)
-            return x, initial_loss, loss, iterations, converged
-        loss, grad, hess = evaluate(x, 2)
+            if np.array_equal(near & (grad > 0), held):
+                record(loss, residual, held, 0.0)
+                return x, initial_loss, loss, iterations, converged
+            # The last step changed which variables are held, so it was not the
+            # Newton step of the point's own face: the solve goes on from there,
+            # evaluating the point again for its Hessian.
+            loss, derivatives = evaluate(x)
+        grad, hess = derivatives(2)
+
+
+def fit_temperature(S, label, max_iterations=MAX_ITERATIONS, trace=None):
+    """The inverse temperature ``beta`` minimizing the mean NLL of the column softmax of ``S * beta``.
+
+    ``S`` is a class-major (k, n) logit block and ``label`` the flat index in
+    ``S`` of each sample's target.  The loss is convex in ``beta``, which is
+    fitted by projected Newton (:func:`_projected_newton`) from ``beta =
+    1``, the logits as they are: its derivatives are the means over samples
+    of ``E_p[z] - z_y`` and of ``Var_p(z)``, ``p`` being the softmax.  The
+    solver bounds ``beta`` below by ``BETA_MIN``; its point is capped at
+    ``BETA_MAX``, and ``BETA_MAX`` itself is taken when its loss is lower.
+    So on a set that the logits separate, where the loss falls as ``beta``
+    grows, ``beta`` is ``BETA_MAX``.  Logits constant within each sample
+    leave the loss flat, and ``beta`` stays 1.  ``max_iterations`` and
+    ``trace`` are the solver's.
+
+    Returns ``(beta, initial_loss, iterations, converged)``: the loss at
+    ``beta = 1``, and the solve's step count and convergence.
+    """
+    n = S.shape[1]
+
+    def evaluate(x):
+        loss, p, total = softmax_nll(S * x[0], label)
+
+        def derivatives(order):
+            np.divide(p, total, out=p)
+            mean = np.einsum("ij,ij->j", p, S)
+            grad = np.array([(mean - S.ravel()[label]).mean()])
+            if order == 1:
+                return (grad,)
+            centred = S - mean
+            return grad, np.array([[np.einsum("ij,ij,ij->", p, centred, centred) / n]])
+
+        return loss, derivatives
+
+    x, initial_loss, loss, iterations, converged = _projected_newton(
+        evaluate, np.ones(1), np.full(1, BETA_MIN), max_iterations, trace
+    )
+    # A sample's NLL at BETA_MAX is at least BETA_MAX times the gap from its
+    # target's logit up to its largest, or the NLL floor, above 690.  Where the
+    # mean bound beats the solve's loss by more than rounding, BETA_MAX cannot
+    # win and its softmax, whose exponentials mostly underflow (a slow path of
+    # exp), is not computed.
+    gap = S.max(axis=0) - S.ravel()[label]
+    bound = np.minimum(BETA_MAX * gap, 690.0).mean() * (1.0 - 1e-9) - 1e-12 * BETA_MAX * np.abs(S).max()
+    if x[0] >= BETA_MAX or (bound <= loss and evaluate(np.full(1, BETA_MAX))[0] < loss):
+        return BETA_MAX, initial_loss, iterations, converged
+    return x[0], initial_loss, iterations, converged
 
 
 def _kept_columns(ordered, k):
@@ -235,22 +315,32 @@ def fit_mcct(z, y, k=None, max_iterations=MAX_ITERATIONS, trace=None, threads=1)
     The fit solves for the map ``s * w + b`` over the increments ``x =
     (dw, db[1:])`` with ``w = minimum(cumsum(dw), 1 / W_FLOOR)`` and ``b =
     (0, cumsum(db[1:]))``, under the bounds ``dw[0] >= W_FLOOR`` and
-    ``dw[1:], db[1:] >= 0``, starting from the identity map (``dw = (1, 0,
-    ...)``, ``db = 0``).  ``b[0]`` is pinned at 0: a common shift of ``b``
-    leaves every softmax unchanged.  Its parameters serve both mcct and
-    mcct-i (see :func:`monocal.baselines.from_monotone_params`).
+    ``dw[1:], db[1:] >= 0``.  ``b[0]`` is pinned at 0: a common shift of
+    ``b`` leaves every softmax unchanged.  Its parameters serve both mcct
+    and mcct-i (see :func:`monocal.baselines.from_monotone_params`).
 
-    The solver is projected Newton (see :func:`_projected_newton`) on the
-    exact Hessian, for at most ``max_iterations`` steps.  Each of its
-    evaluations is one call of :func:`~monocal.transform.sorted_nll_objective`
-    on the transpose view of a class-major copy of the sorted block, made
-    once per fit; the initial and final losses are the solver's own.  In
-    increment coordinates the Hessian is ``L^T H L`` with ``L`` the
-    cumulative-sum matrix, formed by reverse cumulative sums of ``H``'s rows
-    and columns.  Every accepted step lowers the loss, so the fit is never
-    worse than the uncalibrated logits.  ``trace``, if given, receives the
-    solver's per-iterate records.  Every sum in the fit runs in a fixed
-    order, so the result does not depend on the BLAS thread count either.
+    The fit runs in two stages, both by projected Newton (see
+    :func:`_projected_newton`) on the exact Hessian, on the transpose view
+    of a class-major copy of the sorted fitting block, made once per fit.
+    The first fits one temperature on that block (:func:`fit_temperature`,
+    from ``beta = 1``, the identity map): temperature scaling is the map
+    with constant ``w`` and zero ``b``, so the scaled identity map ``dw =
+    (beta, 0, ...)``, ``db = 0`` is a feasible start, from which the second
+    stage solves for the whole map.  Each evaluation of the second stage is
+    one call of :func:`~monocal.transform.sorted_nll_objective`, whose
+    softmax gives the point's loss and, if the point is accepted, its
+    derivatives.  ``max_iterations`` bounds the steps of both stages
+    together, and ``iterations`` counts them; ``initial_loss`` is the loss at
+    the identity map, where the first stage starts, ``final_loss`` the
+    second stage's at the returned map, and ``converged`` the second
+    stage's.  In increment coordinates the Hessian is ``L^T H L`` with
+    ``L`` the cumulative-sum matrix, formed by reverse cumulative sums of
+    ``H``'s rows and columns.  Every accepted step lowers the loss, so the
+    fit is never worse than the uncalibrated logits.  ``trace``, if given,
+    receives the solver's per-iterate records of both stages, numbered on
+    across them; the point the first hands over is recorded once, by the
+    second.  Every sum in the fit runs in a fixed order, so the result does
+    not depend on the BLAS thread count either.
 
     ``z`` is a logit matrix or a binary file's block reader
     (``data_io.BinaryLogits``).  The labels, the sample count and ``k`` are
@@ -295,7 +385,6 @@ def fit_mcct(z, y, k=None, max_iterations=MAX_ITERATIONS, trace=None, threads=1)
     k = m if k is None else int(k)
     if not 2 <= k <= m:
         raise ValueError(f"need 2 <= k <= m, got k={k}, m={m}")
-    start = init_params(k, m=m)
     # Each block is sorted into a temporary and counted while it is in cache;
     # only its top k + 1 sorted columns are kept (all m when k >= m - 1).
     lo = max(m - k - 1, 0)
@@ -322,26 +411,37 @@ def fit_mcct(z, y, k=None, max_iterations=MAX_ITERATIONS, trace=None, threads=1)
     if s_fit.shape[0] == 0:
         raise ValueError("every sample's true class fell outside the top k ranks")
     # The objective works on the class-major block and does not copy this view of it.
-    s_fit = np.ascontiguousarray(s_fit.T).T
+    S = np.ascontiguousarray(s_fit.T)
+    s_fit = S.T
 
     def params_of(x):
         return np.minimum(np.cumsum(x[:k]), 1.0 / W_FLOOR), np.concatenate([[0.0], np.cumsum(x[k:])])
 
-    def evaluate(x, order):
-        out = sorted_nll_objective(s_fit, pos_fit, *params_of(x), order)
-        if order == 0:
-            return out
-        # Through the cumulative sums, the gradient and Hessian take reverse
-        # cumulative sums; the cap on w is never reached in practice and is
-        # ignored here.
-        loss, gw, gb, *hess = out
-        grad = _reverse_cumsum(np.concatenate([gw, gb[1:]]), k, 0)
-        return (loss, grad, *(_reverse_cumsum(_reverse_cumsum(h, k, 0), k, 1) for h in hess))
+    def evaluate(x):
+        w, b = params_of(x)
+        loss, derivatives = sorted_nll_objective(s_fit, pos_fit, w, b, None)
 
+        def increments(order):
+            # Through the cumulative sums, the gradient and Hessian take reverse
+            # cumulative sums; the cap on w is never reached in practice and is
+            # ignored here.
+            gw, gb, *hess = derivatives(order)
+            grad = _reverse_cumsum(np.concatenate([gw, gb[1:]]), k, 0)
+            return (grad, *(_reverse_cumsum(_reverse_cumsum(h, k, 0), k, 1) for h in hess))
+
+        return loss, increments
+
+    # The temperature stage's last point is the map stage's first: its record is the map stage's.
+    records = []
+    label = pos_fit * S.shape[1] + np.arange(S.shape[1])
+    beta, initial_loss, iterations, _ = fit_temperature(S, label, max_iterations, records.append if trace else None)
+    for record in records[:-1]:
+        trace(record)
     lower = np.zeros(2 * k - 1)
     lower[0] = W_FLOOR
-    x0 = np.concatenate([np.diff(start.w, prepend=0.0), np.diff(start.b)])
-    x, initial_loss, final_loss, iterations, converged = _projected_newton(evaluate, x0, lower, max_iterations, trace)
+    start = init_params(k, m=m)
+    x0 = np.concatenate([np.diff(beta * start.w, prepend=0.0), np.diff(start.b)])
+    x, _, final_loss, iterations, converged = _projected_newton(evaluate, x0, lower, max_iterations, trace, iterations)
     params = MonotoneParams(*params_of(x), m=m)
     reduced = replace(params, m=top.shape[1])
     broken = sum(core._map_blocks(lambda rows: order_violations(top[rows], reduced), top.shape, threads))

@@ -223,7 +223,12 @@ def sorted_nll_objective(s, y_pos, w, b, order=1):
     (2k - 1, n), where the first term holds ``mean(s**2 p)``,
     ``mean(p[1:])`` and, between ``w[j]`` and ``b[j]``, ``mean(s p)``.
     ``b[0]`` is left out because a common shift of ``b`` does not change
-    the softmax.
+    the softmax.  ``order`` None returns ``(loss, derivatives)``:
+    ``derivatives(order)``, for ``order`` 1 or 2, returns what that order
+    adds, from this call's softmax, which it normalizes in place, so it may
+    be called once.  A solver that accepts a point only after its loss
+    passes a test so computes each point's softmax once, and normalizes it
+    only if it accepts the point.
 
     The work is done on the C-contiguous (k, n) transpose of ``s``, so every
     reduction over a row's k entries runs along the long axis.  An ``s`` that
@@ -239,24 +244,28 @@ def sorted_nll_objective(s, y_pos, w, b, order=1):
     loss, p, total = softmax_nll(t, label)
     if order == 0:
         return loss
-    p /= total
-    A = np.empty((2 * k - 1 if order == 2 else k, n))
-    sp = np.multiply(S, p, out=A[:k])
-    p_sum, sp_sum = p.sum(axis=1), sp.sum(axis=1)
-    grad_b = (p_sum - np.bincount(y_pos, minlength=k)) / n
-    grad_w = (sp_sum - np.bincount(y_pos, weights=S.ravel()[label], minlength=k)) / n
-    if order == 1:
-        return loss, grad_w, grad_b
-    A[k:] = p[1:]
-    # A A^T row by row with einsum, not BLAS: a threaded BLAS product sums in
-    # an order that depends on its thread count, and so would the fit.
-    hess = np.empty((2 * k - 1, 2 * k - 1))
-    for i in range(2 * k - 1):
-        hess[i, i:] = np.einsum("j,kj->k", A[i], A[i:])
-        hess[i:, i] = hess[i, i:]
-    hess /= -n
-    hess[np.diag_indices(2 * k - 1)] += np.concatenate([np.einsum("ij,ij->i", S, sp), p_sum[1:]]) / n
-    wb = np.arange(1, k)
-    hess[wb, wb + k - 1] += sp_sum[1:] / n
-    hess[wb + k - 1, wb] += sp_sum[1:] / n
-    return loss, grad_w, grad_b, hess
+
+    def derivatives(order):
+        np.divide(p, total, out=p)
+        A = np.empty((2 * k - 1 if order == 2 else k, n))
+        sp = np.multiply(S, p, out=A[:k])
+        p_sum, sp_sum = p.sum(axis=1), sp.sum(axis=1)
+        grad_b = (p_sum - np.bincount(y_pos, minlength=k)) / n
+        grad_w = (sp_sum - np.bincount(y_pos, weights=S.ravel()[label], minlength=k)) / n
+        if order == 1:
+            return grad_w, grad_b
+        A[k:] = p[1:]
+        # A A^T row by row with einsum, not BLAS: a threaded BLAS product sums in
+        # an order that depends on its thread count, and so would the fit.
+        hess = np.empty((2 * k - 1, 2 * k - 1))
+        for i in range(2 * k - 1):
+            hess[i, i:] = np.einsum("j,kj->k", A[i], A[i:])
+            hess[i:, i] = hess[i, i:]
+        hess /= -n
+        hess[np.diag_indices(2 * k - 1)] += np.concatenate([np.einsum("ij,ij->i", S, sp), p_sum[1:]]) / n
+        wb = np.arange(1, k)
+        hess[wb, wb + k - 1] += sp_sum[1:] / n
+        hess[wb + k - 1, wb] += sp_sum[1:] / n
+        return grad_w, grad_b, hess
+
+    return (loss, derivatives) if order is None else (loss, *derivatives(order))

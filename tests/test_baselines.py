@@ -295,6 +295,16 @@ class TestModelSerialization:
         want = core.softmax_rows(np.array([[-0.5, -2.5, 9.0], [-2.0, 2.0, -1.5]]))
         np.testing.assert_allclose(out, want, rtol=1e-15, atol=0)
 
+    def test_divisor_document_saves_as_read(self, tmp_path):
+        # 1 / (1 / 7.3) is not 7.3: a saved document writes the divisors it
+        # read, not the reciprocals of the scales it applies.
+        assert 1.0 / (1.0 / 7.3) != 7.3
+        doc = {"kind": "mcct-i", "mode": "inverse", "m": 3, "k": 2, "w": [7.3, 2.0], "b": [-1.0, 1.0]}
+        path = tmp_path / "model.json"
+        data_io.write_json(path, doc)
+        CalibratedModel.load(path).save(tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
     @pytest.mark.parametrize("kind, mode", [("mcct", "inverse"), ("mcct-i", "direct")])
     def test_kind_mode_mismatch_rejected(self, kind, mode):
         # The document's mode, not its kind, says whether w holds divisors.
@@ -400,6 +410,29 @@ class TestNewtonFitsMatchOracles:
         assert shared.to_json() == alone.to_json()
         # Both count the temperature solve.
         assert shared._solver == alone._solver
+
+
+class TestVectorScalingStart:
+    @pytest.mark.parametrize("name", PROBLEMS)
+    def test_shared_temperature_gives_the_same_fit(self, name):
+        z, y = seeded_problem(name)
+        ts = baselines.fit_ts(z, y)
+        shared, alone = baselines.fit_vs(z, y, ts), baselines.fit_vs(z, y)
+        assert shared.to_json() == alone.to_json()
+        # Both count the temperature solve.
+        assert shared._solver == alone._solver
+        assert shared._solver[0] > ts._solver[0]
+
+    @pytest.mark.parametrize("name", PROBLEMS)
+    def test_temperature_start_reaches_the_identity_start_optimum(self, name):
+        z, y = seeded_problem(name)
+        warm = baselines.fit_vs(z, y)
+        identity = baselines.fit_vs(z, y, CalibratedModel(baselines.TS, {"T": 1.0, "m": z.shape[1]}))
+        assert warm._solver[1] and identity._solver[1]
+        loss = core.nll(identity.apply(z), y)
+        assert abs(core.nll(warm.apply(z), y) - loss) <= 1e-12 * loss
+        for name in ("scale", "bias"):
+            np.testing.assert_allclose(warm.payload[name], identity.payload[name], rtol=0, atol=1e-6)
 
 
 class TestDegenerateCalibrationSets:

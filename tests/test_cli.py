@@ -273,6 +273,15 @@ class TestFit:
             assert run("fit", "--data", dataset, "--method", method, "--out", out) == 0
             assert json.loads(Path(out).read_text())["kind"] == method
 
+    @pytest.mark.parametrize("topk", [None, 3])
+    def test_a_loaded_model_saves_as_it_was_read(self, dataset, tmp_path, topk):
+        # mcct-i writes each divisor as read: 1 / (1 / v) is not always v.
+        for method in cli.METHODS:
+            out, again = str(tmp_path / f"{method}.json"), tmp_path / f"{method}-again.json"
+            assert run("fit", "--data", dataset, "--method", method, *(("--topk", topk) if topk else ()), "--out", out) == 0
+            baselines.CalibratedModel.load(out).save(again)
+            assert again.read_bytes() == Path(out).read_bytes(), method
+
 
 COUNT = "need a positive integer"
 SPLIT = "split must lie strictly between 0 and 1"
@@ -741,7 +750,8 @@ class TestCompare:
         out = str(tmp_path / "cmp.json")
         assert run("compare", "--data", dataset, "--methods", ",".join(cli.METHODS), "--runs", 4, "--out", out) == 0
         assert bases == [1500] * 4
-        assert calibrated == [1500] * 4 * len(cli.METHODS)
+        # mcct-i applies the mcct map: its cells take the mcct cells' test statistics.
+        assert calibrated == [1500] * 4 * (len(cli.METHODS) - 1)
 
     def test_unknown_method_rejected(self, dataset, tmp_path):
         out = str(tmp_path / "cmp.json")
@@ -961,6 +971,24 @@ class TestSweepSize:
             assert full[method]["ece"] == per_seed["ece"]
             assert full[method]["nll"] == per_seed["nll"]
 
+    def test_one_test_report_per_fitted_map(self, dataset, tmp_path, monkeypatch):
+        # A subsample's mcct and mcct-i cells apply one map, and the full set's
+        # fits are every seed's: each such group of cells evaluates once.
+        calls, top_labels = [], metrics._top_labels
+        monkeypatch.setattr(metrics, "_top_labels", lambda probs_of, z, y=None: calls.append(len(z)) or top_labels(probs_of, z, y))
+        out = str(tmp_path / "sweep.csv")
+        assert run(
+            "sweep-size", "--data", dataset, "--fractions", "0.5,1.0", "--seeds", "0,1",
+            "--methods", "mcct,mcct-i,ts", "--threads", 2, "--out", out,
+        ) == 0
+        # The base, then mcct and ts for each seed at 0.5 and once at 1.0.
+        assert calls == [1500] * (1 + 2 * 2 + 2)
+        rows = json.loads(Path(out + ".json").read_text())["rows"]
+        scalars = {(r["fraction"], r["seed"], r["method"]): [r[c] for c in cli.SCALAR_COLUMNS] for r in rows}
+        for fraction, seed in ((0.5, 0), (0.5, 1), (1.0, 0), (1.0, 1)):
+            assert scalars[fraction, seed, "mcct-i"] == scalars[fraction, seed, "mcct"]
+        assert all(scalars[1.0, 0, m] == scalars[1.0, 1, m] for m in ("mcct", "ts"))
+
     def test_small_fraction_cells_report_size(self, dataset, tmp_path):
         out = str(tmp_path / "sweep.csv")
         assert run(
@@ -1122,6 +1150,32 @@ class TestDeterminism:
         csv_a = outs[0][:-5] + ".csv"
         csv_b = outs[1][:-5] + ".csv"
         assert Path(csv_a).read_bytes() == Path(csv_b).read_bytes()
+
+    def test_compare_is_identical_on_one_and_two_threads(self, dataset, tmp_path):
+        # The monotone cells share one two-stage solve per split, and the vs
+        # cells start from the split's shared temperature: each equals a
+        # separate fit of its kind, whichever thread ran it.
+        outs = []
+        for threads in (1, 2):
+            out = str(tmp_path / f"cmp{threads}.json")
+            assert run(
+                "compare", "--data", dataset, "--methods", "mcct,mcct-i,vs",
+                "--split", 0.5, "--runs", 2, "--threads", threads, "--out", out,
+            ) == 0
+            outs.append(out)
+        for suffix in ("", ".csv"):
+            one, two = (out[: -len(".json")] + suffix if suffix else out for out in outs)
+            assert Path(one).read_bytes() == Path(two).read_bytes()
+        manifests = [json.loads(Path(out + ".manifest.json").read_text())["fits"] for out in outs]
+        assert manifests[0] == manifests[1]
+        doc = json.loads(Path(outs[0]).read_text())
+        (zc, yc), (zt, yt) = data_io.split_dataset(*data_io.read_dataset(dataset), 0.5, 1)
+        models = {"vs": baselines.fit_vs(zc, yc)}
+        models.update((kind, baselines.from_monotone_params(optim.fit_mcct(zc, yc).params, kind)) for kind in baselines.MONOTONE_MODES)
+        for method, model in models.items():
+            report = metrics.compute_report(model.apply(zt), yt, core.softmax_rows(zt))
+            cell = next(c for c in doc["per_seed"] if c["method"] == method and c["seed"] == 1)
+            assert cell["nll"] == report.scalars()["nll"], method
 
     def test_gen_synth_reruns_are_byte_identical(self, tmp_path):
         paths = []

@@ -269,36 +269,135 @@ class TestFit:
             optim.fit_mcct(z, y, max_iterations=0)
 
     @pytest.mark.parametrize("k", [None, 3])
-    def test_objective_is_evaluated_only_by_the_solver(self, monkeypatch, k):
-        # One gradient evaluation at the start and one per accepted step; the
+    def test_each_point_is_evaluated_once(self, monkeypatch, k):
+        # One forward evaluation (transform, softmax and loss) per distinct
+        # point in each stage: the temperature stage's softmaxes are all at
+        # different scales, and every objective call of the map stage is at a
+        # new map and defers its derivatives to that call's softmax.  The
         # reported losses are the solver's, at the identity map and at the
         # returned parameters.
         cfg = data_io.SynthConfig(n=800, m=6, alpha=0.5, overconfidence=2.5, seed=8)
         z, y, _ = data_io.generate_synthetic(cfg)
-        objective = optim.sorted_nll_objective
-        orders = []
+        objective, softmax_nll = optim.sorted_nll_objective, optim.softmax_nll
+        scaled, maps = [], []
+
+        def counted_softmax(t, label):
+            scaled.append(t.tobytes())
+            return softmax_nll(t, label)
 
         def counted(*args, **kwargs):
-            orders.append(args[4] if len(args) > 4 else kwargs.get("order", 1))
+            assert len(args) == 5 and args[4] is None and not kwargs
+            maps.append(args[2].tobytes() + args[3].tobytes())
             return objective(*args, **kwargs)
 
+        monkeypatch.setattr(optim, "softmax_nll", counted_softmax)
         monkeypatch.setattr(optim, "sorted_nll_objective", counted)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             result = optim.fit_mcct(z, y, k=k)
-        assert result.iterations >= 1
-        assert sum(order >= 1 for order in orders) == result.iterations + 1
+        assert result.iterations >= 1 and len(maps) >= 1 and len(scaled) >= 1
+        assert len(set(scaled)) == len(scaled)
+        assert len(set(maps)) == len(maps)
         params = result.params
         s, pos, _ = transform.truncate_training_set(np.sort(z, axis=1), transform.label_positions(z, y), params.k)
         assert result.initial_loss == objective(s, pos, np.ones(params.k), np.zeros(params.k), 0)
         assert result.final_loss == objective(s, pos, params.w, params.b, 0)
 
+    @pytest.mark.parametrize("k", [None, 3])
+    def test_trace_runs_on_across_both_stages(self, monkeypatch, k):
+        # The temperature stage's iterates come first, with one free variable;
+        # the point it hands over is recorded once, by the map stage.
+        cfg = data_io.SynthConfig(n=800, m=6, alpha=0.5, overconfidence=2.5, seed=8)
+        z, y, _ = data_io.generate_synthetic(cfg)
+        stages = _recorded_temperatures(monkeypatch)
+        records = []
+        result = _quiet_fit(z, y, k=k, trace=records.append)
+        beta, initial_loss, steps, _ = stages[0]
+        assert 1 <= steps < result.iterations
+        assert [r["iteration"] for r in records] == list(range(result.iterations + 1))
+        assert records[0]["loss"] == initial_loss == result.initial_loss
+        assert records[-1]["loss"] == result.final_loss
+        assert all(r["free"] == 1 for r in records[:steps])
+        assert all(r["step"] > 0 for r in records[:-1]) and records[-1]["step"] == 0.0
+        losses = [r["loss"] for r in records]
+        assert all(later < earlier for earlier, later in zip(losses, losses[1:]))
+
+    @pytest.mark.parametrize("max_iterations", [1, 2, 3, 5, 8])
+    def test_iteration_cap_bounds_both_stages(self, max_iterations):
+        cfg = data_io.SynthConfig(n=800, m=6, alpha=0.5, overconfidence=2.5, seed=8)
+        z, y, _ = data_io.generate_synthetic(cfg)
+        records = []
+        result = _quiet_fit(z, y, max_iterations=max_iterations, trace=records.append)
+        assert result.iterations == max_iterations and not result.converged
+        assert len(records) == max_iterations + 1
+        assert result.final_loss < result.initial_loss
+
+    def test_a_converged_step_that_changes_the_held_set_does_not_end_the_solve(self):
+        # On this set the full step taken at a converged point changes which
+        # variables are held; stopping there left a projected gradient of 1.8e-4.
+        z, y, _ = data_io.generate_synthetic(data_io.SynthConfig(n=9000, m=10, alpha=0.5, overconfidence=2.5, seed=14))
+        records = []
+        result = _quiet_fit(z, y, trace=records.append)
+        assert result.converged and records[-1]["pg_norm"] < 1e-6
+        assert projected_gradient_residual(z, y, result.params) < 1e-6
+
+    @pytest.mark.parametrize("pattern", ROW_PATTERNS)
+    @pytest.mark.parametrize("k", [3, 8])
+    def test_temperature_start_reaches_the_identity_start_optimum(self, monkeypatch, pattern, k):
+        # At k < m and at k = m (8 classes): a fit started from the identity
+        # map, its temperature stage skipped, is the oracle.
+        rng = np.random.default_rng(63)
+        z = patterned_logits(rng, 400, 8, k, pattern) * 1.5
+        y = np.where(rng.uniform(size=400) < 0.6, z.argmax(axis=1), rng.integers(0, 8, 400))
+        warm = _quiet_fit(z, y, k=k)
+        monkeypatch.setattr(optim, "fit_temperature", lambda S, label, *args: (1.0, np.nan, 0, True))
+        oracle = _quiet_fit(z, y, k=k)
+        assert warm.converged and oracle.converged
+        assert abs(warm.final_loss - oracle.final_loss) <= 1e-12 * oracle.final_loss
+        assert warm.final_loss <= slsqp_fit(z, y, k)[2] + 1e-8 * max(1.0, warm.final_loss)
+        assert projected_gradient_residual(z, y, warm.params) < 1e-6
+        assert warm.constraint_violation == 0.0 and warm.params.b[0] == 0.0
+
+    @pytest.mark.parametrize("offsets", ["zero", "per-row"])
+    def test_row_constant_logits_start_at_unit_temperature(self, monkeypatch, offsets):
+        rng = np.random.default_rng(2)
+        z = np.zeros((200, 4)) + (0.0 if offsets == "zero" else rng.normal(0, 3, (200, 1)))
+        betas = _recorded_temperatures(monkeypatch)
+        result = _quiet_fit(z, rng.integers(0, 4, 200))
+        assert betas[0][0] == 1.0
+        assert result.constraint_violation == 0.0 and result.final_loss <= result.initial_loss
+
+    @pytest.mark.parametrize("k", [None, 3])
+    def test_separable_set_starts_at_the_temperature_bound(self, monkeypatch, k):
+        # Every label is its row's argmax: the temperature stage ends at
+        # BETA_MAX, and the map stage still returns a feasible map no worse.
+        rng = np.random.default_rng(0)
+        z = rng.normal(0, 2, (300, 5))
+        betas = _recorded_temperatures(monkeypatch)
+        result = _quiet_fit(z, core.argmax_rows(z), k=k)
+        assert betas[0][0] == optim.BETA_MAX
+        w = result.params.w
+        assert result.constraint_violation == 0.0 and np.all(np.diff(w) >= 0) and np.all(w >= optim.W_FLOOR)
+        assert np.all(np.diff(result.params.b) >= 0)
+        assert result.final_loss <= result.initial_loss
+
+
+# Steps of the reordering problem's fit: it is still short of convergence.
+REORDERING_STEPS = 7
+
 
 def _reordering_problem():
-    """Negative logits on which a 3-step fit reorders about half the rows."""
+    """Mostly negative logits on which a 7-step fit reorders most rows, but not all."""
     rng = np.random.default_rng(0)
-    z = rng.normal(0, 2, (300, 6)) - 3.0
+    z = rng.normal(0, 2, (300, 6)) - 1.0
     return z, np.where(rng.uniform(size=300) < 0.5, z.argmax(axis=1), rng.integers(0, 6, 300))
+
+
+def _recorded_temperatures(monkeypatch):
+    """The results of the fit's ``fit_temperature`` calls, appended as they are made."""
+    results, fit_temperature = [], optim.fit_temperature
+    monkeypatch.setattr(optim, "fit_temperature", lambda *args: results.append(fit_temperature(*args)) or results[-1])
+    return results
 
 
 def _quiet_fit(z, y, **kwargs):
@@ -311,7 +410,7 @@ class TestBlockedWalk:
     """The fit prepares its sorted block, tie count, label ranks and reorder count one row block at a time."""
 
     BLOCK_CASES = [(pattern, {"k": k}) for pattern in ROW_PATTERNS for k in (3, 8)] + [
-        ("reordering", {"max_iterations": 3}),
+        ("reordering", {"max_iterations": REORDERING_STEPS}),
     ]
 
     @staticmethod
@@ -496,7 +595,7 @@ class TestKinds:
     @staticmethod
     def problem(case):
         if case == "reordering":
-            return (*_reordering_problem(), {"max_iterations": 3})
+            return (*_reordering_problem(), {"max_iterations": REORDERING_STEPS})
         # Half-rounded negative logits: about 90 rows' tie groups straddle rank m - k.
         rng = np.random.default_rng(0)
         z = np.round(rng.normal(-3.0, 2.0, (300, 8)) * 2) / 2
@@ -518,6 +617,35 @@ class TestKinds:
         back = baselines.CalibratedModel.from_json(doc).payload["params"]
         np.testing.assert_allclose(back.w, result.params.w, rtol=1e-15, atol=0)
         assert back.b.tobytes() == result.params.b.tobytes()
+
+
+class TestTemperature:
+    @pytest.mark.parametrize("case", ["overconfident", "separable", "nearly-separable", "wide", "row-constant"])
+    def test_bound_skips_only_a_temperature_bound_that_cannot_win(self, case):
+        # A bound whose loss is below the solve's is always taken, as if its
+        # softmax were always computed (a solve that passes the bound is
+        # capped at it whatever the loss there).
+        rng = np.random.default_rng(4)
+        z = rng.normal(0, 2, (400, 6)) * (30.0 if case == "wide" else 1.0)
+        y = np.where(rng.uniform(size=400) < 0.7, z.argmax(axis=1), rng.integers(0, 6, 400))
+        if case in ("separable", "nearly-separable"):
+            y = z.argmax(axis=1)
+            if case == "nearly-separable":
+                y[0] = z[0].argmin()
+        if case == "row-constant":
+            z = np.zeros_like(z)
+        S = np.ascontiguousarray(z.T)
+        label = y * len(y) + np.arange(len(y))
+        records = []
+        beta, initial_loss, steps, _ = optim.fit_temperature(S, label, trace=records.append)
+        assert initial_loss == records[0]["loss"] == transform.softmax_nll(S * 1.0, label)[0]
+        at_bound = transform.softmax_nll(S * optim.BETA_MAX, label)[0]
+        assert beta == optim.BETA_MAX or at_bound >= records[-1]["loss"]
+        assert optim.BETA_MIN <= beta <= optim.BETA_MAX and len(records) == steps + 1
+        if case == "separable":
+            assert beta == optim.BETA_MAX
+        if case == "row-constant":
+            assert beta == 1.0 and steps == 0
 
 
 class TestIncrementHessian:
@@ -561,18 +689,21 @@ class TestProjectedNewton:
         a = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 3.0]])
         c = np.array([1.0, -2.0, 0.5])
 
-        def evaluate(x, order):
+        points = []
+
+        def evaluate(x):
+            points.append(x.tobytes())
             r = x - c
-            out = (float(r @ a @ r / 2), a @ r, a)
-            return out[0] if order == 0 else out[: order + 1]
+            return float(r @ a @ r / 2), lambda order: (a @ r, a)[:order]
 
         lines = []
         x, initial_loss, final_loss, iterations, converged = optim._projected_newton(
             evaluate, np.ones(3), np.zeros(3), optim.MAX_ITERATIONS, trace=lines.append
         )
         assert converged and x[1] == 0.0
-        assert initial_loss == evaluate(np.ones(3), 0) == lines[0]["loss"]
-        assert final_loss == evaluate(x, 0) == lines[-1]["loss"]
+        assert len(set(points)) == len(points)
+        assert initial_loss == evaluate(np.ones(3))[0] == lines[0]["loss"]
+        assert final_loss == evaluate(x)[0] == lines[-1]["loss"]
         grad = a @ (x - c)
         assert grad[1] > 0 and np.abs(grad[[0, 2]]).max() < 1e-9
         assert len(lines) == iterations + 1 and lines[-1]["step"] == 0.0

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import re
@@ -5,7 +6,8 @@ from pathlib import Path
 
 import monocal
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_every_exported_name_resolves():
@@ -23,3 +25,18 @@ def test_readme_library_quickstart_runs():
     before, after = (float(line.split()[-1]) for line in out.getvalue().splitlines())
     # The comments in the block quote ECE ~0.27 before and ~0.016 after.
     assert round(before, 2) == 0.27 and round(after, 3) == 0.016
+
+
+def test_every_objective_call_passes_its_order_positionally():
+    # The benchmark's tracer reads a sorted_nll_objective call's fifth
+    # positional argument; a call that passes fewer would fail there.
+    calls = [
+        (path.name, node.lineno, node.args)
+        for path in sorted((ROOT / "src" / "monocal").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "sorted_nll_objective"
+    ]
+    assert calls
+    short = [(name, line) for name, line, args in calls if sum(not isinstance(a, ast.Starred) for a in args) < 5]
+    assert short == []
